@@ -25,7 +25,7 @@ constexpr std::size_t kPayloadBytes = 512;
 constexpr std::int64_t kSafetyTimeout = 60'000'000'000;  // ns
 /// Building the simulator takes well under a millisecond, so set-up is
 /// timed over several builds (median) and the last one is run.
-constexpr std::size_t kSetupTrials = 7;
+constexpr std::size_t kSetupTrials = 15;
 
 }  // namespace
 

@@ -145,6 +145,11 @@ struct RepResult {
   std::uint64_t verified = 0;         ///< decoded and byte-exact in time
   std::uint64_t verify_failures = 0;  ///< decoded to the wrong bytes
   std::uint64_t stalls = 0;           ///< safety timeouts
+  /// Open loop only: blocks the source retired before it had sent their
+  /// whole budget, because the host held the loop back past a deadline.
+  /// Such a repetition's traffic differs from a prompt one's, so it is
+  /// left out of the exact-count comparison (its timings still count).
+  std::uint64_t schedule_slips = 0;
   /// One sample per attempted transfer; +inf for a failed one.
   std::vector<double> completion_ms;
   /// Datagrams over every socket of the repetition (socket workloads).

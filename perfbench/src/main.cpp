@@ -134,6 +134,15 @@ void write_spans(const std::string& path, const std::vector<Span>& spans) {
   std::fclose(f);
 }
 
+/// A JSON number with `digits` significant digits; null when not finite
+/// (a repetition whose tail is a missed block).
+std::string number(double value, int digits = 6) {
+  if (!std::isfinite(value)) return "null";
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.*g", digits, value);
+  return buf;
+}
+
 void print_metric(std::string& json, bool& first, const std::string& name, double value,
                   const std::string& unit) {
   char buf[96];
@@ -201,10 +210,11 @@ int run(const Args& args) {
                    static_cast<unsigned long long>(rep.attempted));
       return 2;
     }
-    // Counts must repeat exactly. Only a late block of the open-loop
-    // stream (a host stall past its deadline) may change them, so
-    // repetitions that missed a deadline are left out of the comparison.
-    const bool complete = rep.verified == rep.attempted;
+    // Counts must repeat exactly. Only a host stall past a deadline of the
+    // open-loop stream (a missed block, or a block retired before its
+    // budget was sent) may change them, so such repetitions are left out
+    // of the comparison.
+    const bool complete = rep.verified == rep.attempted && rep.schedule_slips == 0;
     if (complete && reference) {
       const auto& a = reps[*reference].counts;
       const auto& b = rep.counts;
@@ -232,10 +242,12 @@ int run(const Args& args) {
   std::vector<const RepResult*> with_trace;
   std::uint64_t attempted = 0;
   std::uint64_t failed = 0;
+  std::uint64_t schedule_slips = 0;
   for (std::size_t i = 0; i < reps.size(); ++i) {
     (traced[i] ? with_trace : plain).push_back(&reps[i]);
     attempted += reps[i].attempted;
     failed += reps[i].attempted - reps[i].verified;
+    schedule_slips += reps[i].schedule_slips;
   }
   rusage usage_end{};
   getrusage(RUSAGE_SELF, &usage_end);
@@ -255,22 +267,18 @@ int run(const Args& args) {
       median_of(plain, [](const RepResult& r) { return percentile(r.completion_ms, 50.0); }),
       "ms");
   put("completion_ms_tail", median_of(plain, tail_of), "ms");
-  std::vector<const RepResult*> all;
-  for (const RepResult& r : reps) all.push_back(&r);
   put("delivered_ratio", ratio(static_cast<double>(attempted - failed), static_cast<double>(attempted)),
       "ratio");
-  // Counts (the same on every complete repetition, so the median is that
-  // value) and timing-dependent measures (median of the untraced ones).
+  // Counts (the same on every complete repetition, so they are read from
+  // the first one) and timing-dependent measures (median of the untraced
+  // ones).
   const auto value_of = [](const std::vector<Metric>& list, const std::string& name) {
     for (const Metric& x : list) {
       if (x.name == name) return x.value;
     }
     return 0.0;
   };
-  for (const Metric& m : reps.front().counts) {
-    put(m.name, median_of(all, [&](const RepResult& r) { return value_of(r.counts, m.name); }),
-        m.unit);
-  }
+  for (const Metric& m : reps[reference.value_or(0)].counts) put(m.name, m.value, m.unit);
   for (const Metric& m : reps.front().measured) {
     put(m.name,
         median_of(plain, [&](const RepResult& r) { return value_of(r.measured, m.name); }),
@@ -323,7 +331,9 @@ int run(const Args& args) {
                      std::to_string(plain.size()) + ", \"traced_repetitions\": " +
                      std::to_string(with_trace.size()) +
                      ", \"correct\": true, \"attempted\": " + std::to_string(attempted) +
-                     ", \"failed\": " + std::to_string(failed) + ", \"tail_percentile\": ";
+                     ", \"failed\": " + std::to_string(failed) +
+                     ", \"schedule_slips\": " + std::to_string(schedule_slips) +
+                     ", \"tail_percentile\": ";
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%g", tail_percentile(reps.front().completion_ms.size()));
   json += buf;
@@ -335,12 +345,10 @@ int run(const Args& args) {
     std::snprintf(buf, sizeof(buf), "%s{\"traced\": %s, ", i == 0 ? "" : ", ",
                   traced[i] ? "true" : "false");
     json += buf;
-    char row[256];
-    std::snprintf(row, sizeof(row),
-                  "\"probe_ms\": %.4f, \"setup_s\": %.6g, \"goodput_mb_s\": %.6g, "
-                  "\"completion_ms_p50\": %.6g, \"completion_ms_tail\": %.6g}",
-                  probes[i], r.setup_s, goodput(r), percentile(r.completion_ms, 50.0), tail_of(r));
-    json += row;
+    json += "\"probe_ms\": " + number(probes[i], 7) + ", \"setup_s\": " + number(r.setup_s) +
+            ", \"goodput_mb_s\": " + number(goodput(r)) +
+            ", \"completion_ms_p50\": " + number(percentile(r.completion_ms, 50.0)) +
+            ", \"completion_ms_tail\": " + number(tail_of(r)) + "}";
   }
   json += "]";
   // The exact counts, for run.py's self-test.

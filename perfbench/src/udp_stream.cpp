@@ -4,20 +4,27 @@
 // stream::Receivers: a 64 KiB block (k = 1,024 symbols of 64 B) is born
 // every 100 ms whatever the receivers do, each must decode before a 250 ms
 // deadline, and 5 % of the source's datagrams are dropped before the
-// socket (the budget's loss estimate matches). The source endpoint's
-// pacer sends each block's symbols at the stream's bitrate, spread over
-// 80 % of the block period, one batch per wake-up. One thread, four
-// sockets; the loop sleeps until the next batch or block is due. Latency
-// runs from a block's scheduled birth to its verified decode, so a
-// stalled generator or a path that falls behind the pace shows up in
-// every block behind it.
+// socket (the budget's loss estimate matches). The source sends each
+// block's symbols at the stream's bitrate, spread evenly over 80 % of the
+// block period on a fixed schedule of 64-symbol batches: at every wake-up
+// it sends every batch that has fallen due, so a late wake-up delays
+// symbols but never drops them, and a block's traffic does not depend on
+// how promptly the host ran the loop. One thread, four sockets; the loop
+// sleeps until the next batch or block is due. Latency runs from a block's
+// scheduled birth to its verified decode, so a stalled generator or a path
+// that falls behind the pace shows up in every block behind it.
 //
 // Why not 4 KiB blocks at 100 blocks/s sent in one burst: their latency
 // (p50 ~1.7 ms) was no larger than the wake-up and preemption jitter of a
 // busy 4-vCPU KVM guest (0.5–6 ms), so the per-run p95 ranged 1.9–4.9 ms
 // over ten seeds. Unpaced 64 KiB bursts still spread 20 % (p50) and 32 %
-// (p95) over ten seeds, tracking how fast the host ran each minute.
+// (p95) over ten seeds, tracking how fast the host ran each minute. Why not
+// the endpoint's own token-bucket pacer: a bucket that holds one batch
+// loses the tokens of every late wake-up, so on a busy host a block's
+// budget was still unsent at its deadline and the traffic (and with it
+// every count) changed from run to run.
 #include <algorithm>
+#include <cmath>
 #include <unordered_map>
 #include <vector>
 
@@ -50,9 +57,9 @@ constexpr double kBudgetOverhead = 0.6;
 /// 70 blocks × 3 receivers = 210 latency samples per repetition: an exact
 /// p95 with ten samples beyond it.
 constexpr std::uint64_t kBlocks = 70;
-/// Share of the block period the paced source takes to send a block.
+/// Share of the block period the source takes to send a block.
 constexpr double kPaceShare = 0.8;
-constexpr std::size_t kSetupTrials = 7;
+constexpr std::size_t kSetupTrials = 15;
 
 /// Decode-side op counters of every block, kept up to date while the
 /// block is live (the receiver destroys its decoder at the deadline).
@@ -74,9 +81,8 @@ OpCounters total(const OpsById& ops) {
 /// Everything a repetition builds before its first frame.
 struct Rig {
   Rig(const stream::StreamConfig& config, const stream::StreamConfig& verify_config,
-      const session::EndpointConfig& source_config,
       const session::EndpointConfig& endpoint_config)
-      : source_endpoint(source_config, std::make_unique<store::ContentStore>()),
+      : source_endpoint(endpoint_config, std::make_unique<store::ContentStore>()),
         source(config, source_endpoint),
         tx_socket(open_loopback()) {
     all_sockets.push_back(tx_socket.get());
@@ -120,16 +126,14 @@ RepResult run_udp_stream(const WorkloadOptions& options, Tracer& tracer) {
   verify_config.seed += options.verify_seed_offset;
   session::EndpointConfig endpoint_config;
   endpoint_config.feedback = session::FeedbackMode::kNone;
-  // Pacer: a block's symbols (all receivers, before loss) per kPaceShare
-  // of the period, in tokens per µs; a full bucket is one batch.
-  const double frames_per_block = static_cast<double>(
-      stream::redundancy_budget(kK, kBudgetOverhead, kLoss) * kReceivers);
-  session::EndpointConfig source_config = endpoint_config;
-  source_config.pace_tokens_per_tick =
-      frames_per_block / (kPaceShare * static_cast<double>(kBlockPeriodUs));
-  source_config.pace_burst = static_cast<double>(kBatch);
-  const auto batch_period_us =
-      static_cast<stream::Instant>(static_cast<double>(kBatch) / source_config.pace_tokens_per_tick);
+  // The send schedule: a block's frames (all receivers, before loss) go
+  // out in batches of kBatch, batch i of block b due at birth_of(b) +
+  // i · batch_interval_us.
+  const std::uint64_t frames_per_block =
+      std::uint64_t{stream::redundancy_budget(kK, kBudgetOverhead, kLoss)} * kReceivers;
+  const double batch_interval_us = kPaceShare * static_cast<double>(kBlockPeriodUs) *
+                                   static_cast<double>(kBatch) /
+                                   static_cast<double>(frames_per_block);
 
   // Set-up takes a fraction of a millisecond, so it is timed over several
   // builds (median) and the last one is run.
@@ -138,7 +142,7 @@ RepResult run_udp_stream(const WorkloadOptions& options, Tracer& tracer) {
   for (std::size_t i = 0; i < kSetupTrials; ++i) {
     rig.reset();
     const std::int64_t setup_start = now_ns();
-    rig = std::make_unique<Rig>(config, verify_config, source_config, endpoint_config);
+    rig = std::make_unique<Rig>(config, verify_config, endpoint_config);
     setup_s.push_back(static_cast<double>(now_ns() - setup_start) * 1e-9);
   }
   out.setup_s = median(setup_s);
@@ -159,6 +163,10 @@ RepResult run_udp_stream(const WorkloadOptions& options, Tracer& tracer) {
                                                   std::vector<std::uint32_t>(kBlocks, 0));
   std::vector<std::vector<bool>> completed(kReceivers, std::vector<bool>(kBlocks, false));
   std::vector<std::int64_t> first_sent(kBlocks, -1);
+  // Frames polled from the source per block, and the block of each frame
+  // in the batch being built.
+  std::vector<std::uint64_t> polled(kBlocks, 0);
+  std::array<std::uint64_t, kBatch> batch_seq{};
   OpsById encode_ops;
   std::vector<OpsById> decode_ops(kReceivers);
 
@@ -169,8 +177,18 @@ RepResult run_udp_stream(const WorkloadOptions& options, Tracer& tracer) {
   const auto stream_now = [start]() {
     return static_cast<stream::Instant>((now_ns() - start) / 1000);
   };
+  // Frames due by stream time `t` over the blocks emitted by then; a
+  // block's frames all fall due before the next one is born.
+  const auto frames_due = [&](stream::Instant t) -> std::uint64_t {
+    const std::uint64_t born = source.blocks_emitted();
+    if (born == 0) return 0;
+    const double into = static_cast<double>(t - source.birth_of(born - 1));
+    const auto batches = static_cast<std::uint64_t>(into / batch_interval_us) + 1;
+    return (born - 1) * frames_per_block + std::min(frames_per_block, batches * kBatch);
+  };
   std::int64_t last_verified = start;
   std::uint64_t opened = 0;
+  std::uint64_t pushed = 0;  // frames polled from the source, before loss
   std::uint64_t post_completion = 0;
   std::size_t next_receiver = 0;
   std::uint64_t iteration = 0;
@@ -216,11 +234,10 @@ RepResult run_udp_stream(const WorkloadOptions& options, Tracer& tracer) {
       break;
     }
     const stream::Instant woke = stream_now();
-    bool paced = false;
     {
       Scope iter(tracer, Op::kIter, iteration++);
       snapshot(source_endpoint.contents(), false, encode_ops);
-      source_endpoint.tick(woke);  // refills the pacer
+      source_endpoint.tick(woke);
       {
         Scope span(tracer, Op::kAdvance);
         source.advance(woke);
@@ -231,43 +248,50 @@ RepResult run_udp_stream(const WorkloadOptions& options, Tracer& tracer) {
           receivers[r]->open_block(opened, source.birth_of(opened));
         }
       }
-      // Push while the pacer and the live blocks' budgets allow, one
-      // batch at a time, receivers served round-robin.
-      const std::uint64_t deferrals = source_endpoint.stats().pacer_deferrals;
-      for (bool exhausted = false; !exhausted;) {
+      // Push every batch due by now, receivers served round-robin; a batch
+      // never spans two blocks.
+      const std::uint64_t due = frames_due(woke);
+      while (pushed < due) {
+        const std::uint64_t block_end = (pushed / frames_per_block + 1) * frames_per_block;
+        const std::uint64_t batch_end = std::min({due, block_end, pushed + kBatch});
         std::array<std::size_t, kReceivers> sent_to{};
         std::size_t n = 0;
-        while (n < kBatch) {
-          bool pushed = false;
+        while (pushed < batch_end) {
+          bool ok = false;
           {
             Scope span(tracer, Op::kPushSymbol, next_receiver);
-            pushed = source.push_symbol(static_cast<session::PeerId>(next_receiver), push_rng);
+            ok = source.push_symbol(static_cast<session::PeerId>(next_receiver), push_rng);
           }
-          if (!pushed) {
-            exhausted = true;
+          if (!ok) {
+            // Every live block's budget is spent or retired: the loop fell
+            // behind by more than a deadline. Skip what can no longer go.
+            pushed = due;
             break;
           }
+          ++pushed;
           next_receiver = (next_receiver + 1) % kReceivers;
           session::PeerId dest = 0;
           {
             Scope span(tracer, Op::kPollTransmit, dest);
             source_endpoint.poll_transmit(dest, tx_frames[n]);
           }
+          ContentId id = 0;
+          wire::peek_content(tx_frames[n].bytes(), id);
+          const std::uint64_t seq = stream::StreamSource::seq_of(id);
+          ++polled[seq];
           if (loss_rng.chance(kLoss)) continue;  // emulated sender-side loss
           items[n] = UdpTransport::TxItem{dest, tx_frames[n].bytes()};
+          batch_seq[n] = seq;
           ++sent_to[dest];
           ++n;
         }
-        if (n == 0) break;
+        if (n == 0) continue;
         if (!send_all(tx_socket, {items.data(), n}, tracer)) {
           throw std::runtime_error("source socket error");
         }
         const std::int64_t sent_at = now_ns();
         for (std::size_t i = 0; i < n; ++i) {
-          ContentId id = 0;
-          wire::peek_content(items[i].bytes, id);
-          const std::uint64_t seq = stream::StreamSource::seq_of(id);
-          if (first_sent[seq] < 0) first_sent[seq] = sent_at;
+          if (first_sent[batch_seq[i]] < 0) first_sent[batch_seq[i]] = sent_at;
         }
         for (std::size_t r = 0; r < kReceivers; ++r) {
           receive_exactly(*rx_sockets[r], sent_to[r], rx_buffers, tracer,
@@ -276,7 +300,6 @@ RepResult run_udp_stream(const WorkloadOptions& options, Tracer& tracer) {
                           });
         }
       }
-      paced = source_endpoint.stats().pacer_deferrals != deferrals;
       const stream::Instant now = stream_now();
       for (std::size_t r = 0; r < kReceivers; ++r) {
         snapshot(receivers[r]->endpoint().contents(), true, decode_ops[r]);
@@ -284,15 +307,20 @@ RepResult run_udp_stream(const WorkloadOptions& options, Tracer& tracer) {
         receivers[r]->finalize_due(now);
       }
     }
-    // Sleep until the pacer holds another batch (if it is what stopped
-    // the pushes), the next block is born or the oldest open one is due.
+    // Sleep until another batch of the block being sent falls due, the
+    // next block is born or the oldest open one is due.
     const std::uint64_t oldest = receivers[0]->stream_stats().blocks_finalized;
     if (oldest == kBlocks) break;
     stream::Instant wake = source.birth_of(oldest) + kDeadlineUs + 1;
-    if (source.blocks_emitted() < kBlocks) {
-      wake = std::min(wake, source.birth_of(source.blocks_emitted()));
+    const std::uint64_t sending = pushed / frames_per_block;
+    if (sending < source.blocks_emitted()) {
+      const std::uint64_t batch = pushed % frames_per_block / kBatch;
+      wake = std::min(wake, source.birth_of(sending) +
+                                static_cast<stream::Instant>(
+                                    std::ceil(static_cast<double>(batch) * batch_interval_us)));
+    } else if (sending < kBlocks) {
+      wake = std::min(wake, source.birth_of(sending));
     }
-    if (paced) wake = std::min(wake, woke + batch_period_us);
     sleep_until_ns(start + static_cast<std::int64_t>(wake) * 1000);
   }
   snapshot(source_endpoint.contents(), false, encode_ops);
@@ -321,6 +349,9 @@ RepResult run_udp_stream(const WorkloadOptions& options, Tracer& tracer) {
   out.verified = fleet.blocks_completed;
   out.verify_failures = fleet.verify_failures;
   out.verified_bytes = static_cast<double>(out.verified * kBlockBytes);
+  out.schedule_slips = static_cast<std::uint64_t>(
+      std::count_if(polled.begin(), polled.end(),
+                    [&](std::uint64_t frames) { return frames != frames_per_block; }));
   // Misses (late or wrong) count as infinite latency.
   while (out.completion_ms.size() < out.attempted) out.completion_ms.push_back(kInf);
   std::vector<double> lag_us;
