@@ -4,7 +4,7 @@
 //   section "event"   timer-wheel driver, 10^4 users (10^5 with --full),
 //                     Zipf(1.0) over 256 contents, k=32, 64-B symbols —
 //                     the scale curve
-//   section "udp"     real UDP loopback through session::Endpoint at a
+//   section "udp"     the sim driver's loop over loopback UdpPipes at a
 //                     coarse capacity grid — the wire-truth curve
 //   section "sim"     one SimChannel row under loss (full frame path)
 //   section "policy"  LRU and LFU reactive-warming rows at half the
@@ -195,13 +195,14 @@ int main(int argc, char** argv) {
   std::cerr << "edge_cache: udp sweep\n";
   std::vector<CurvePoint> udp_curve;
   for (const double frac : udp_fracs) {
-    ltnc::cache::UdpCacheConfig cfg;
+    ltnc::cache::SimCacheConfig cfg;
     cfg.scenario = base_scenario(seed);
     cfg.scenario.users = 8;
     cfg.scenario.cache.capacity_bytes =
         static_cast<std::size_t>(static_cast<double>(ws) * frac);
+    cfg.link = ltnc::net::Link::kUdp;
     const auto start = std::chrono::steady_clock::now();
-    const CacheRunStats r = run_udp_cache(cfg);
+    const CacheRunStats r = run_sim_cache(cfg);
     const double seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();

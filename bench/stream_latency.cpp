@@ -1,14 +1,14 @@
 // Streaming latency figure: block-completion latency quantiles and
-// deadline-miss rate versus channel loss, across all three stream
-// harness drivers.
+// deadline-miss rate versus channel loss, across both stream harness
+// drivers and both links.
 //
 //   section "sim"    deterministic SimChannel fleet, fixed (non-adaptive)
 //                    redundancy so the miss-rate-vs-loss curve is a clean
 //                    monotone readout of what loss does to a fixed budget
 //   section "sim-adaptive"  same sweep with the loss estimate fed back
 //                    into the budget — what the deadline scheduler buys
-//   section "udp"    real datagrams over loopback (microsecond domain),
-//                    sender-side emulated loss
+//   section "udp"    the sim driver's loop over loopback UdpPipes
+//                    (microsecond domain, the same seeded fault stage)
 //   section "event"  timer-wheel broadcast at 10^4 receivers (10^5 with
 //                    --full) — the scale point
 //
@@ -155,14 +155,16 @@ int main(int argc, char** argv) {
   const std::uint64_t udp_blocks = full ? 100 : 30;
   std::cerr << "stream_latency: udp sweep (" << udp_blocks << " blocks)\n";
   for (const double loss : {0.0, 0.2, 0.4}) {
-    ltnc::stream::UdpStreamConfig cfg;
+    ltnc::stream::SimStreamConfig cfg;
     cfg.stream = sim_stream_shape(udp_blocks, seed);
     cfg.stream.ticks_per_block = 10'000;  // 100 fps
     cfg.stream.deadline_ticks = 50'000;   // 50 ms
+    cfg.channel.loss_rate = loss;
+    cfg.channel.seed = seed;
     cfg.receivers = receivers_override != 0 ? receivers_override : 2;
-    cfg.loss_rate = loss;
     cfg.seed = seed;
-    records.push_back(timed([&] { return run_udp_stream(cfg); }, "udp", loss,
+    cfg.link = ltnc::net::Link::kUdp;
+    records.push_back(timed([&] { return run_sim_stream(cfg); }, "udp", loss,
                             cfg.stream));
   }
 

@@ -5,8 +5,8 @@
 // catalog, take whatever the edge holds, and complete the decode from
 // the origin source — every cached symbol is one the backhaul never
 // carries. Three drivers share the scenario: the discrete-event engine
-// (scale), the SimChannel wire path (loss/reorder faults), and real UDP
-// loopback sockets.
+// (scale), and the wire path (loss/reorder faults) over SimChannels or
+// over real UDP loopback sockets.
 //
 //   ./build/examples/edge_cache [users] [requests-per-user]
 //       [--contents N] [--alpha A] [--capacity-frac F]
@@ -129,15 +129,11 @@ int main(int argc, char** argv) {
     ltnc::cache::EventCacheConfig cfg;
     cfg.scenario = sc;
     r = run_event_cache(cfg);
-  } else if (driver == "sim") {
+  } else if (driver == "sim" || driver == "udp") {
     ltnc::cache::SimCacheConfig cfg;
     cfg.scenario = sc;
-    cfg.channel.loss_rate = loss;
+    if (driver == "udp") cfg.link = ltnc::net::Link::kUdp;
     r = run_sim_cache(cfg);
-  } else if (driver == "udp") {
-    ltnc::cache::UdpCacheConfig cfg;
-    cfg.scenario = sc;
-    r = run_udp_cache(cfg);
   } else {
     std::cerr << "unknown driver " << driver << " (event|sim|udp)\n";
     return 2;

@@ -104,27 +104,29 @@ int main(int argc, char** argv) {
 
   ltnc::telemetry::Registry registry;
   ltnc::telemetry::FlightRecorder recorder(8192);
-  ltnc::stream::UdpStreamConfig cfg;
+  ltnc::stream::SimStreamConfig cfg;
   cfg.stream.block_bytes = block_bytes;
   cfg.stream.symbol_bytes = symbol_bytes;
   cfg.stream.ticks_per_block = 1'000'000 / fps;  // µs between blocks
   cfg.stream.deadline_ticks = deadline_ms * 1'000;
   cfg.stream.total_blocks = blocks;
   cfg.stream.base_overhead = overhead;
-  if (adaptive) cfg.stream.loss_estimate = loss;
   cfg.stream.seed = seed;
+  cfg.channel.loss_rate = loss;
+  cfg.channel.seed = seed;
   cfg.receivers = receivers;
-  cfg.loss_rate = loss;
+  cfg.adaptive_budget = adaptive;
   cfg.seed = seed;
   cfg.registry = &registry;
   if (!trace_path.empty()) cfg.recorder = &recorder;
+  cfg.link = ltnc::net::Link::kUdp;
 
   std::cout << "live_stream: " << receivers << " receiver(s), " << blocks
             << " block(s) of " << block_bytes << " B (k=" << cfg.stream.k()
             << ") at " << fps << " fps, deadline " << deadline_ms
             << " ms, loss " << loss << (adaptive ? " (adaptive)" : "")
             << "\n";
-  const ltnc::stream::StreamRunStats r = run_udp_stream(cfg);
+  const ltnc::stream::StreamRunStats r = run_sim_stream(cfg);
 
   const std::uint64_t finalized = r.completed + r.missed;
   std::cout << "  blocks completed  " << r.completed << "/" << finalized

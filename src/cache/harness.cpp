@@ -1,15 +1,10 @@
 #include "cache/harness.hpp"
 
 #include <algorithm>
-#include <array>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <string>
-#include <thread>
-#include <utility>
 #include <vector>
 
 #include "cache/fetch.hpp"
@@ -19,7 +14,7 @@
 #include "dissemination/timer_wheel.hpp"
 #include "lt/bp_decoder.hpp"
 #include "lt/lt_encoder.hpp"
-#include "net/udp_transport.hpp"
+#include "net/udp_pipe.hpp"
 #include "session/endpoint.hpp"
 #include "store/content_store.hpp"
 #include "stream/stream_source.hpp"
@@ -360,11 +355,13 @@ CacheRunStats run_sim_cache(const SimCacheConfig& config) {
   const CacheScenario& sc = config.scenario;
   LTNC_CHECK_MSG(sc.users > 0 && sc.requests_per_user > 0,
                  "sim cache run needs users and requests");
+  const bool wall_clock = config.link == net::Link::kUdp;
   telemetry::Registry local_registry;
   telemetry::Registry& registry =
       sc.registry != nullptr ? *sc.registry : local_registry;
-  constexpr const char* kLatency = "ltnc_cache_fetch_latency_ticks";
-  const Instruments inst = make_instruments(registry, kLatency);
+  const char* latency_name = wall_clock ? "ltnc_cache_fetch_latency_us"
+                                        : "ltnc_cache_fetch_latency_ticks";
+  const Instruments inst = make_instruments(registry, latency_name);
 
   const std::size_t k = sc.catalog.k;
   const std::size_t bytes = sc.catalog.symbol_bytes;
@@ -407,8 +404,8 @@ CacheRunStats run_sim_cache(const SimCacheConfig& config) {
   if (proactive) place_all(cache, catalog, &out, &inst);
   std::uint64_t placed_version = catalog.version();
 
-  std::vector<std::unique_ptr<net::SimChannel>> edge_ch;
-  std::vector<std::unique_ptr<net::SimChannel>> src_ch;
+  std::vector<std::unique_ptr<net::Transport>> edge_ch;
+  std::vector<std::unique_ptr<net::Transport>> src_ch;
   std::vector<std::unique_ptr<FetchClient>> clients;
   session::EndpointConfig client_cfg;
   client_cfg.feedback = session::FeedbackMode::kNone;
@@ -416,9 +413,9 @@ CacheRunStats run_sim_cache(const SimCacheConfig& config) {
     net::SimChannelConfig ch = config.channel;
     ch.loss_rate = sc.loss_rate;
     ch.seed = sc.seed + 0x9e3779b97f4a7c15ULL * (2 * u + 1);
-    edge_ch.push_back(std::make_unique<net::SimChannel>(ch));
+    edge_ch.push_back(net::open_link(config.link, ch));
     ch.seed = sc.seed + 0x9e3779b97f4a7c15ULL * (2 * u + 2);
-    src_ch.push_back(std::make_unique<net::SimChannel>(ch));
+    src_ch.push_back(net::open_link(config.link, ch));
     clients.push_back(std::make_unique<FetchClient>(client_cfg));
   }
 
@@ -450,9 +447,18 @@ CacheRunStats run_sim_cache(const SimCacheConfig& config) {
       static_cast<Instant>(sc.requests_per_user) *
           (config.request_timeout + config.think_ticks + 16) +
       4096;
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto clock_us = [&t0]() -> Instant {
+    return static_cast<Instant>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count());
+  };
   Instant t = 0;
   for (;; ++t) {
     LTNC_CHECK_MSG(t <= horizon, "sim cache run failed to converge");
+    // Latency stamps: the tick itself, or the wall clock over UDP.
+    const Instant stamp = wall_clock ? clock_us() : t;
     bool all_done = true;
     for (const UserState& st : users) {
       if (st.active || st.remaining > 0) {
@@ -480,7 +486,7 @@ CacheRunStats run_sim_cache(const SimCacheConfig& config) {
         st.source_phase = held == 0;
         st.source_pushed = 0;
         st.started = t;
-        clients[u]->open(st.id, k, bytes, catalog.seed_of(slot), t);
+        clients[u]->open(st.id, k, bytes, catalog.seed_of(slot), stamp);
         st.active = true;
       }
       if (!st.source_phase) {
@@ -492,10 +498,10 @@ CacheRunStats run_sim_cache(const SimCacheConfig& config) {
           }
           --st.edge_budget;
         }
-        // Fall back only after the edge link drains, so a loss-free
-        // decodable serve never touches the source.
-        if (st.edge_budget == 0 && edge_ch[u]->pending() == 0 &&
-            !clients[u]->complete()) {
+        // Fall back once the edge budget is spent; every link drained
+        // last tick, so a loss-free decodable serve never touches the
+        // source.
+        if (st.edge_budget == 0 && !clients[u]->complete()) {
           st.source_phase = true;
         }
       } else if (st.source_pushed < source_cap) {
@@ -522,16 +528,16 @@ CacheRunStats run_sim_cache(const SimCacheConfig& config) {
 
     for (std::size_t u = 0; u < sc.users; ++u) {
       while (edge_ch[u]->recv(frame)) {
-        clients[u]->ingest(false, frame.bytes(), t);
+        clients[u]->ingest(false, frame.bytes(), stamp);
       }
       while (src_ch[u]->recv(frame)) {
-        clients[u]->ingest(true, frame.bytes(), t);
+        clients[u]->ingest(true, frame.bytes(), stamp);
       }
       UserState& st = users[u];
       if (!st.active) continue;
       const bool timed_out = t - st.started >= config.request_timeout;
       if (clients[u]->complete() || timed_out) {
-        const FetchOutcome oc = clients[u]->finish(t);
+        const FetchOutcome oc = clients[u]->finish(stamp);
         fold_outcome(out, inst, oc, st.head);
         st.active = false;
         --st.remaining;
@@ -541,289 +547,12 @@ CacheRunStats run_sim_cache(const SimCacheConfig& config) {
   }
 
   out.replacements = catalog.replacements();
-  out.duration_ticks = t;
+  out.duration_ticks = wall_clock ? clock_us() : t;
   out.edge_bytes = edge.stats().bytes_sent;
   out.backhaul_bytes = source.stats().bytes_sent;
   inst.backhaul_bytes->add(out.backhaul_bytes);
   fold_cache(out, cache, inst);
-  fill_latency_quantiles(out, registry, kLatency);
-  return out;
-}
-
-CacheRunStats run_udp_cache(const UdpCacheConfig& config) {
-  const CacheScenario& sc = config.scenario;
-  LTNC_CHECK_MSG(sc.users > 0 && sc.requests_per_user > 0,
-                 "udp cache run needs users and requests");
-  telemetry::Registry local_registry;
-  telemetry::Registry& registry =
-      sc.registry != nullptr ? *sc.registry : local_registry;
-  constexpr const char* kLatency = "ltnc_cache_fetch_latency_us";
-  const Instruments inst = make_instruments(registry, kLatency);
-
-  const std::size_t k = sc.catalog.k;
-  const std::size_t bytes = sc.catalog.symbol_bytes;
-  const bool proactive = sc.cache.policy == Policy::kPopularity;
-  const auto source_peer = static_cast<session::PeerId>(sc.users);
-
-  Catalog catalog(sc.catalog);
-  EdgeCache cache(sc.cache);
-  announce_all(cache, catalog);
-  CacheRunStats out;
-  out.users = sc.users;
-
-  // User sockets open on this thread so the service sockets can intern
-  // their ports; each is then used exclusively by its user thread.
-  std::string error;
-  std::vector<std::unique_ptr<net::UdpTransport>> user_socks;
-  for (std::size_t u = 0; u < sc.users; ++u) {
-    net::UdpConfig ucfg;
-    ucfg.bind_address = "127.0.0.1";
-    auto sock = net::UdpTransport::open(ucfg, &error);
-    LTNC_CHECK_MSG(sock != nullptr, "udp cache: user bind failed");
-    user_socks.push_back(std::move(sock));
-  }
-  net::UdpConfig svc_cfg;
-  svc_cfg.bind_address = "127.0.0.1";
-  auto edge_tx = net::UdpTransport::open(svc_cfg, &error);
-  auto src_tx = net::UdpTransport::open(svc_cfg, &error);
-  LTNC_CHECK_MSG(edge_tx != nullptr && src_tx != nullptr,
-                 "udp cache: service bind failed");
-  for (std::size_t u = 0; u < sc.users; ++u) {
-    const std::uint16_t port = user_socks[u]->local_port();
-    LTNC_CHECK_MSG(
-        edge_tx->add_peer("127.0.0.1", port) ==
-                static_cast<net::UdpTransport::PeerIndex>(u) &&
-            src_tx->add_peer("127.0.0.1", port) ==
-                static_cast<net::UdpTransport::PeerIndex>(u),
-        "udp cache: peer interning out of order");
-    // User side: peer 0 = edge, peer 1 = source (FetchClient's contract).
-    user_socks[u]->add_peer("127.0.0.1", edge_tx->local_port());
-    user_socks[u]->add_peer("127.0.0.1", src_tx->local_port());
-  }
-
-  session::EndpointConfig node_cfg;
-  node_cfg.feedback = session::FeedbackMode::kNone;
-  node_cfg.expired_ring = std::max<std::size_t>(128, 4 * catalog.size());
-  session::Endpoint edge(node_cfg, std::make_unique<store::ContentStore>());
-  session::Endpoint source(node_cfg, std::make_unique<store::ContentStore>());
-  const auto register_pair = [&](ContentId id, std::uint64_t seed) {
-    store::ContentConfig cc;
-    cc.id = id;
-    cc.k = k;
-    cc.payload_bytes = bytes;
-    edge.contents().register_content(
-        cc, std::make_unique<CacheEntryProtocol>(cache, id));
-    source.contents().register_content(
-        cc, std::make_unique<stream::LtSourceProtocol>(k, bytes, seed, false));
-  };
-  for (std::size_t slot = 0; slot < catalog.size(); ++slot) {
-    register_pair(catalog.id_of(slot), catalog.seed_of(slot));
-  }
-  catalog.set_on_replace([&](std::size_t slot, ContentId old_id,
-                             ContentId new_id) {
-    edge.expire_content(old_id);
-    source.expire_content(old_id);
-    cache.forget(old_id);
-    cache.announce(new_id, k, bytes, catalog.weight_of(slot));
-    register_pair(new_id, catalog.seed_of(slot));
-  });
-  if (proactive) place_all(cache, catalog, &out, &inst);
-  std::uint64_t placed_version = catalog.version();
-
-  // Request handshake per user, over shared memory (the "control plane"
-  // a real deployment would put in the request protocol): 0 idle →
-  // 1 user wants a request → 2 service granted (content fields valid) →
-  // 3 user finished the request → … → 4 user done for good.
-  struct UserCtl {
-    std::atomic<std::uint32_t> state{0};
-    ContentId id = 0;
-    std::uint64_t seed = 0;
-  };
-  std::vector<std::unique_ptr<UserCtl>> ctl;
-  for (std::size_t u = 0; u < sc.users; ++u) {
-    ctl.push_back(std::make_unique<UserCtl>());
-  }
-  std::vector<std::vector<FetchOutcome>> outcomes(sc.users);
-  std::vector<std::vector<bool>> heads(sc.users);
-  std::atomic<bool> abort{false};
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto now_us = [&t0]() -> Instant {
-    return static_cast<Instant>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-  };
-
-  std::vector<std::thread> threads;
-  threads.reserve(sc.users);
-  for (std::size_t u = 0; u < sc.users; ++u) {
-    threads.emplace_back([&, u] {
-      {
-        session::EndpointConfig client_cfg;
-        client_cfg.feedback = session::FeedbackMode::kNone;
-        FetchClient client(client_cfg);
-        net::UdpTransport& sock = *user_socks[u];
-        std::array<wire::Frame, net::UdpTransport::kMaxBatch> frames;
-        std::array<net::UdpTransport::PeerIndex,
-                   net::UdpTransport::kMaxBatch>
-            peers;
-        UserCtl& me = *ctl[u];
-        std::vector<FetchOutcome> local;
-        local.reserve(sc.requests_per_user);
-        for (std::size_t r = 0; r < sc.requests_per_user; ++r) {
-          me.state.store(1, std::memory_order_release);
-          while (me.state.load(std::memory_order_acquire) != 2 &&
-                 !abort.load(std::memory_order_relaxed)) {
-            std::this_thread::sleep_for(std::chrono::microseconds(50));
-          }
-          if (abort.load(std::memory_order_relaxed)) break;
-          client.open(me.id, k, bytes, me.seed, now_us());
-          const Instant deadline = now_us() + config.request_timeout_us;
-          while (!client.complete() && now_us() < deadline &&
-                 !abort.load(std::memory_order_relaxed)) {
-            const std::size_t n = sock.recv_batch(frames, peers);
-            for (std::size_t i = 0; i < n; ++i) {
-              client.ingest(peers[i] == 1, frames[i].bytes(), now_us());
-            }
-            if (n == 0) {
-              std::this_thread::sleep_for(std::chrono::microseconds(50));
-            }
-          }
-          local.push_back(client.finish(now_us()));
-          me.state.store(3, std::memory_order_release);
-        }
-        outcomes[u] = std::move(local);
-        me.state.store(4, std::memory_order_release);
-        // `client` and `frames` die here, before the arena reclaim.
-      }
-      WordArena::reclaim_local();
-    });
-  }
-
-  // The calling thread is the service: it grants requests, serves edge
-  // symbols, and streams source fallback in small batches (the user's
-  // completion flips state to 3 and stops the stream, so overshoot is
-  // bounded by one batch of frames in flight).
-  struct Job {
-    bool active = false;
-    ContentId id = 0;
-    std::size_t edge_remaining = 0;
-    std::size_t source_budget = 0;
-    Instant source_at = 0;  ///< no source frames before this instant
-  };
-  std::vector<Job> jobs(sc.users);
-  Rng svc_rng(sc.seed);
-  Rng serve_rng(sc.seed ^ 0x6a09e667f3bcc909ULL);
-  Rng source_rng(sc.seed ^ 0xbb67ae8584caa73bULL);
-  std::array<wire::Frame, net::UdpTransport::kMaxBatch> out_frames;
-  std::array<net::UdpTransport::TxItem, net::UdpTransport::kMaxBatch> items;
-  const Instant horizon =
-      static_cast<Instant>(sc.requests_per_user) *
-          (config.request_timeout_us + 200'000) +
-      2'000'000;
-  const auto drain = [&](session::Endpoint& ep, net::UdpTransport& tx,
-                         bool absorb_at_edge) -> bool {
-    bool sent = false;
-    for (;;) {
-      std::size_t n = 0;
-      session::PeerId dest = 0;
-      while (n < out_frames.size() && ep.poll_transmit(dest, out_frames[n])) {
-        if (absorb_at_edge) {
-          edge.handle_frame(source_peer, out_frames[n].bytes());
-        }
-        items[n] =
-            net::UdpTransport::TxItem{dest, out_frames[n].bytes()};
-        ++n;
-      }
-      if (n == 0) break;
-      tx.send_batch({items.data(), n});
-      sent = true;
-    }
-    return sent;
-  };
-
-  for (;;) {
-    bool all_done = true;
-    for (std::size_t u = 0; u < sc.users; ++u) {
-      if (ctl[u]->state.load(std::memory_order_acquire) != 4) {
-        all_done = false;
-        break;
-      }
-    }
-    if (all_done) break;
-    const Instant now = now_us();
-    if (now > horizon) {
-      abort.store(true, std::memory_order_relaxed);
-      break;
-    }
-    edge.tick(now);
-    source.tick(now);
-    if (proactive && placed_version != catalog.version()) {
-      place_all(cache, catalog, &out, &inst);
-      placed_version = catalog.version();
-    }
-
-    bool progressed = false;
-    for (std::size_t u = 0; u < sc.users; ++u) {
-      UserCtl& uc = *ctl[u];
-      const std::uint32_t state = uc.state.load(std::memory_order_acquire);
-      if (state == 1) {
-        const std::size_t slot = catalog.next_request(svc_rng);
-        uc.id = catalog.id_of(slot);
-        uc.seed = catalog.seed_of(slot);
-        heads[u].push_back(catalog.in_head(uc.id));
-        const std::size_t held = cache.begin_request(uc.id);
-        jobs[u] = Job{true, uc.id, held > 0 ? 2 * held + 8 : 0, 30 * k,
-                      held > 0 ? now + config.source_grace_us : now};
-        uc.state.store(2, std::memory_order_release);
-        progressed = true;
-        continue;
-      }
-      if (state == 3 || state == 4) {
-        jobs[u].active = false;
-        continue;
-      }
-      Job& job = jobs[u];
-      if (state != 2 || !job.active) continue;
-      const auto peer = static_cast<session::PeerId>(u);
-      if (job.edge_remaining > 0) {
-        const std::size_t n = std::min(config.batch, job.edge_remaining);
-        for (std::size_t i = 0; i < n; ++i) {
-          if (!edge.start_transfer(peer, job.id, serve_rng)) break;
-          --job.edge_remaining;
-          progressed = true;
-        }
-      } else if (job.source_budget > 0 && now >= job.source_at) {
-        const std::size_t n = std::min(config.batch, job.source_budget);
-        for (std::size_t i = 0; i < n; ++i) {
-          if (!source.start_transfer(peer, job.id, source_rng)) break;
-          --job.source_budget;
-          progressed = true;
-        }
-        job.source_at = now + config.source_pace_us;
-      }
-    }
-    const bool sent_edge = drain(edge, *edge_tx, false);
-    const bool sent_src = drain(source, *src_tx, !proactive);
-    if (!progressed && !sent_edge && !sent_src) {
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    }
-  }
-  for (std::thread& th : threads) th.join();
-
-  for (std::size_t u = 0; u < sc.users; ++u) {
-    for (std::size_t r = 0; r < outcomes[u].size(); ++r) {
-      const bool head = r < heads[u].size() && heads[u][r];
-      fold_outcome(out, inst, outcomes[u][r], head);
-    }
-  }
-  out.replacements = catalog.replacements();
-  out.duration_ticks = now_us();
-  out.edge_bytes = edge.stats().bytes_sent;
-  out.backhaul_bytes = source.stats().bytes_sent;
-  inst.backhaul_bytes->add(out.backhaul_bytes);
-  fold_cache(out, cache, inst);
-  fill_latency_quantiles(out, registry, kLatency);
+  fill_latency_quantiles(out, registry, latency_name);
   return out;
 }
 

@@ -1,4 +1,4 @@
-// Edge-cache experiment drivers: one scenario, three execution engines.
+// Edge-cache experiment drivers: one scenario, two execution engines.
 //
 //   run_event_cache   discrete-event model on dissem::TimerWheel — the
 //                     scale driver (10^4–10^5 users). Serving and source
@@ -6,16 +6,14 @@
 //                     against a per-request BP decoder with a latency
 //                     model (edge RTT ≪ source RTT); wire costs use the
 //                     exact frame codec byte counts.
-//   run_sim_cache     full wire path through session::Endpoint over
-//                     net::SimChannel — every symbol is a real frame
-//                     through the edge endpoint (CacheEntryProtocol) or
-//                     the source endpoint (stream::LtSourceProtocol),
-//                     with loss/reorder faults on both links.
-//   run_udp_cache     real UDP loopback: a service thread runs the edge
-//                     and source endpoints on two sockets; one thread per
-//                     user runs a FetchClient against both.
+//   run_sim_cache     full wire path through session::Endpoint — every
+//                     symbol is a real frame through the edge endpoint
+//                     (CacheEntryProtocol) or the source endpoint
+//                     (stream::LtSourceProtocol), over per-user links
+//                     with loss/reorder faults: net::SimChannels, or the
+//                     same fault schedules over loopback net::UdpPipes.
 //
-// All three report the same CacheRunStats — hit rates, source offload,
+// Both report the same CacheRunStats — hit rates, source offload,
 // backhaul bytes, fetch-latency quantiles — and feed the same PR-8
 // telemetry instruments (ltnc_cache_*), so bench/edge_cache can sweep
 // cache capacity across engines and diff the resulting curves.
@@ -35,6 +33,7 @@
 #include "cache/edge_cache.hpp"
 #include "common/types.hpp"
 #include "net/sim_channel.hpp"
+#include "net/udp_pipe.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace ltnc::cache {
@@ -71,18 +70,9 @@ struct SimCacheConfig {
   std::size_t pushes_per_tick = 4;  ///< per-user symbols queued per tick
   Instant think_ticks = 4;
   Instant request_timeout = 20000;  ///< ticks before a fetch is failed
-};
-
-struct UdpCacheConfig {
-  CacheScenario scenario;
-  std::size_t batch = 8;  ///< symbols the service queues per user per pass
-  std::uint64_t request_timeout_us = 2'000'000;
-  /// Wait before the source fallback starts when the edge held symbols,
-  /// so a full hit completes without the source racing it.
-  std::uint64_t source_grace_us = 10'000;
-  /// Minimum gap between source batches; bounds the backhaul overshoot
-  /// past the user's completion to one batch per gap.
-  std::uint64_t source_pace_us = 200;
+  /// kUdp keeps the tick schedule (so every count matches kSim's) and
+  /// stamps fetch latency and run duration in wall-clock µs.
+  net::Link link = net::Link::kSim;
 };
 
 struct CacheRunStats {
@@ -148,6 +138,5 @@ std::size_t working_set_bytes(const CatalogConfig& catalog,
 
 CacheRunStats run_event_cache(const EventCacheConfig& config);
 CacheRunStats run_sim_cache(const SimCacheConfig& config);
-CacheRunStats run_udp_cache(const UdpCacheConfig& config);
 
 }  // namespace ltnc::cache

@@ -5,6 +5,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -187,6 +188,11 @@ bool UdpTransport::set_peer_to_last_sender() {
   if (!has_last_sender_) return false;
   default_peer_ = intern_peer(last_sender_);
   return true;
+}
+
+bool UdpTransport::wait_readable(int timeout_ms) {
+  pollfd pfd{fd_, POLLIN, 0};
+  return ::poll(&pfd, 1, timeout_ms) > 0 && (pfd.revents & POLLIN) != 0;
 }
 
 std::size_t UdpTransport::send_batch_fallback(std::span<const TxItem> items) {
@@ -387,6 +393,7 @@ UdpTransport::~UdpTransport() = default;
 bool UdpTransport::send(std::span<const std::uint8_t>) { return false; }
 bool UdpTransport::recv(wire::Frame&) { return false; }
 bool UdpTransport::set_peer_to_last_sender() { return false; }
+bool UdpTransport::wait_readable(int) { return false; }
 UdpTransport::PeerIndex UdpTransport::add_peer(const std::string&,
                                                std::uint16_t) {
   return kInvalidPeer;

@@ -173,6 +173,11 @@ class UdpTransport final : public Transport {
   /// the same semantics at one syscall per frame).
   bool batching_active() const { return use_mmsg_; }
 
+  /// Blocks until a datagram is pending or `timeout_ms` elapses; true
+  /// when one is pending. The idle wait of a blocking-style driver,
+  /// instead of spinning on recv().
+  bool wait_readable(int timeout_ms);
+
   // --- peer registry --------------------------------------------------------
 
   /// Interns a remote address, returning its stable index (the existing

@@ -1,21 +1,17 @@
 #include "stream/harness.hpp"
 
 #include <algorithm>
-#include <array>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "dissemination/timer_wheel.hpp"
-#include "net/udp_transport.hpp"
+#include "net/udp_pipe.hpp"
 #include "session/endpoint.hpp"
 #include "store/content_store.hpp"
 #include "stream/receiver.hpp"
@@ -25,7 +21,7 @@
 namespace ltnc::stream {
 namespace {
 
-// Metric names shared by all three drivers (and live_stream's --prom
+// Metric names shared by both drivers (and live_stream's --prom
 // exposition); the latency histogram carries its tick unit in the name.
 constexpr const char* kCompletedName = "ltnc_stream_blocks_completed_total";
 constexpr const char* kMissName = "ltnc_stream_deadline_misses_total";
@@ -82,29 +78,34 @@ StreamRunStats run_sim_stream(const SimStreamConfig& config) {
   LTNC_CHECK_MSG(config.stream.total_blocks > 0,
                  "sim stream needs a bounded block count");
   LTNC_CHECK_MSG(config.receivers > 0, "sim stream needs receivers");
+  const bool wall_clock = config.link == net::Link::kUdp;
   telemetry::Registry local_registry;
   telemetry::Registry& registry =
       config.registry != nullptr ? *config.registry : local_registry;
-  constexpr const char* kLatency = "ltnc_stream_block_latency_ticks";
-  const ReceiverInstruments inst = make_instruments(registry, kLatency);
+  const char* latency_name = wall_clock ? "ltnc_stream_block_latency_us"
+                                        : "ltnc_stream_block_latency_ticks";
+  const ReceiverInstruments inst = make_instruments(registry, latency_name);
 
   session::EndpointConfig net_cfg;
   net_cfg.feedback = session::FeedbackMode::kNone;
   session::Endpoint source(net_cfg, std::make_unique<store::ContentStore>());
+  telemetry::SessionInstruments source_instruments;
+  source_instruments.recorder = config.recorder;
+  if (config.recorder != nullptr) source.set_telemetry(&source_instruments);
 
   StreamConfig stream = config.stream;
   stream.fanout = config.receivers;  // unicast: one budget per receiver
   if (config.adaptive_budget) stream.loss_estimate = config.channel.loss_rate;
   StreamSource src(stream, source);
 
-  std::vector<std::unique_ptr<net::SimChannel>> channels;
+  std::vector<std::unique_ptr<net::Transport>> links;
   std::vector<std::unique_ptr<Receiver>> fleet;
-  channels.reserve(config.receivers);
+  links.reserve(config.receivers);
   fleet.reserve(config.receivers);
   for (std::size_t r = 0; r < config.receivers; ++r) {
     net::SimChannelConfig ch = config.channel;
     ch.seed = config.channel.seed + 0x9e3779b97f4a7c15ULL * (r + 1);
-    channels.push_back(std::make_unique<net::SimChannel>(ch));
+    links.push_back(net::open_link(config.link, ch));
     fleet.push_back(std::make_unique<Receiver>(stream, net_cfg, inst));
   }
   src.set_on_emit([&fleet](std::uint64_t seq, Instant birth) {
@@ -116,13 +117,22 @@ StreamRunStats run_sim_stream(const SimStreamConfig& config) {
                                  : derive_pushes(stream);
   Rng rng(config.seed);
   wire::Frame frame;
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto clock_us = [&t0]() -> Instant {
+    return static_cast<Instant>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count());
+  };
   // Everything must resolve by the last deadline plus channel drain; a
   // run that blows well past it is a harness bug, not a slow channel.
+  // The wall clock adds two seconds for a stalled host.
   const Instant horizon = src.birth_of(stream.total_blocks) +
                           stream.deadline_ticks +
-                          4 * stream.ticks_per_block + 64;
+                          4 * stream.ticks_per_block +
+                          (wall_clock ? 2'000'000 : 64);
   Instant t = 0;
-  for (;; ++t) {
+  for (;; t = wall_clock ? clock_us() : t + 1) {
     LTNC_CHECK_MSG(t <= horizon, "sim stream failed to converge");
     source.tick(t);
     src.advance(t);
@@ -137,10 +147,10 @@ StreamRunStats run_sim_stream(const SimStreamConfig& config) {
     }
     session::PeerId dest = 0;
     while (source.poll_transmit(dest, frame)) {
-      channels[dest]->send(frame.bytes());
+      links[dest]->send(frame.bytes());
     }
     for (std::size_t r = 0; r < fleet.size(); ++r) {
-      while (channels[r]->recv(frame)) {
+      while (links[r]->recv(frame)) {
         fleet[r]->ingest(0, frame.bytes(), t);
       }
       fleet[r]->finalize_due(t);
@@ -149,6 +159,10 @@ StreamRunStats run_sim_stream(const SimStreamConfig& config) {
         std::all_of(fleet.begin(), fleet.end(),
                     [](const auto& rx) { return rx->all_finalized(); })) {
       break;
+    }
+    if (wall_clock && exhausted && !src.done()) {
+      std::this_thread::sleep_until(
+          t0 + std::chrono::microseconds(src.next_change()));
     }
   }
 
@@ -159,7 +173,7 @@ StreamRunStats run_sim_stream(const SimStreamConfig& config) {
   out.duration_ticks = t;
   out.every_receiver_decoded = true;
   for (const auto& rx : fleet) fold_receiver(out, *rx);
-  fill_latency_quantiles(out, registry, kLatency);
+  fill_latency_quantiles(out, registry, latency_name);
   return out;
 }
 
@@ -242,174 +256,6 @@ StreamRunStats run_event_stream(const EventStreamConfig& config) {
   out.duration_ticks = wheel.now();
   out.every_receiver_decoded = true;
   for (const auto& rx : fleet) fold_receiver(out, *rx);
-  fill_latency_quantiles(out, registry, kLatency);
-  return out;
-}
-
-StreamRunStats run_udp_stream(const UdpStreamConfig& config) {
-  LTNC_CHECK_MSG(config.stream.total_blocks > 0,
-                 "udp stream needs a bounded block count");
-  LTNC_CHECK_MSG(config.receivers > 0, "udp stream needs receivers");
-  telemetry::Registry local_registry;
-  telemetry::Registry& registry =
-      config.registry != nullptr ? *config.registry : local_registry;
-  constexpr const char* kLatency = "ltnc_stream_block_latency_us";
-  const ReceiverInstruments inst = make_instruments(registry, kLatency);
-
-  const std::uint64_t total = config.stream.total_blocks;
-  // Receiver sockets open on this thread so the sender can intern their
-  // ports; each is then used exclusively by its receiver thread.
-  std::vector<std::unique_ptr<net::UdpTransport>> rx_transports;
-  rx_transports.reserve(config.receivers);
-  std::string error;
-  for (std::size_t r = 0; r < config.receivers; ++r) {
-    net::UdpConfig ucfg;
-    ucfg.bind_address = "127.0.0.1";
-    auto transport = net::UdpTransport::open(ucfg, &error);
-    LTNC_CHECK_MSG(transport != nullptr, "udp stream: receiver bind failed");
-    rx_transports.push_back(std::move(transport));
-  }
-  net::UdpConfig sender_cfg;
-  sender_cfg.bind_address = "127.0.0.1";
-  auto tx = net::UdpTransport::open(sender_cfg, &error);
-  LTNC_CHECK_MSG(tx != nullptr, "udp stream: sender bind failed");
-  for (std::size_t r = 0; r < config.receivers; ++r) {
-    const auto peer =
-        tx->add_peer("127.0.0.1", rx_transports[r]->local_port());
-    LTNC_CHECK_MSG(peer == static_cast<net::UdpTransport::PeerIndex>(r),
-                   "udp stream: peer interning out of order");
-  }
-
-  // Births publish through an atomic table: slot holds birth+1 (0 = not
-  // yet emitted) so block 0's birth of zero is distinguishable.
-  std::unique_ptr<std::atomic<std::uint64_t>[]> births(
-      new std::atomic<std::uint64_t>[total]());
-  std::atomic<bool> abort{false};
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto now_us = [&t0]() -> Instant {
-    return static_cast<Instant>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-  };
-
-  struct RxOutcome {
-    ReceiverStats stream;
-    session::SessionStats session;
-  };
-  std::vector<RxOutcome> outcomes(config.receivers);
-  std::vector<std::thread> threads;
-  threads.reserve(config.receivers);
-  for (std::size_t r = 0; r < config.receivers; ++r) {
-    threads.emplace_back([&, r] {
-      {
-        session::EndpointConfig net_cfg;
-        net_cfg.feedback = session::FeedbackMode::kNone;
-        Receiver rx(config.stream, net_cfg, inst);
-        net::UdpTransport& sock = *rx_transports[r];
-        std::array<wire::Frame, net::UdpTransport::kMaxBatch> frames;
-        std::array<net::UdpTransport::PeerIndex, net::UdpTransport::kMaxBatch>
-            peers;
-        std::uint64_t next_open = 0;
-        while (!rx.all_finalized() && !abort.load(std::memory_order_relaxed)) {
-          const Instant now = now_us();
-          while (next_open < total) {
-            const std::uint64_t stamped =
-                births[next_open].load(std::memory_order_acquire);
-            if (stamped == 0) break;
-            rx.open_block(next_open, stamped - 1);
-            ++next_open;
-          }
-          const std::size_t n = sock.recv_batch(frames, peers);
-          for (std::size_t i = 0; i < n; ++i) {
-            rx.ingest(0, frames[i].bytes(), now);
-          }
-          rx.finalize_due(now);
-          if (n == 0) {
-            std::this_thread::sleep_for(std::chrono::microseconds(50));
-          }
-        }
-        outcomes[r].stream = rx.stream_stats();
-        outcomes[r].session = rx.endpoint().stats();
-        // `rx` and `frames` die here, before the arena reclaim below.
-      }
-      // Worker-thread hygiene (same contract as the sharded data plane):
-      // blocks cached in this thread's free lists would otherwise leak
-      // with its TLS.
-      WordArena::reclaim_local();
-    });
-  }
-
-  // The calling thread is the sender.
-  session::EndpointConfig net_cfg;
-  net_cfg.feedback = session::FeedbackMode::kNone;
-  session::Endpoint source(net_cfg, std::make_unique<store::ContentStore>());
-  telemetry::SessionInstruments sender_instruments;
-  sender_instruments.recorder = config.recorder;
-  if (config.recorder != nullptr) source.set_telemetry(&sender_instruments);
-  StreamConfig stream = config.stream;
-  stream.fanout = config.receivers;
-  StreamSource src(stream, source);
-  src.set_on_emit([&births](std::uint64_t seq, Instant birth) {
-    births[seq].store(birth + 1, std::memory_order_release);
-  });
-
-  const std::size_t pushes = config.pushes_per_iter != 0
-                                 ? config.pushes_per_iter
-                                 : derive_pushes(stream) * config.receivers;
-  Rng rng(config.seed);
-  Rng loss_rng(config.seed ^ 0x6a09e667f3bcc909ULL);
-  std::array<wire::Frame, net::UdpTransport::kMaxBatch> out_frames;
-  std::array<net::UdpTransport::TxItem, net::UdpTransport::kMaxBatch> items;
-  // Wall-clock safety stop: the whole schedule plus two seconds.
-  const Instant horizon = src.birth_of(total) + stream.deadline_ticks +
-                          stream.ticks_per_block + 2'000'000;
-  Instant now = 0;
-  while (!src.done()) {
-    now = now_us();
-    if (now > horizon) {
-      abort.store(true, std::memory_order_relaxed);
-      break;
-    }
-    source.tick(now);
-    src.advance(now);
-    for (std::size_t i = 0; i < pushes; ++i) {
-      const auto peer = static_cast<session::PeerId>(rng.uniform(
-          static_cast<std::uint64_t>(config.receivers)));
-      if (!src.push_symbol(peer, rng)) break;
-    }
-    bool sent_any = false;
-    for (;;) {
-      std::size_t n = 0;
-      session::PeerId dest = 0;
-      while (n < out_frames.size() && source.poll_transmit(dest, out_frames[n])) {
-        if (loss_rng.chance(config.loss_rate)) continue;  // emulated loss
-        items[n] = net::UdpTransport::TxItem{dest, out_frames[n].bytes()};
-        ++n;
-      }
-      if (n == 0) break;
-      tx->send_batch({items.data(), n});
-      sent_any = true;
-    }
-    if (!sent_any) std::this_thread::sleep_for(std::chrono::microseconds(100));
-  }
-  for (std::thread& th : threads) th.join();
-
-  StreamRunStats out;
-  out.receivers = config.receivers;
-  out.blocks = src.blocks_emitted();
-  out.source_frames = source.stats().frames_sent;
-  out.duration_ticks = now;
-  out.every_receiver_decoded = true;
-  for (const RxOutcome& rx : outcomes) {
-    out.completed += rx.stream.blocks_completed;
-    out.missed += rx.stream.deadline_misses;
-    out.verify_failures += rx.stream.verify_failures;
-    out.goodput_bytes += rx.stream.goodput_bytes;
-    out.expired_frames += rx.session.expired_frames;
-    out.every_receiver_decoded =
-        out.every_receiver_decoded && rx.stream.blocks_completed > 0;
-  }
   fill_latency_quantiles(out, registry, kLatency);
   return out;
 }

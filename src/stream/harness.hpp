@@ -1,18 +1,20 @@
-// Stream latency harnesses — the three drivers behind BENCH_stream.json
+// Stream latency harnesses — the two drivers behind BENCH_stream.json
 // and examples/live_stream.cpp, sharing one result shape:
 //
-//   run_sim_stream    deterministic net::SimChannel per receiver;
-//                     loss/duplicate/reorder sweeps in simulated ticks
+//   run_sim_stream    one fault-injecting link per receiver: a
+//                     net::SimChannel in simulated ticks (deterministic
+//                     loss/duplicate/reorder sweeps), or the same fault
+//                     schedule over a loopback net::UdpPipe in wall-clock
+//                     microseconds
 //   run_event_stream  dissem::TimerWheel broadcast at 10^4–10^5
 //                     receivers — the scale point
-//   run_udp_stream    real datagrams over UDP loopback, sender thread +
-//                     one thread per receiver, microsecond tick domain
 //
 // Every driver wires a StreamSource (deadline-policy push side) against a
 // fleet of stream::Receivers whose completion latencies land in shared
 // telemetry::Histogram instruments; StreamRunStats folds the snapshot's
 // p50/p99/p999 and the fleet's miss counters into plain numbers a bench
-// can write and a smoke test can assert on.
+// can write and a smoke test can assert on. Both run on the calling
+// thread.
 #pragma once
 
 #include <cstddef>
@@ -20,6 +22,7 @@
 #include <vector>
 
 #include "net/sim_channel.hpp"
+#include "net/udp_pipe.hpp"
 #include "stream/stream_source.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/metrics.hpp"
@@ -27,7 +30,7 @@
 namespace ltnc::stream {
 
 /// Outcome of one harness run, fleet-wide. Latency quantiles are in the
-/// driver's tick domain (simulated ticks, or microseconds for UDP).
+/// driver's tick domain (simulated ticks, or microseconds over UDP).
 struct StreamRunStats {
   std::size_t receivers = 0;
   std::uint64_t blocks = 0;  ///< blocks the source emitted
@@ -54,30 +57,42 @@ struct StreamRunStats {
 };
 
 struct SimStreamConfig {
-  StreamConfig stream;  ///< total_blocks must be nonzero
+  /// total_blocks must be nonzero. Over net::Link::kUdp the tick domain
+  /// is microseconds: ticks_per_block = µs between blocks (1e6 / fps),
+  /// deadline_ticks = deadline in µs.
+  StreamConfig stream;
+  /// Fault schedule of every receiver's link (seeds derived per receiver).
   net::SimChannelConfig channel;
   std::size_t receivers = 4;
   /// Push attempts per receiver per tick; 0 derives it from the block
   /// budget and cadence (enough to spend a full boosted budget in time).
   std::size_t pushes_per_tick = 0;
   /// Feed the channel's loss rate into the source's budget estimate (the
-  /// perfect-estimator stand-in for the UDP path's measured feedback).
+  /// perfect-estimator stand-in for measured feedback). Off, the budget
+  /// does not see the loss — the fixed-budget miss-curve sweeps.
   bool adaptive_budget = false;
   std::uint64_t seed = 1;
   /// Metrics sink; nullptr runs against a private registry.
   telemetry::Registry* registry = nullptr;
+  /// Optional flight recorder for the source endpoint (--trace reuse).
+  telemetry::FlightRecorder* recorder = nullptr;
+  net::Link link = net::Link::kSim;
 };
 
-/// Runs a full stream over per-receiver simulated channels until every
-/// block is finalized on every receiver. Deterministic for a fixed config.
+/// Runs a full stream over per-receiver links until every block is
+/// finalized on every receiver. Over kSim time is one tick per loop and
+/// the run is deterministic for a fixed config. Over kUdp time is the
+/// wall clock in µs: the loop sleeps until the next block birth, expiry
+/// or boost once every live budget is spent, and the counts match kSim's
+/// whenever the host keeps up with the schedule.
 StreamRunStats run_sim_stream(const SimStreamConfig& config);
 
 struct EventStreamConfig {
   StreamConfig stream;  ///< total_blocks must be nonzero
   std::size_t receivers = 10000;
-  /// I.i.d. per receiver per symbol. Unlike the UDP driver this one
-  /// feeds the rate into the budget estimate — the scale point is about
-  /// holding 10^5 decoders, not about sweeping budget shortfall.
+  /// I.i.d. per receiver per symbol, always fed into the budget
+  /// estimate — the scale point is about holding 10^5 decoders, not
+  /// about sweeping budget shortfall.
   double loss_rate = 0.0;
   /// Broadcast symbols per tick; 0 derives it from budget and cadence.
   std::size_t pushes_per_tick = 0;
@@ -90,27 +105,5 @@ struct EventStreamConfig {
 /// per-tick cost is O(receivers × symbols), so this is the driver that
 /// holds 10^4–10^5 receivers.
 StreamRunStats run_event_stream(const EventStreamConfig& config);
-
-struct UdpStreamConfig {
-  /// Tick domain is microseconds here: ticks_per_block = µs between
-  /// blocks (1e6 / fps), deadline_ticks = deadline in µs.
-  StreamConfig stream;  ///< total_blocks must be nonzero
-  std::size_t receivers = 2;
-  /// Emulated sender-side loss (dropped before the socket), so loss is
-  /// controlled even on a lossless loopback. Budgets do NOT see it
-  /// unless the caller also sets stream.loss_estimate — fixed-budget
-  /// sweeps want the miss curve, adaptive runs want it compensated.
-  double loss_rate = 0.0;
-  std::size_t pushes_per_iter = 0;  ///< 0 derives from budget and cadence
-  std::uint64_t seed = 1;
-  telemetry::Registry* registry = nullptr;
-  /// Optional flight recorder for the sender endpoint (--trace reuse).
-  telemetry::FlightRecorder* recorder = nullptr;
-};
-
-/// Runs the stream over real UDP loopback: the calling thread is the
-/// sender, each receiver runs on its own thread with its own socket and
-/// thread-local arena. Wall-clock timed; latencies are microseconds.
-StreamRunStats run_udp_stream(const UdpStreamConfig& config);
 
 }  // namespace ltnc::stream

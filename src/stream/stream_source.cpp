@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/check.hpp"
 
@@ -106,6 +107,22 @@ void StreamSource::advance(Instant now) {
     }
     policy_.set_budget(id_of(block.seq), budget);
   }
+}
+
+Instant StreamSource::next_change() const {
+  Instant next = std::numeric_limits<Instant>::max();
+  if (cfg_.total_blocks == 0 || next_seq_ < cfg_.total_blocks) {
+    next = birth_of(next_seq_);
+  }
+  for (const Live& block : live_) {
+    const Instant deadline = block.birth + cfg_.deadline_ticks;
+    next = std::min(next, deadline + 1);
+    if (cfg_.slack_boost_ticks > 0 &&
+        deadline >= now_ + cfg_.slack_boost_ticks) {
+      next = std::min(next, deadline - cfg_.slack_boost_ticks + 1);
+    }
+  }
+  return next;
 }
 
 bool StreamSource::push_symbol(session::PeerId peer, Rng& rng) {

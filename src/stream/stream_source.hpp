@@ -143,6 +143,12 @@ class StreamSource {
   /// budget is spent (or nothing is live).
   bool push_symbol(session::PeerId peer, Rng& rng);
 
+  /// Earliest instant after the last advance() at which advance() emits,
+  /// expires or boosts a block — what a wall-clock driver sleeps until
+  /// once push_symbol() runs dry. Receivers with the same config finalize
+  /// a block at its expiry instant.
+  Instant next_change() const;
+
   /// Hook invoked on each block emission (before any symbol of it can be
   /// pushed) — how harnesses open receiver-side windows and stamp birth
   /// tables. Cold path: once per block.

@@ -372,15 +372,47 @@ TEST(CacheHarness, SimDriverCompletesOverLossyWire) {
 }
 
 TEST(CacheHarness, UdpDriverSmoke) {
-  UdpCacheConfig cfg;
+  // The UDP link carries the SimChannel's fault schedule over loopback
+  // sockets and the driver keeps its tick schedule, so one lossy
+  // scenario gives the same counts over both links; only the clock of
+  // latency and duration differs.
+  SimCacheConfig cfg;
   cfg.scenario = small_scenario(4, Policy::kPopularity, 1.0);
   cfg.scenario.requests_per_user = 2;
-  const CacheRunStats stats = run_udp_cache(cfg);
-  EXPECT_EQ(stats.requests, 4u * 2u);
-  EXPECT_EQ(stats.completed, stats.requests);
-  EXPECT_EQ(stats.verify_failures, 0u);
-  EXPECT_GT(stats.symbols_from_edge, 0u);
-  EXPECT_GT(stats.latency_samples, 0u);
+  cfg.scenario.loss_rate = 0.1;
+  cfg.channel.reorder_rate = 0.1;
+  cfg.link = net::Link::kUdp;
+  const CacheRunStats udp = run_sim_cache(cfg);
+  EXPECT_EQ(udp.requests, 4u * 2u);
+  EXPECT_EQ(udp.completed, udp.requests);
+  EXPECT_EQ(udp.verify_failures, 0u);
+  EXPECT_GT(udp.symbols_from_edge, 0u);
+  EXPECT_EQ(udp.latency_samples, udp.requests);
+
+  cfg.link = net::Link::kSim;
+  const CacheRunStats sim = run_sim_cache(cfg);
+  EXPECT_EQ(udp.users, sim.users);
+  EXPECT_EQ(udp.requests, sim.requests);
+  EXPECT_EQ(udp.completed, sim.completed);
+  EXPECT_EQ(udp.failed, sim.failed);
+  EXPECT_EQ(udp.verify_failures, sim.verify_failures);
+  EXPECT_EQ(udp.full_hits, sim.full_hits);
+  EXPECT_EQ(udp.partial_hits, sim.partial_hits);
+  EXPECT_EQ(udp.misses, sim.misses);
+  EXPECT_EQ(udp.head_requests, sim.head_requests);
+  EXPECT_EQ(udp.head_full_hits, sim.head_full_hits);
+  EXPECT_EQ(udp.symbols_from_edge, sim.symbols_from_edge);
+  EXPECT_EQ(udp.symbols_from_source, sim.symbols_from_source);
+  EXPECT_EQ(udp.edge_bytes, sim.edge_bytes);
+  EXPECT_EQ(udp.backhaul_bytes, sim.backhaul_bytes);
+  EXPECT_EQ(udp.fill_bytes, sim.fill_bytes);
+  EXPECT_EQ(udp.fill_symbols, sim.fill_symbols);
+  EXPECT_EQ(udp.evicted_entries, sim.evicted_entries);
+  EXPECT_EQ(udp.evicted_symbols, sim.evicted_symbols);
+  EXPECT_EQ(udp.replacements, sim.replacements);
+  EXPECT_EQ(udp.cache_bytes_used, sim.cache_bytes_used);
+  EXPECT_EQ(udp.cache_capacity, sim.cache_capacity);
+  EXPECT_EQ(udp.latency_samples, sim.latency_samples);
 }
 
 TEST(CacheHarness, WorkingSetScalesWithTheCatalog) {

@@ -442,7 +442,7 @@ TEST(StreamHarness, EventEngineStreamsToAFleet) {
 }
 
 TEST(StreamHarness, UdpLoopbackStreamDecodes) {
-  UdpStreamConfig cfg;
+  SimStreamConfig cfg;
   cfg.stream.block_bytes = 1024;
   cfg.stream.symbol_bytes = 32;
   // Wall-clock deadlines: generous enough that even a sanitizer-
@@ -452,11 +452,15 @@ TEST(StreamHarness, UdpLoopbackStreamDecodes) {
   cfg.stream.deadline_ticks = 500'000;  // 500 ms
   cfg.stream.total_blocks = 6;
   cfg.stream.base_overhead = 1.9;
+  cfg.channel.loss_rate = 0.1;
+  cfg.channel.reorder_rate = 0.1;
   cfg.receivers = 2;
-  const StreamRunStats r = run_udp_stream(cfg);
+  cfg.link = net::Link::kUdp;
+  const StreamRunStats r = run_sim_stream(cfg);
   EXPECT_TRUE(r.every_receiver_decoded);
   EXPECT_EQ(r.completed + r.missed, 12u);
   EXPECT_EQ(r.verify_failures, 0u);
+  EXPECT_GT(r.latency_samples, 0u);
 }
 
 TEST(StreamConfigDefaults, FastDegreeLutIsTheDefault) {

@@ -1,16 +1,19 @@
 // Transport layer: SimChannel determinism and fault injection, UDP
-// loopback round-trips, and wire frames surviving both backends intact.
+// loopback round-trips, wire frames surviving both backends intact, and
+// the UdpPipe delivering exactly what a SimChannel delivers.
 #include "net/transport.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/coded_packet.hpp"
 #include "common/rng.hpp"
 #include "net/sim_channel.hpp"
+#include "net/udp_pipe.hpp"
 #include "net/udp_transport.hpp"
 #include "wire/codec.hpp"
 #include "wire/frame.hpp"
@@ -355,6 +358,81 @@ TEST(UdpTransport, PeerRegistryInternsStably) {
 #if defined(__linux__)
   EXPECT_TRUE(transport->batching_active());
 #endif
+}
+
+// -- UdpPipe --------------------------------------------------------------
+
+/// Sends `count` frames of varying size, each tagged with its serial, then
+/// drains the link — the send-then-drain pattern of the harness loops.
+void burst(Transport& link, std::uint32_t& serial, std::size_t count,
+           Rng& sizes, std::vector<std::vector<std::uint8_t>>& delivered) {
+  for (std::size_t i = 0; i < count; ++i) {
+    wire::Frame frame = make_frame(static_cast<std::uint8_t>(serial),
+                                   4 + sizes.uniform(1400));
+    for (int b = 0; b < 4; ++b) {
+      frame.mutable_bytes()[b] = static_cast<std::uint8_t>(serial >> (8 * b));
+    }
+    ++serial;
+    link.send(frame.bytes());
+  }
+  wire::Frame out;
+  while (link.recv(out)) {
+    delivered.emplace_back(out.bytes().begin(), out.bytes().end());
+  }
+}
+
+TEST(UdpPipe, DeliversExactlyWhatTheSimChannelDelivers) {
+  SimChannelConfig cfg;
+  cfg.loss_rate = 0.2;
+  cfg.duplicate_rate = 0.1;
+  cfg.reorder_rate = 0.2;
+  cfg.seed = 77;
+  std::string error;
+  std::unique_ptr<UdpPipe> pipe = UdpPipe::open(cfg, &error);
+  if (pipe == nullptr) {
+    GTEST_SKIP() << "no usable UDP sockets in this environment: " << error;
+  }
+  SimChannel channel(cfg);
+
+  // Bursts up to 200 frames and ~280 KB cross the pipe's 64-datagram,
+  // 32 KiB socket window several times per drain.
+  std::vector<std::vector<std::uint8_t>> from_sim;
+  std::vector<std::vector<std::uint8_t>> from_pipe;
+  Rng sim_sizes(5);
+  Rng pipe_sizes(5);
+  std::uint32_t sim_serial = 0;
+  std::uint32_t pipe_serial = 0;
+  Rng counts(9);
+  for (int round = 0; round < 12; ++round) {
+    const std::size_t count = 1 + counts.uniform(200);
+    burst(channel, sim_serial, count, sim_sizes, from_sim);
+    burst(*pipe, pipe_serial, count, pipe_sizes, from_pipe);
+  }
+  EXPECT_GT(channel.stats().dropped_loss, 0u);
+  EXPECT_GT(channel.stats().duplicated, 0u);
+  EXPECT_GT(channel.stats().reordered, 0u);
+  EXPECT_EQ(pipe->socket_losses(), 0u);
+  ASSERT_EQ(from_pipe.size(), from_sim.size());
+  EXPECT_TRUE(from_pipe == from_sim) << "same bytes in the same order";
+}
+
+TEST(UdpPipe, OpenLinkPicksTheBackend) {
+  SimChannelConfig cfg;
+  EXPECT_NE(dynamic_cast<SimChannel*>(open_link(Link::kSim, cfg).get()),
+            nullptr);
+  std::string error;
+  if (UdpPipe::open(cfg, &error) == nullptr) {
+    GTEST_SKIP() << "no usable UDP sockets in this environment: " << error;
+  }
+  std::unique_ptr<Transport> link = open_link(Link::kUdp, cfg);
+  ASSERT_NE(dynamic_cast<UdpPipe*>(link.get()), nullptr);
+  wire::Frame out;
+  EXPECT_FALSE(link->recv(out)) << "an idle pipe returns at once";
+  ASSERT_TRUE(link->send(make_frame(3, 16).bytes()));
+  ASSERT_TRUE(link->recv(out));
+  EXPECT_EQ(out.size(), 16u);
+  EXPECT_EQ(out.data()[0], 3);
+  EXPECT_FALSE(link->recv(out));
 }
 
 }  // namespace
