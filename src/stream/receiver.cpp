@@ -46,7 +46,7 @@ session::Endpoint::Event Receiver::ingest(session::PeerId peer,
   if (event == session::Endpoint::Event::kDelivered && peeked &&
       content != 0) {
     if (Block* block = find(StreamSource::seq_of(content))) {
-      if (!block->completed && now <= block->deadline) {
+      if (!block->verified && now <= block->deadline) {
         const store::Content* c = ep_.contents().find(content);
         if (c != nullptr && c->complete()) complete_block(*block, now);
       }
@@ -61,6 +61,7 @@ void Receiver::complete_block(Block& block, Instant now) {
   store::Content* c = ep_.contents().find(StreamSource::id_of(block.seq));
   LTNC_DCHECK(c != nullptr);
   const std::uint64_t content_seed = cfg_.seed + block.seq;
+  block.verified = true;
   if (!c->finish_and_verify(content_seed)) {
     ++stats_.verify_failures;
     return;  // stays incomplete; the deadline sweep scores the miss

@@ -42,8 +42,9 @@ struct ReceiverStats {
   std::uint64_t blocks_opened = 0;
   std::uint64_t blocks_completed = 0;  ///< decoded + verified in time
   std::uint64_t deadline_misses = 0;
-  std::uint64_t verify_failures = 0;  ///< decoded but wrong bytes (counted
-                                      ///< as misses, never as completions)
+  std::uint64_t verify_failures = 0;  ///< blocks decoded to wrong bytes
+                                      ///< (counted as misses, never as
+                                      ///< completions)
   std::uint64_t goodput_bytes = 0;    ///< bytes of blocks completed in time
   std::uint64_t blocks_finalized = 0;
 };
@@ -64,7 +65,7 @@ class Receiver {
   void open_block(std::uint64_t seq, Instant birth);
 
   /// Feeds one raw datagram. Completion checks run only on delivery
-  /// events, and a block completes at most once.
+  /// events, and a block's decode is verified at most once.
   session::Endpoint::Event ingest(session::PeerId peer,
                                   std::span<const std::uint8_t> bytes,
                                   Instant now);
@@ -92,6 +93,8 @@ class Receiver {
     Instant birth = 0;
     Instant deadline = 0;
     bool completed = false;
+    /// The decode was checked once; a failed check is never repeated.
+    bool verified = false;
   };
 
   Block* find(std::uint64_t seq);

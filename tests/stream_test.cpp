@@ -368,6 +368,42 @@ TEST(StreamExpiry, ChurnHoldsArenaLeaseBalance) {
 
 // --- receiver + harness end to end -----------------------------------------
 
+TEST(StreamReceiver, WrongSeedFailsEachBlockOnce) {
+  StreamConfig cfg;
+  cfg.block_bytes = 512;
+  cfg.symbol_bytes = 32;  // k = 16
+  cfg.ticks_per_block = 8;
+  cfg.deadline_ticks = 32;
+  cfg.total_blocks = 4;
+  cfg.base_overhead = 3.0;  // decodes, then keeps sending symbols
+  Endpoint source(push_config(), std::make_unique<store::ContentStore>());
+  StreamSource src(cfg, source);
+  StreamConfig wrong = cfg;
+  wrong.seed = cfg.seed + 1000;
+  Receiver rx(wrong, push_config());
+  src.set_on_emit(
+      [&rx](std::uint64_t seq, Instant birth) { rx.open_block(seq, birth); });
+
+  Rng rng(3);
+  wire::Frame frame;
+  session::PeerId dst = 0;
+  for (Instant t = 0; !(src.done() && rx.all_finalized()); ++t) {
+    ASSERT_LT(t, 1000u);
+    source.tick(t);
+    src.advance(t);
+    for (int i = 0; i < 8 && src.push_symbol(0, rng); ++i) {
+    }
+    while (source.poll_transmit(dst, frame)) rx.ingest(0, frame.bytes(), t);
+    rx.finalize_due(t);
+  }
+  // Every block decodes to bytes the wrong seed rejects: one failure and
+  // one miss per block, however many symbols arrive after the decode.
+  const ReceiverStats& s = rx.stream_stats();
+  EXPECT_EQ(s.blocks_completed, 0u);
+  EXPECT_EQ(s.verify_failures, cfg.total_blocks);
+  EXPECT_EQ(s.deadline_misses, cfg.total_blocks);
+}
+
 TEST(StreamHarness, ZeroLossStreamCompletesEveryBlockEverywhere) {
   SimStreamConfig cfg;
   cfg.stream.block_bytes = 1024;
