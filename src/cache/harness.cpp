@@ -427,6 +427,7 @@ CacheRunStats run_sim_cache(const SimCacheConfig& config) {
     ContentId id = 0;
     bool head = false;
     std::size_t edge_budget = 0;
+    std::size_t edge_sent = 0;  ///< this fetch's serve position
     bool source_phase = false;
     std::size_t source_pushed = 0;
     Instant started = 0;
@@ -438,7 +439,6 @@ CacheRunStats run_sim_cache(const SimCacheConfig& config) {
     users[u].remaining = sc.requests_per_user;
     users[u].idle_until = static_cast<Instant>(u % 16);
   }
-  Rng serve_rng(sc.seed ^ 0x6a09e667f3bcc909ULL);
   Rng source_rng(sc.seed ^ 0xbb67ae8584caa73bULL);
 
   wire::Frame frame;
@@ -483,6 +483,7 @@ CacheRunStats run_sim_cache(const SimCacheConfig& config) {
         st.head = catalog.in_head(st.id);
         const std::size_t held = cache.begin_request(st.id);
         st.edge_budget = held > 0 ? 2 * held + 8 : 0;
+        st.edge_sent = 0;
         st.source_phase = held == 0;
         st.source_pushed = 0;
         st.started = t;
@@ -490,12 +491,16 @@ CacheRunStats run_sim_cache(const SimCacheConfig& config) {
         st.active = true;
       }
       if (!st.source_phase) {
-        for (std::size_t i = 0;
-             i < config.pushes_per_tick && st.edge_budget > 0; ++i) {
-          if (!edge.start_transfer(static_cast<session::PeerId>(u), st.id,
-                                   serve_rng)) {
-            break;
-          }
+        // Each fetch replays the stored set from its own position (as
+        // the event driver does), so concurrent fetches of one content
+        // never split its symbols between them.
+        const std::vector<CodedPacket>* stored = cache.symbols(st.id);
+        for (std::size_t i = 0; i < config.pushes_per_tick &&
+                                st.edge_budget > 0 && stored != nullptr &&
+                                !stored->empty();
+             ++i) {
+          edge.offer_packet(static_cast<session::PeerId>(u), st.id,
+                            (*stored)[st.edge_sent++ % stored->size()]);
           --st.edge_budget;
         }
         // Fall back once the edge budget is spent; every link drained

@@ -371,6 +371,24 @@ TEST(CacheHarness, SimDriverCompletesOverLossyWire) {
   EXPECT_GT(stats.symbols_from_edge, 0u);
 }
 
+TEST(CacheHarness, ConcurrentFetchesOfOneContentEachGetTheWholeEntry) {
+  // Two users fetch the only content, sealed at the edge, at the same
+  // time. Each fetch is served the stored set from its own position, so
+  // both decode from the edge alone and the backhaul stays dark.
+  SimCacheConfig cfg;
+  cfg.scenario = small_scenario(2, Policy::kPopularity, 1.0);
+  cfg.scenario.catalog.contents = 1;
+  cfg.scenario.cache.capacity_bytes =
+      2 * working_set_bytes(cfg.scenario.catalog, cfg.scenario.cache);
+  cfg.scenario.requests_per_user = 1;
+  const CacheRunStats stats = run_sim_cache(cfg);
+  EXPECT_EQ(stats.requests, 2u);
+  EXPECT_EQ(stats.completed, 2u);
+  EXPECT_EQ(stats.full_hits, 2u);
+  EXPECT_EQ(stats.symbols_from_source, 0u);
+  EXPECT_EQ(stats.backhaul_bytes, 0u);
+}
+
 TEST(CacheHarness, UdpDriverSmoke) {
   // The UDP link carries the SimChannel's fault schedule over loopback
   // sockets and the driver keeps its tick schedule, so one lossy
