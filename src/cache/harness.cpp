@@ -503,9 +503,9 @@ CacheRunStats run_sim_cache(const SimCacheConfig& config) {
                             (*stored)[st.edge_sent++ % stored->size()]);
           --st.edge_budget;
         }
-        // Fall back once the edge budget is spent; every link drained
-        // last tick, so a loss-free decodable serve never touches the
-        // source.
+        // Fall back once the edge budget is spent: it outlasts a full
+        // replay of the stored set, so a loss-free decodable serve
+        // completes first and never touches the source.
         if (st.edge_budget == 0 && !clients[u]->complete()) {
           st.source_phase = true;
         }

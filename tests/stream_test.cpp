@@ -161,6 +161,28 @@ TEST(StreamSource, PushChargesTheBudget) {
   EXPECT_EQ(queued, 6u);
 }
 
+TEST(StreamSource, NextChangeIsTheNextBirthExpiryOrBoost) {
+  Endpoint ep(push_config(), std::make_unique<store::ContentStore>());
+  StreamConfig cfg;
+  cfg.block_bytes = 64;
+  cfg.symbol_bytes = 16;
+  cfg.ticks_per_block = 8;
+  cfg.deadline_ticks = 20;
+  cfg.slack_boost_ticks = 4;  // boost from deadline − 3 on
+  cfg.total_blocks = 3;
+  StreamSource src(cfg, ep);
+  src.advance(0);
+  EXPECT_EQ(src.next_change(), 8u);  // block 1's birth
+  src.advance(16);
+  EXPECT_EQ(src.next_change(), 17u);  // block 0's boost, no births left
+  src.advance(17);
+  EXPECT_EQ(src.next_change(), 21u);  // block 0's expiry
+  src.advance(21);
+  EXPECT_EQ(src.next_change(), 25u);  // block 1's boost
+  src.advance(100);
+  EXPECT_TRUE(src.done());
+}
+
 // --- expired-frame accounting ----------------------------------------------
 
 TEST(StreamExpiry, LateFramesCountAsExpiredExactlyOnce) {
