@@ -12,15 +12,15 @@ PacketBuilder::PacketBuilder(const lt::BpDecoder& store,
     : store_(store), index_(index) {}
 
 std::size_t PacketBuilder::try_add(CodedPacket& z, std::size_t dz,
-                                   std::size_t target, const BitVector& coeffs,
-                                   const Payload& payload,
+                                   std::size_t target, PacketId id,
                                    OpCounters& ops) const {
+  const BitVector& coeffs = store_.packet_coeffs(id);
   const std::size_t combined = z.coeffs.popcount_xor(coeffs);
   ops.control_word_ops += z.coeffs.word_count();
   // Algorithm 1, line 11: accept iff d(z) < d(z ⊕ y) ≤ d.
   if (dz < combined && combined <= target) {
     ops.control_word_ops += z.coeffs.xor_with(coeffs);
-    ops.data_word_ops += z.payload.xor_with(payload);
+    ops.data_word_ops += z.payload.xor_with(store_.packet_payload(id));
     return combined;
   }
   return dz;
@@ -45,8 +45,7 @@ std::optional<CodedPacket> PacketBuilder::build(std::size_t target, Rng& rng,
       std::swap(scratch[t], scratch[j]);
       const PacketId id = scratch[t];
       ops.control_steps += 1;
-      dz = try_add(z, dz, target, store_.packet_coeffs(id),
-                   store_.packet_payload(id), ops);
+      dz = try_add(z, dz, target, id, ops);
     }
   }
 

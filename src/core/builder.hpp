@@ -50,11 +50,11 @@ class PacketBuilder {
   const BuildStats& stats() const { return stats_; }
 
  private:
-  /// Tries z ⊕= candidate under Algorithm 1's acceptance rule; returns the
-  /// updated degree of z.
+  /// Tries z ⊕= stored packet `id` under Algorithm 1's acceptance rule;
+  /// returns the updated degree of z. The candidate's payload is read only
+  /// once it is accepted.
   std::size_t try_add(CodedPacket& z, std::size_t dz, std::size_t target,
-                      const BitVector& coeffs, const Payload& payload,
-                      OpCounters& ops) const;
+                      PacketId id, OpCounters& ops) const;
 
   const lt::BpDecoder& store_;
   const DegreeIndex& index_;

@@ -83,10 +83,8 @@ bool LtncCodec::should_drop(PacketId id, const BitVector& coeffs,
   return redundant;
 }
 
-void LtncCodec::maybe_merge_components(const BitVector& coeffs,
-                                       const Payload& payload,
-                                       std::size_t degree) {
-  if (degree != 2) return;
+void LtncCodec::merge_components(const BitVector& coeffs,
+                                 const Payload& payload) {
   // A degree-2 packet x ⊕ x' became available: connect its endpoints
   // (paper Fig. 5 — triggered on reception and on BP reduction alike).
   const std::size_t a = coeffs.first_set();
@@ -102,17 +100,18 @@ void LtncCodec::on_stored(PacketId id, const BitVector& coeffs,
   index_.insert(id, degree);
   coverage_.on_packet_added(coeffs, degree);
   redundancy_.on_stored(id, coeffs, degree);
-  maybe_merge_components(coeffs, payload, degree);
+  if (degree == 2) merge_components(coeffs, payload);
 }
 
 void LtncCodec::on_degree_changed(PacketId id, const BitVector& coeffs,
                                   std::size_t old_degree,
-                                  std::size_t new_degree,
-                                  const Payload& payload) {
+                                  std::size_t new_degree) {
   index_.change(id, old_degree, new_degree);
   coverage_.on_packet_degree_changed(coeffs, old_degree, new_degree);
   redundancy_.on_degree_changed(id, coeffs, old_degree, new_degree);
-  maybe_merge_components(coeffs, payload, new_degree);
+  // Only a degree-2 packet's payload is needed; reading it folds the
+  // natives BP has decoded since the packet arrived.
+  if (new_degree == 2) merge_components(coeffs, decoder_.packet_payload(id));
 }
 
 void LtncCodec::on_removed(PacketId id, const BitVector& coeffs,

@@ -131,14 +131,13 @@ class LtncCodec final : private lt::StoreObserver {
   void on_stored(PacketId id, const BitVector& coeffs, std::size_t degree,
                  const Payload& payload) override;
   void on_degree_changed(PacketId id, const BitVector& coeffs,
-                         std::size_t old_degree, std::size_t new_degree,
-                         const Payload& payload) override;
+                         std::size_t old_degree,
+                         std::size_t new_degree) override;
   void on_removed(PacketId id, const BitVector& coeffs,
                   std::size_t degree) override;
   void on_native_decoded(NativeIndex index, const Payload& value) override;
 
-  void maybe_merge_components(const BitVector& coeffs, const Payload& payload,
-                              std::size_t degree);
+  void merge_components(const BitVector& coeffs, const Payload& payload);
 
   LtncConfig cfg_;
   lt::RobustSoliton soliton_;

@@ -25,12 +25,14 @@ const Payload& BpDecoder::native_payload(NativeIndex i) const {
 
 const BitVector& BpDecoder::packet_coeffs(PacketId id) const {
   LTNC_CHECK_MSG(packet_alive(id), "dead packet id");
-  return slots_[id].packet.coeffs;
+  return slots_[id].coeffs;
 }
 
 const Payload& BpDecoder::packet_payload(PacketId id) const {
   LTNC_CHECK_MSG(packet_alive(id), "dead packet id");
-  return slots_[id].packet.payload;
+  const Slot& slot = slots_[id];
+  ops_.data_word_ops += fold(slot);
+  return slot.payload;
 }
 
 std::size_t BpDecoder::packet_degree(PacketId id) const {
@@ -38,23 +40,55 @@ std::size_t BpDecoder::packet_degree(PacketId id) const {
   return slots_[id].degree;
 }
 
-void BpDecoder::reduce_by_decoded(CodedPacket& pkt) {
-  // XOR out every decoded native appearing in the vector. Equivalent to
-  // the paper's rule that a decoded native is immediately propagated into
-  // arriving packets. The payload contributions are folded in one batched
-  // pass instead of one full XOR per decoded native.
+std::uint32_t BpDecoder::new_edge(std::uint32_t id) {
+  std::uint32_t e = free_edge_;
+  if (e != kNoEdge) {
+    free_edge_ = edges_[e].next;
+  } else {
+    e = static_cast<std::uint32_t>(edges_.size());
+    edges_.emplace_back();
+  }
+  edges_[e] = Edge{id, kNoEdge};
+  return e;
+}
+
+void BpDecoder::free_edge(std::uint32_t e) const {
+  edges_[e].next = free_edge_;
+  free_edge_ = e;
+}
+
+std::size_t BpDecoder::fold(const Slot& slot) const {
+  if (slot.pending == kNoEdge) return 0;
+  fold_sources_.clear();
+  for (std::uint32_t e = slot.pending; e != kNoEdge;) {
+    const std::uint32_t next = edges_[e].next;
+    fold_sources_.push_back(&decoded_values_[edges_[e].id]);
+    free_edge(e);
+    e = next;
+  }
+  slot.pending = kNoEdge;
+  return slot.payload.xor_accumulate(fold_sources_.data(),
+                                     fold_sources_.size());
+}
+
+bool BpDecoder::folds_to_zero(const Slot& slot) const {
+  fold(slot);  // uncharged: release builds never read an absorbed payload
+  return slot.payload.is_zero();
+}
+
+void BpDecoder::reduce_by_decoded(BitVector& coeffs) {
+  // Strip every decoded native from the vector — the paper's rule that a
+  // decoded native is immediately propagated into arriving packets. The
+  // payload contributions are collected for one batched fold, done only if
+  // the packet is kept.
   reduce_sources_.clear();
-  pkt.coeffs.for_each_set([&](std::size_t i) {
+  coeffs.for_each_set([&](std::size_t i) {
     ops_.control_steps += 1;
     if (decoded_mask_.test(i)) {
-      pkt.coeffs.flip(i);
+      coeffs.flip(i);
       reduce_sources_.push_back(&decoded_values_[i]);
     }
   });
-  if (!reduce_sources_.empty()) {
-    ops_.data_word_ops += pkt.payload.xor_accumulate(reduce_sources_.data(),
-                                                     reduce_sources_.size());
-  }
 }
 
 ReceiveResult BpDecoder::receive(const CodedPacket& packet) {
@@ -63,22 +97,29 @@ ReceiveResult BpDecoder::receive(const CodedPacket& packet) {
                  "payload size mismatch");
   ++ops_.invocations;
 
-  CodedPacket pkt = packet;
-  ops_.control_word_ops += pkt.coeffs.word_count();  // header copy/scan
-  reduce_by_decoded(pkt);
+  BitVector coeffs = packet.coeffs;
+  ops_.control_word_ops += coeffs.word_count();  // header copy/scan
+  reduce_by_decoded(coeffs);
 
-  const std::size_t degree = pkt.coeffs.popcount();
-  ops_.control_word_ops += pkt.coeffs.word_count();
+  const std::size_t degree = coeffs.popcount();
+  ops_.control_word_ops += coeffs.word_count();
   if (degree == 0) return ReceiveResult::kDuplicate;
 
   if (degree >= 2 && degree <= 3 && observer_ != nullptr &&
-      observer_->should_drop(kInvalidPacket, pkt.coeffs, degree)) {
+      observer_->should_drop(kInvalidPacket, coeffs, degree)) {
     return ReceiveResult::kRejectedRedundant;
   }
 
+  // Kept: only now is the payload copied and reduced.
+  Payload payload = packet.payload;
+  if (!reduce_sources_.empty()) {
+    ops_.data_word_ops += payload.xor_accumulate(reduce_sources_.data(),
+                                                 reduce_sources_.size());
+  }
+
   if (degree == 1) {
-    const std::size_t i = pkt.coeffs.first_set();
-    decode_native(static_cast<NativeIndex>(i), std::move(pkt.payload));
+    const std::size_t i = coeffs.first_set();
+    decode_native(static_cast<NativeIndex>(i), std::move(payload));
     process_ripple();
     return ReceiveResult::kDecodedNative;
   }
@@ -93,16 +134,24 @@ ReceiveResult BpDecoder::receive(const CodedPacket& packet) {
     slots_.emplace_back();
   }
   Slot& slot = slots_[id];
-  slot.packet = std::move(pkt);
+  slot.coeffs = std::move(coeffs);
+  slot.payload = std::move(payload);
   slot.degree = degree;
   slot.alive = true;
   ++stored_count_;
-  slot.packet.coeffs.for_each_set([&](std::size_t i) {
-    adjacency_[i].push_back(id);
+  slot.coeffs.for_each_set([&](std::size_t i) {
+    const std::uint32_t e = new_edge(id);
+    EdgeList& list = adjacency_[i];
+    if (list.tail == kNoEdge) {
+      list.head = e;
+    } else {
+      edges_[list.tail].next = e;
+    }
+    list.tail = e;
     ops_.control_steps += 1;
   });
   if (observer_ != nullptr) {
-    observer_->on_stored(id, slot.packet.coeffs, degree, slot.packet.payload);
+    observer_->on_stored(id, slot.coeffs, degree, slot.payload);
   }
   return ReceiveResult::kStored;
 }
@@ -116,40 +165,45 @@ void BpDecoder::decode_native(NativeIndex i, Payload value) {
     observer_->on_native_decoded(i, decoded_values_[i]);
   }
 
-  // Propagate the decoded value along the native's edges. The snapshot
-  // buffer is a reusable member (decode_native never re-enters itself —
-  // ripples are deferred to process_ripple), swapped rather than copied so
-  // steady-state decoding touches the allocator not at all.
-  std::vector<PacketId>& edges = edges_scratch_;
-  edges.clear();
-  edges.swap(adjacency_[i]);
-  for (PacketId id : edges) {
+  // Propagate along the native's edges in store order. Each live packet
+  // loses the native from its code vector at once; its payload only
+  // queues the native on its pending list. decode_native never re-enters
+  // itself (ripples are deferred to process_ripple) and nothing stores a
+  // packet meanwhile, so the detached list is walked undisturbed.
+  std::uint32_t e = adjacency_[i].head;
+  adjacency_[i] = EdgeList{};
+  while (e != kNoEdge) {
+    const std::uint32_t next = edges_[e].next;
+    const PacketId id = edges_[e].id;
     ops_.control_steps += 1;
-    if (!packet_alive(id)) continue;  // stale adjacency entry
+    if (!packet_alive(id) || !slots_[id].coeffs.test(i)) {
+      free_edge(e);  // stale: the packet left the store
+      e = next;
+      continue;
+    }
     Slot& slot = slots_[id];
-    if (!slot.packet.coeffs.test(i)) continue;
-
     const std::size_t old_degree = slot.degree;
-    slot.packet.coeffs.flip(i);
-    ops_.data_word_ops += slot.packet.payload.xor_with(decoded_values_[i]);
+    slot.coeffs.flip(i);
+    edges_[e] = Edge{i, slot.pending};
+    slot.pending = e;
     slot.degree = old_degree - 1;
+    e = next;
 
     if (slot.degree == 0) {
       // Fully absorbed: the packet was dependent on decoded natives.
-      LTNC_DCHECK(slot.packet.payload.is_zero());
+      LTNC_DCHECK(folds_to_zero(slot));
       retire_slot(id, old_degree);
       continue;
     }
     // §III-C.1: re-test redundancy when a packet's degree drops into the
     // detectable range — dropping it now avoids useless XORs later.
     if (slot.degree >= 2 && slot.degree <= 3 && observer_ != nullptr &&
-        observer_->should_drop(id, slot.packet.coeffs, slot.degree)) {
+        observer_->should_drop(id, slot.coeffs, slot.degree)) {
       retire_slot(id, old_degree);
       continue;
     }
     if (observer_ != nullptr) {
-      observer_->on_degree_changed(id, slot.packet.coeffs, old_degree,
-                                   slot.degree, slot.packet.payload);
+      observer_->on_degree_changed(id, slot.coeffs, old_degree, slot.degree);
     }
     if (slot.degree == 1) ripple_.push_back(id);
   }
@@ -162,9 +216,10 @@ void BpDecoder::process_ripple() {
     ops_.control_steps += 1;
     if (!packet_alive(id) || slots_[id].degree != 1) continue;
     Slot& slot = slots_[id];
-    const std::size_t i = slot.packet.coeffs.first_set();
+    const std::size_t i = slot.coeffs.first_set();
     LTNC_DCHECK(i != BitVector::npos);
-    Payload value = std::move(slot.packet.payload);
+    ops_.data_word_ops += fold(slot);
+    Payload value = std::move(slot.payload);
     retire_slot(id, 1);
     if (!decoded_mask_.test(i)) {
       decode_native(static_cast<NativeIndex>(i), std::move(value));
@@ -182,10 +237,17 @@ void BpDecoder::retire_slot(PacketId id, std::size_t registered_degree) {
   slot.alive = false;  // invisible to traversals from observer callbacks
   --stored_count_;
   if (observer_ != nullptr) {
-    observer_->on_removed(id, slot.packet.coeffs, registered_degree);
+    observer_->on_removed(id, slot.coeffs, registered_degree);
   }
   slot.degree = 0;
-  slot.packet = CodedPacket();
+  for (std::uint32_t e = slot.pending; e != kNoEdge;) {
+    const std::uint32_t next = edges_[e].next;
+    free_edge(e);
+    e = next;
+  }
+  slot.pending = kNoEdge;
+  slot.coeffs = BitVector();
+  slot.payload = Payload();
   free_list_.push_back(id);
 }
 

@@ -7,6 +7,14 @@
 // ripple further. Decoding cost is O(m·k·log k) — the 99 % saving over
 // RLNC's Gaussian reduction that motivates LTNC.
 //
+// The graph lives in one pooled edge array. Each undecoded native owns a
+// FIFO list of edge nodes naming the packets that hold it; decoding the
+// native flips its bit in those packets and moves each node onto the
+// packet's pending list. A stored payload is brought up to date — every
+// pending native XORed in by one batched pass — only when it is read: by
+// the degree-1 ripple, by packet_payload(), or through the observer.
+// Packets absorbed or dropped before that never pay for their payload.
+//
 // The decoder exposes a StoreObserver so LTNC (src/core) can mirror the
 // packet store into its recoding structures (degree index, connected
 // components, coverage, redundancy sets) and veto storage of packets its
@@ -14,6 +22,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/bitvector.hpp"
@@ -52,16 +61,15 @@ class StoreObserver {
   }
 
   /// A stored packet was reduced from `old_degree` to `new_degree` =
-  /// old_degree − 1 (coeffs/payload are the reduced values).
+  /// old_degree − 1 (coeffs are the reduced values). The reduced payload
+  /// is folded only when read, through BpDecoder::packet_payload(id).
   virtual void on_degree_changed(PacketId id, const BitVector& coeffs,
                                  std::size_t old_degree,
-                                 std::size_t new_degree,
-                                 const Payload& payload) {
+                                 std::size_t new_degree) {
     (void)id;
     (void)coeffs;
     (void)old_degree;
     (void)new_degree;
-    (void)payload;
   }
 
   /// A stored packet left the store. `degree` is the degree the observer
@@ -122,14 +130,19 @@ class BpDecoder {
     return id < slots_.size() && slots_[id].alive;
   }
   const BitVector& packet_coeffs(PacketId id) const;
+  /// The packet's reduced payload. Folds the natives decoded since it was
+  /// last read (charged to ops().data_word_ops), so the reference is valid
+  /// until the next call that changes the store.
   const Payload& packet_payload(PacketId id) const;
   std::size_t packet_degree(PacketId id) const;
 
   /// Invokes fn(PacketId) for every live stored packet containing native x.
   template <typename Fn>
   void for_each_packet_containing(NativeIndex x, Fn&& fn) const {
-    for (PacketId id : adjacency_[x]) {
-      if (packet_alive(id) && slots_[id].packet.coeffs.test(x)) fn(id);
+    for (std::uint32_t e = adjacency_[x].head; e != kNoEdge;
+         e = edges_[e].next) {
+      const PacketId id = edges_[e].id;
+      if (packet_alive(id) && slots_[id].coeffs.test(x)) fn(id);
     }
   }
 
@@ -148,14 +161,34 @@ class BpDecoder {
   OpCounters& mutable_ops() { return ops_; }
 
  private:
+  static constexpr std::uint32_t kNoEdge = static_cast<std::uint32_t>(-1);
+
+  /// A node of the pooled edge array. On an undecoded native's list it
+  /// names a packet holding that native; once the native is decoded it
+  /// moves onto the packet's pending list and names the native. Free
+  /// nodes are chained through `next` from free_edge_.
+  struct Edge {
+    std::uint32_t id;    ///< PacketId on a native's list, else NativeIndex
+    std::uint32_t next;  ///< next node on the same list, or kNoEdge
+  };
+  /// One native's edge list, in store order.
+  struct EdgeList {
+    std::uint32_t head = kNoEdge;
+    std::uint32_t tail = kNoEdge;
+  };
   struct Slot {
-    CodedPacket packet;
+    BitVector coeffs;
+    // Folding on read updates these behind the const accessors without
+    // changing the packet's value, hence mutable.
+    mutable Payload payload;  ///< lacks the natives on `pending`
+    mutable std::uint32_t pending = kNoEdge;  ///< decoded, not yet folded
     std::size_t degree = 0;
     bool alive = false;
   };
 
-  /// Reduces pkt in place by XORing out decoded natives; charges ops.
-  void reduce_by_decoded(CodedPacket& pkt);
+  /// Strips decoded natives from an arriving code vector, collecting their
+  /// values in reduce_sources_; charges control ops.
+  void reduce_by_decoded(BitVector& coeffs);
   /// Marks native decoded, notifies, reduces every packet containing it.
   void decode_native(NativeIndex i, Payload value);
   /// Drains the ripple queue (degree-1 packets) to a fixpoint.
@@ -164,6 +197,13 @@ class BpDecoder {
   /// it as live), fires on_removed with `registered_degree` — the degree
   /// the observer last saw for it — then recycles the slot.
   void retire_slot(PacketId id, std::size_t registered_degree);
+  /// XORs every pending native into the slot's payload in one pass and
+  /// recycles the pending nodes. Returns the data word ops it did.
+  std::size_t fold(const Slot& slot) const;
+  /// Debug check for an absorbed packet: its folded payload is zero.
+  bool folds_to_zero(const Slot& slot) const;
+  std::uint32_t new_edge(std::uint32_t id);
+  void free_edge(std::uint32_t e) const;
 
   std::size_t k_;
   std::size_t payload_bytes_;
@@ -176,15 +216,18 @@ class BpDecoder {
   std::vector<Slot> slots_;
   std::vector<PacketId> free_list_;
   std::size_t stored_count_ = 0;
-  std::vector<std::vector<PacketId>> adjacency_;  ///< native -> packet ids
+  std::vector<EdgeList> adjacency_;  ///< native -> its packets' edge nodes
   std::vector<PacketId> ripple_;
-
-  // Reusable scratch: decoded-value pointers for the arrival fold and the
-  // edge snapshot taken while propagating a decoded native.
+  /// Reusable scratch: decoded values stripped from the arriving packet.
   std::vector<const Payload*> reduce_sources_;
-  std::vector<PacketId> edges_scratch_;
 
-  OpCounters ops_;
+  // The edge pool and the fold scratch change when a payload is read;
+  // ops_ is charged for that fold. None of it is observable state.
+  mutable std::vector<Edge> edges_;
+  mutable std::uint32_t free_edge_ = kNoEdge;
+  /// Reusable scratch: pending natives' values for one batched fold.
+  mutable std::vector<const Payload*> fold_sources_;
+  mutable OpCounters ops_;
 };
 
 }  // namespace ltnc::lt

@@ -116,8 +116,8 @@ class MirrorObserver : public StoreObserver {
     live[id] = degree;
   }
   void on_degree_changed(PacketId id, const BitVector& coeffs,
-                         std::size_t old_degree, std::size_t new_degree,
-                         const Payload&) override {
+                         std::size_t old_degree,
+                         std::size_t new_degree) override {
     ASSERT_TRUE(live.contains(id));
     ASSERT_EQ(live[id], old_degree);
     ASSERT_EQ(new_degree + 1, old_degree);

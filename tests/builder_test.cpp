@@ -27,7 +27,7 @@ class IndexedStore : public lt::StoreObserver {
     index.insert(id, degree);
   }
   void on_degree_changed(PacketId id, const BitVector&, std::size_t od,
-                         std::size_t nd, const Payload&) override {
+                         std::size_t nd) override {
     index.change(id, od, nd);
   }
   void on_removed(PacketId id, const BitVector&, std::size_t deg) override {
