@@ -40,7 +40,8 @@ std::size_t BpDecoder::packet_degree(PacketId id) const {
   return slots_[id].degree;
 }
 
-std::uint32_t BpDecoder::new_edge(std::uint32_t id) {
+std::uint32_t BpDecoder::new_edge(std::uint32_t id,
+                                  std::uint32_t generation) {
   std::uint32_t e = free_edge_;
   if (e != kNoEdge) {
     free_edge_ = edges_[e].next;
@@ -48,7 +49,7 @@ std::uint32_t BpDecoder::new_edge(std::uint32_t id) {
     e = static_cast<std::uint32_t>(edges_.size());
     edges_.emplace_back();
   }
-  edges_[e] = Edge{id, kNoEdge};
+  edges_[e] = Edge{id, generation, kNoEdge};
   return e;
 }
 
@@ -140,7 +141,7 @@ ReceiveResult BpDecoder::receive(const CodedPacket& packet) {
   slot.alive = true;
   ++stored_count_;
   slot.coeffs.for_each_set([&](std::size_t i) {
-    const std::uint32_t e = new_edge(id);
+    const std::uint32_t e = new_edge(id, slot.generation);
     EdgeList& list = adjacency_[i];
     if (list.tail == kNoEdge) {
       list.head = e;
@@ -176,15 +177,18 @@ void BpDecoder::decode_native(NativeIndex i, Payload value) {
     const std::uint32_t next = edges_[e].next;
     const PacketId id = edges_[e].id;
     ops_.control_steps += 1;
+    // A packet is reduced at the first edge naming its slot, which may be
+    // a stale edge left by the slot's previous packet; later edges then
+    // find bit i clear. This order is part of every golden trajectory.
     if (!packet_alive(id) || !slots_[id].coeffs.test(i)) {
-      free_edge(e);  // stale: the packet left the store
+      free_edge(e);  // stale, or its packet was reduced at an earlier edge
       e = next;
       continue;
     }
     Slot& slot = slots_[id];
     const std::size_t old_degree = slot.degree;
     slot.coeffs.flip(i);
-    edges_[e] = Edge{i, slot.pending};
+    edges_[e] = Edge{i, 0, slot.pending};
     slot.pending = e;
     slot.degree = old_degree - 1;
     e = next;
@@ -240,6 +244,7 @@ void BpDecoder::retire_slot(PacketId id, std::size_t registered_degree) {
     observer_->on_removed(id, slot.coeffs, registered_degree);
   }
   slot.degree = 0;
+  ++slot.generation;
   for (std::uint32_t e = slot.pending; e != kNoEdge;) {
     const std::uint32_t next = edges_[e].next;
     free_edge(e);

@@ -136,13 +136,13 @@ class BpDecoder {
   const Payload& packet_payload(PacketId id) const;
   std::size_t packet_degree(PacketId id) const;
 
-  /// Invokes fn(PacketId) for every live stored packet containing native x.
+  /// Invokes fn(PacketId) once for every live stored packet containing
+  /// native x.
   template <typename Fn>
   void for_each_packet_containing(NativeIndex x, Fn&& fn) const {
     for (std::uint32_t e = adjacency_[x].head; e != kNoEdge;
          e = edges_[e].next) {
-      const PacketId id = edges_[e].id;
-      if (packet_alive(id) && slots_[id].coeffs.test(x)) fn(id);
+      if (edge_live(edges_[e])) fn(edges_[e].id);
     }
   }
 
@@ -168,8 +168,9 @@ class BpDecoder {
   /// moves onto the packet's pending list and names the native. Free
   /// nodes are chained through `next` from free_edge_.
   struct Edge {
-    std::uint32_t id;    ///< PacketId on a native's list, else NativeIndex
-    std::uint32_t next;  ///< next node on the same list, or kNoEdge
+    std::uint32_t id;          ///< PacketId on a native's list, else NativeIndex
+    std::uint32_t generation;  ///< the slot's generation when stored
+    std::uint32_t next;        ///< next node on the same list, or kNoEdge
   };
   /// One native's edge list, in store order.
   struct EdgeList {
@@ -183,8 +184,19 @@ class BpDecoder {
     mutable Payload payload;  ///< lacks the natives on `pending`
     mutable std::uint32_t pending = kNoEdge;  ///< decoded, not yet folded
     std::size_t degree = 0;
+    /// Bumped when the slot is retired, so edges a retired packet left on
+    /// its undecoded natives' lists never name the slot's next packet.
+    std::uint32_t generation = 0;
     bool alive = false;
   };
+
+  /// True iff a native-list edge still names the live packet it was made
+  /// for (retired packets leave their edges behind until the native is
+  /// decoded).
+  bool edge_live(const Edge& edge) const {
+    return packet_alive(edge.id) &&
+           slots_[edge.id].generation == edge.generation;
+  }
 
   /// Strips decoded natives from an arriving code vector, collecting their
   /// values in reduce_sources_; charges control ops.
@@ -202,7 +214,7 @@ class BpDecoder {
   std::size_t fold(const Slot& slot) const;
   /// Debug check for an absorbed packet: its folded payload is zero.
   bool folds_to_zero(const Slot& slot) const;
-  std::uint32_t new_edge(std::uint32_t id);
+  std::uint32_t new_edge(std::uint32_t id, std::uint32_t generation);
   void free_edge(std::uint32_t e) const;
 
   std::size_t k_;

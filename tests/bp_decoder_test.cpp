@@ -228,6 +228,23 @@ TEST(BpDecoder, ForEachPacketContaining) {
   count = 0;
   dec.for_each_packet_containing(5, [&](PacketId) { ++count; });
   EXPECT_EQ(count, 0);
+
+  // A retired packet's edges stay on its undecoded natives' lists; when
+  // its slot is reused by a packet holding the same native, that packet
+  // must still be visited once.
+  BpDecoder reuse(k, m);
+  reuse.receive(combine(k, m, {0, 1}, natives));
+  reuse.remove_packet(0);
+  reuse.receive(combine(k, m, {0, 2}, natives));
+  ASSERT_TRUE(reuse.packet_alive(0));
+  std::vector<PacketId> visited;
+  reuse.for_each_packet_containing(0,
+                                   [&](PacketId id) { visited.push_back(id); });
+  EXPECT_EQ(visited, std::vector<PacketId>{0});
+  visited.clear();
+  reuse.for_each_packet_containing(1,
+                                   [&](PacketId id) { visited.push_back(id); });
+  EXPECT_TRUE(visited.empty());
 }
 
 TEST(BpDecoder, CountsOps) {
