@@ -79,8 +79,7 @@ struct Reader {
 
 std::size_t dense_size(std::size_t bits) { return (bits + 7) / 8; }
 
-std::size_t sparse_size(const BitVector& coeffs) {
-  const std::size_t degree = coeffs.popcount();
+std::size_t sparse_size(const BitVector& coeffs, std::size_t degree) {
   std::size_t size = varint_size(degree);
   std::size_t prev = 0;
   bool first = true;
@@ -90,6 +89,24 @@ std::size_t sparse_size(const BitVector& coeffs) {
     prev = i;
   });
   return size;
+}
+
+/// The encoding the serializer picks for a code vector, with its encoded
+/// size: one sparse walk yields both the choice and the frame length.
+struct CoeffLayout {
+  CoeffEncoding enc;
+  std::size_t bytes;
+};
+
+CoeffLayout coeff_layout(const BitVector& coeffs) {
+  const std::size_t dense = dense_size(coeffs.size());
+  const std::size_t degree = coeffs.popcount();
+  // Each sparse index costs ≥ 1 byte on top of the degree varint, so a
+  // degree at or past the bitmap size can never win — skip the exact walk.
+  if (degree >= dense) return {CoeffEncoding::kDense, dense};
+  const std::size_t sparse = sparse_size(coeffs, degree);
+  if (sparse < dense) return {CoeffEncoding::kSparse, sparse};
+  return {CoeffEncoding::kDense, dense};
 }
 
 void write_dense(Writer& w, const BitVector& coeffs) {
@@ -232,9 +249,10 @@ DecodeStatus read_head(Reader& r, std::uint8_t allowed, MessageType& type,
 /// frame is exactly header + this prefix, which is what keeps the
 /// advertise/data size identity from ever drifting.
 std::size_t coeff_prefix_size(const BitVector& coeffs,
-                              std::size_t payload_bytes, CoeffEncoding enc) {
+                              std::size_t payload_bytes,
+                              const CoeffLayout& layout) {
   return varint_size(coeffs.size()) + varint_size(payload_bytes) +
-         coeff_encoded_size(coeffs, enc);
+         layout.bytes;
 }
 
 /// Writes the shared advertise prefix (the serializer twin of
@@ -250,9 +268,37 @@ void write_coeff_prefix(Writer& w, const BitVector& coeffs,
   }
 }
 
-std::size_t packet_body_size(const CodedPacket& packet, CoeffEncoding enc) {
-  return coeff_prefix_size(packet.coeffs, packet.payload.size_bytes(), enc) +
+std::size_t packet_body_size(const CodedPacket& packet,
+                             const CoeffLayout& layout) {
+  return coeff_prefix_size(packet.coeffs, packet.payload.size_bytes(),
+                           layout) +
          packet.payload.size_bytes();
+}
+
+// Frame sizes for a code vector whose layout is already chosen; the
+// public serialized_size* functions and the serializers share them.
+
+std::size_t packet_frame_size(ContentId content, const CodedPacket& packet,
+                              const CoeffLayout& layout) {
+  return header_size() + content_id_size(content) +
+         packet_body_size(packet, layout);
+}
+
+std::size_t generation_frame_size(ContentId content, std::uint32_t generation,
+                                  const CodedPacket& packet,
+                                  const CoeffLayout& layout) {
+  return packet_frame_size(content, packet, layout) + varint_size(generation);
+}
+
+std::size_t advertise_frame_size(const AdvertiseInfo& info,
+                                 const BitVector& coeffs,
+                                 const CoeffLayout& layout) {
+  // A packet frame minus the payload span, via the shared prefix
+  // arithmetic, so the advertise/packet size identity can never drift.
+  return header_size() +
+         coeff_prefix_size(coeffs, info.payload_bytes, layout) +
+         content_id_size(info.content) +
+         (info.has_generation ? varint_size(info.generation) : 0);
 }
 
 void write_packet_body(Writer& w, const CodedPacket& packet,
@@ -344,16 +390,11 @@ const char* status_name(DecodeStatus status) {
 
 std::size_t coeff_encoded_size(const BitVector& coeffs, CoeffEncoding enc) {
   return enc == CoeffEncoding::kDense ? dense_size(coeffs.size())
-                                      : sparse_size(coeffs);
+                                      : sparse_size(coeffs, coeffs.popcount());
 }
 
 CoeffEncoding choose_coeff_encoding(const BitVector& coeffs) {
-  const std::size_t dense = dense_size(coeffs.size());
-  // Each sparse index costs ≥ 1 byte on top of the degree varint, so a
-  // degree at or past the bitmap size can never win — skip the exact walk.
-  if (coeffs.popcount() >= dense) return CoeffEncoding::kDense;
-  return sparse_size(coeffs) < dense ? CoeffEncoding::kSparse
-                                     : CoeffEncoding::kDense;
+  return coeff_layout(coeffs).enc;
 }
 
 std::size_t content_id_size(ContentId content) {
@@ -365,8 +406,7 @@ std::size_t serialized_size(const CodedPacket& packet) {
 }
 
 std::size_t serialized_size(ContentId content, const CodedPacket& packet) {
-  return header_size() + content_id_size(content) +
-         packet_body_size(packet, choose_coeff_encoding(packet.coeffs));
+  return packet_frame_size(content, packet, coeff_layout(packet.coeffs));
 }
 
 std::size_t serialized_size_generation(std::uint32_t generation,
@@ -377,8 +417,8 @@ std::size_t serialized_size_generation(std::uint32_t generation,
 std::size_t serialized_size_generation(ContentId content,
                                        std::uint32_t generation,
                                        const CodedPacket& packet) {
-  return header_size() + content_id_size(content) + varint_size(generation) +
-         packet_body_size(packet, choose_coeff_encoding(packet.coeffs));
+  return generation_frame_size(content, generation, packet,
+                               coeff_layout(packet.coeffs));
 }
 
 std::size_t serialized_size_feedback(std::uint64_t token) {
@@ -397,18 +437,14 @@ std::size_t serialized_size_cc(std::span<const std::uint32_t> leaders) {
 
 std::size_t serialized_size_advertise(const BitVector& coeffs,
                                       std::size_t payload_bytes) {
-  // serialized_size() minus the payload span, via the shared prefix
-  // arithmetic, so the advertise/packet size identity can never drift.
-  return header_size() +
-         coeff_prefix_size(coeffs, payload_bytes,
-                           choose_coeff_encoding(coeffs));
+  AdvertiseInfo info;
+  info.payload_bytes = payload_bytes;
+  return serialized_size_advertise(info, coeffs);
 }
 
 std::size_t serialized_size_advertise(const AdvertiseInfo& info,
                                       const BitVector& coeffs) {
-  return serialized_size_advertise(coeffs, info.payload_bytes) +
-         content_id_size(info.content) +
-         (info.has_generation ? varint_size(info.generation) : 0);
+  return advertise_frame_size(info, coeffs, coeff_layout(coeffs));
 }
 
 void serialize(const CodedPacket& packet, Frame& out) {
@@ -416,13 +452,14 @@ void serialize(const CodedPacket& packet, Frame& out) {
 }
 
 void serialize(ContentId content, const CodedPacket& packet, Frame& out) {
-  const CoeffEncoding enc = choose_coeff_encoding(packet.coeffs);
-  out.resize(serialized_size(content, packet));
+  const CoeffLayout layout = coeff_layout(packet.coeffs);
+  out.resize(packet_frame_size(content, packet, layout));
   Writer w{out.data()};
   write_head(w, MessageType::kCodedPacket,
-             frame_flags(static_cast<std::uint8_t>(enc), content, false),
+             frame_flags(static_cast<std::uint8_t>(layout.enc), content,
+                         false),
              content);
-  write_packet_body(w, packet, enc);
+  write_packet_body(w, packet, layout.enc);
   LTNC_DCHECK(w.p == out.data() + out.size());
 }
 
@@ -433,14 +470,15 @@ void serialize_generation(std::uint32_t generation, const CodedPacket& packet,
 
 void serialize_generation(ContentId content, std::uint32_t generation,
                           const CodedPacket& packet, Frame& out) {
-  const CoeffEncoding enc = choose_coeff_encoding(packet.coeffs);
-  out.resize(serialized_size_generation(content, generation, packet));
+  const CoeffLayout layout = coeff_layout(packet.coeffs);
+  out.resize(generation_frame_size(content, generation, packet, layout));
   Writer w{out.data()};
   write_head(w, MessageType::kGenerationPacket,
-             frame_flags(static_cast<std::uint8_t>(enc), content, false),
+             frame_flags(static_cast<std::uint8_t>(layout.enc), content,
+                         false),
              content);
   w.put_varint(generation);
-  write_packet_body(w, packet, enc);
+  write_packet_body(w, packet, layout.enc);
   LTNC_DCHECK(w.p == out.data() + out.size());
 }
 
@@ -484,15 +522,15 @@ void serialize_advertise(const BitVector& coeffs, std::size_t payload_bytes,
 
 void serialize_advertise(const AdvertiseInfo& info, const BitVector& coeffs,
                          Frame& out) {
-  const CoeffEncoding enc = choose_coeff_encoding(coeffs);
-  out.resize(serialized_size_advertise(info, coeffs));
+  const CoeffLayout layout = coeff_layout(coeffs);
+  out.resize(advertise_frame_size(info, coeffs, layout));
   Writer w{out.data()};
   write_head(w, MessageType::kAdvertise,
-             frame_flags(static_cast<std::uint8_t>(enc), info.content,
+             frame_flags(static_cast<std::uint8_t>(layout.enc), info.content,
                          info.has_generation),
              info.content);
   if (info.has_generation) w.put_varint(info.generation);
-  write_coeff_prefix(w, coeffs, info.payload_bytes, enc);
+  write_coeff_prefix(w, coeffs, info.payload_bytes, layout.enc);
   LTNC_DCHECK(w.p == out.data() + out.size());
 }
 
