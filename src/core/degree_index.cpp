@@ -17,9 +17,10 @@ void DegreeIndex::insert(PacketId id, std::size_t degree) {
   buckets_[degree].push_back(id);
   weighted_.add(degree - 1, static_cast<std::int64_t>(degree));
   ++total_;
+  if (degree > max_degree_) max_degree_ = degree;
 }
 
-void DegreeIndex::remove(PacketId id, std::size_t degree) {
+void DegreeIndex::unlink(PacketId id, std::size_t degree) {
   LTNC_CHECK_MSG(degree >= 1 && degree < buckets_.size(),
                  "degree out of range");
   auto& bucket = buckets_[degree];
@@ -34,10 +35,22 @@ void DegreeIndex::remove(PacketId id, std::size_t degree) {
   --total_;
 }
 
+void DegreeIndex::settle_max() {
+  while (max_degree_ > 0 && buckets_[max_degree_].empty()) --max_degree_;
+}
+
+void DegreeIndex::remove(PacketId id, std::size_t degree) {
+  unlink(id, degree);
+  settle_max();
+}
+
 void DegreeIndex::change(PacketId id, std::size_t old_degree,
                          std::size_t new_degree) {
-  remove(id, old_degree);
+  // Settle only after the packet landed in its new bucket, so a packet
+  // leaving the top bucket stops the downward scan at its new degree.
+  unlink(id, old_degree);
   insert(id, new_degree);
+  settle_max();
 }
 
 const std::vector<PacketId>& DegreeIndex::bucket(std::size_t degree) const {
@@ -50,13 +63,6 @@ std::uint64_t DegreeIndex::weighted_sum_up_to(std::size_t d) const {
   if (d == 0) return 0;
   if (d > weighted_.size()) d = weighted_.size();
   return static_cast<std::uint64_t>(weighted_.prefix_sum(d - 1));
-}
-
-std::size_t DegreeIndex::max_degree() const {
-  for (std::size_t d = buckets_.size(); d-- > 1;) {
-    if (!buckets_[d].empty()) return d;
-  }
-  return 0;
 }
 
 }  // namespace ltnc::core

@@ -35,15 +35,19 @@ class DegreeIndex {
   std::uint64_t weighted_sum_up_to(std::size_t d) const;
 
   /// Highest degree with a non-empty bucket (0 if the index is empty).
-  std::size_t max_degree() const;
+  std::size_t max_degree() const { return max_degree_; }
 
  private:
-  std::size_t slot_of(PacketId id) const;
+  /// Takes the packet out of its bucket; leaves max_degree_ to settle_max.
+  void unlink(PacketId id, std::size_t degree);
+  /// Lowers max_degree_ past emptied buckets.
+  void settle_max();
 
   std::vector<std::vector<PacketId>> buckets_;  ///< [1..k]; [0] unused
   std::vector<std::uint32_t> pos_;              ///< PacketId -> bucket slot
   Fenwick<std::int64_t> weighted_;              ///< position d-1 carries d·n(d)
   std::size_t total_ = 0;
+  std::size_t max_degree_ = 0;  ///< no bucket above it is non-empty
 };
 
 }  // namespace ltnc::core

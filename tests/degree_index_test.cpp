@@ -62,6 +62,46 @@ TEST(DegreeIndex, MaxDegree) {
   EXPECT_EQ(idx.max_degree(), 2u);
 }
 
+TEST(DegreeIndex, MaxDegreeMatchesLinearScan) {
+  // max_degree() is kept current by insert/change/remove; after every
+  // operation it must equal a scan of all buckets from the top.
+  constexpr std::size_t k = 64;
+  DegreeIndex idx(k);
+  std::map<PacketId, std::size_t> model;  // id -> degree
+  const auto linear_max = [&] {
+    for (std::size_t d = k; d >= 1; --d) {
+      if (idx.count(d) != 0) return d;
+    }
+    return std::size_t{0};
+  };
+  Rng rng(4321);
+  PacketId next_id = 0;
+  for (int step = 0; step < 20000; ++step) {
+    const double roll = rng.uniform_double();
+    if (roll < 0.35 || model.empty()) {
+      // Mostly low degrees with rare high ones, like a Soliton draw, so
+      // the top bucket empties often and the scan has gaps to cross.
+      const std::size_t d =
+          rng.uniform_double() < 0.1 ? 1 + rng.uniform(k) : 1 + rng.uniform(4);
+      idx.insert(next_id, d);
+      model[next_id++] = d;
+    } else if (roll < 0.75) {
+      auto it = model.begin();
+      std::advance(it, rng.uniform(model.size()));
+      if (it->second > 1) {
+        idx.change(it->first, it->second, it->second - 1);
+        --it->second;
+      }
+    } else {
+      auto it = model.begin();
+      std::advance(it, rng.uniform(model.size()));
+      idx.remove(it->first, it->second);
+      model.erase(it);
+    }
+    ASSERT_EQ(idx.max_degree(), linear_max()) << "step " << step;
+  }
+}
+
 TEST(DegreeIndex, RandomisedAgainstModel) {
   constexpr std::size_t k = 32;
   DegreeIndex idx(k);
