@@ -258,6 +258,118 @@ TEST(BpDecoder, CountsOps) {
   EXPECT_GT(dec.ops().data_word_ops, 0u);
 }
 
+// Ground truth for a stored packet: the XOR of the natives it still holds.
+Payload expected_payload(const BitVector& coeffs,
+                         const std::vector<Payload>& natives) {
+  Payload p(natives.front().size_bytes());
+  coeffs.for_each_set([&](std::size_t i) { p.xor_with(natives[i]); });
+  return p;
+}
+
+// Every live packet's payload matches its code vector, and every decoded
+// native its true value. Reading each payload folds it.
+void expect_store_matches(const BpDecoder& dec,
+                          const std::vector<Payload>& natives) {
+  dec.for_each_packet([&](PacketId id) {
+    EXPECT_EQ(dec.packet_payload(id),
+              expected_payload(dec.packet_coeffs(id), natives))
+        << "packet " << id;
+  });
+  for (const NativeIndex i : dec.decoded_order()) {
+    EXPECT_EQ(dec.native_payload(i), natives[i]) << "native " << i;
+  }
+}
+
+// Observer that reads payloads mid-decode as LTNC does (at degree 2) and
+// vetoes a quarter of the degree-3 packets, so folds and drops both happen
+// while natives are pending.
+class ReadingObserver : public StoreObserver {
+ public:
+  explicit ReadingObserver(const std::vector<Payload>& natives)
+      : natives_(natives) {}
+
+  bool should_drop(PacketId, const BitVector& coeffs,
+                   std::size_t degree) override {
+    return degree == 3 && coeffs.hash() % 4 == 0;
+  }
+  void on_stored(PacketId, const BitVector& coeffs, std::size_t,
+                 const Payload& payload) override {
+    EXPECT_EQ(payload, expected_payload(coeffs, natives_));
+  }
+  void on_degree_changed(PacketId id, const BitVector& coeffs, std::size_t,
+                         std::size_t new_degree) override {
+    if (new_degree != 2) return;
+    EXPECT_EQ(decoder->packet_payload(id), expected_payload(coeffs, natives_));
+  }
+  void on_native_decoded(NativeIndex index, const Payload& value) override {
+    EXPECT_EQ(value, natives_[index]);
+  }
+
+  const BpDecoder* decoder = nullptr;
+
+ private:
+  const std::vector<Payload>& natives_;
+};
+
+class BpFoldOnRead : public ::testing::TestWithParam<bool> {};
+
+TEST_P(BpFoldOnRead, StoredPayloadsMatchTheirCodeVectors) {
+  // Two decoders take the same LT stream with remove_packet calls mixed
+  // in. `checked` reads every live payload after every call; `lazy` reads
+  // one only when the op stream says so, so its pending lists grow across
+  // many calls before a ripple, a read or a removal consumes them. Folding
+  // never touches the coefficient side, so both stores stay identical.
+  const bool with_observer = GetParam();
+  constexpr std::size_t k = 96;
+  constexpr std::size_t m = 24;
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    const auto natives = make_native_payloads(k, m, seed);
+    LtEncoder enc(make_native_payloads(k, m, seed));
+    ReadingObserver checked_obs(natives);
+    ReadingObserver lazy_obs(natives);
+    BpDecoder checked(k, m, with_observer ? &checked_obs : nullptr);
+    BpDecoder lazy(k, m, with_observer ? &lazy_obs : nullptr);
+    checked_obs.decoder = &checked;
+    lazy_obs.decoder = &lazy;
+    Rng rng(seed * 31 + 7);
+    std::vector<PacketId> live;
+    const auto pick_live = [&] {
+      live.clear();
+      lazy.for_each_packet([&](PacketId id) { live.push_back(id); });
+      return live[rng.uniform(live.size())];
+    };
+    for (std::size_t step = 0; step < 50 * k && !checked.complete(); ++step) {
+      const double roll = rng.uniform_double();
+      if (roll < 0.1 && lazy.stored_count() > 0) {
+        const PacketId id = pick_live();
+        checked.remove_packet(id);
+        lazy.remove_packet(id);
+      } else if (roll < 0.25 && lazy.stored_count() > 0) {
+        const PacketId id = pick_live();
+        EXPECT_EQ(lazy.packet_payload(id),
+                  expected_payload(lazy.packet_coeffs(id), natives));
+      } else {
+        const CodedPacket pkt = enc.encode(rng);
+        ASSERT_EQ(checked.receive(pkt), lazy.receive(pkt));
+      }
+      expect_store_matches(checked, natives);
+      ASSERT_EQ(lazy.stored_count(), checked.stored_count());
+      ASSERT_EQ(lazy.decoded_order(), checked.decoded_order());
+      if (::testing::Test::HasFailure()) return;
+    }
+    ASSERT_TRUE(checked.complete()) << "seed " << seed;
+    expect_store_matches(lazy, natives);
+    // Folding happened only where payloads were read: the lazy decoder
+    // never did more data work than the one that read everything.
+    EXPECT_LE(lazy.ops().data_word_ops, checked.ops().data_word_ops);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Observer, BpFoldOnRead, ::testing::Bool(),
+                         [](const auto& info) {
+                           return info.param ? "WithObserver" : "Plain";
+                         });
+
 class BpEndToEnd
     : public ::testing::TestWithParam<std::tuple<std::size_t, std::uint64_t>> {
 };

@@ -401,6 +401,33 @@ TEST(SteadyStateAllocation, MultiContentSwarmLoopIsAllocationFree) {
       << "multi-content swarm loop allocated at steady state";
 }
 
+TEST(SteadyStateAllocation, BpFullDecodeAllocatesPerVectorNotPerNative) {
+  // A whole k = 512 decode from a freshly built decoder. The Tanner graph
+  // is one pooled edge array, so the heap is touched only as the
+  // decoder's handful of vectors grow — never once per native.
+  const std::size_t k = 512;
+  const std::size_t m = 64;
+  lt::LtEncoder enc(lt::make_native_payloads(k, m, 23));
+  Rng rng(101);
+  std::vector<CodedPacket> stream;
+  for (std::size_t i = 0; i < 3 * k; ++i) stream.push_back(enc.encode(rng));
+  const auto decode = [&] {
+    lt::BpDecoder decoder(k, m);
+    for (const auto& pkt : stream) {
+      if (decoder.complete()) break;
+      decoder.receive(pkt);
+    }
+    EXPECT_TRUE(decoder.complete());
+    g_sink = g_sink ^ decoder.native_payload(0).words()[0];
+  };
+  decode();  // warm the arena's size classes
+  const std::uint64_t before = g_allocations;
+  decode();
+  const std::uint64_t allocations = g_allocations - before;
+  EXPECT_LE(allocations, 128u)
+      << "a k = 512 BP decode made " << allocations << " heap allocations";
+}
+
 TEST(SteadyStateAllocation, BpDuplicateReceiveIsAllocationFree) {
   const std::size_t k = 64;
   const std::size_t m = 512;
