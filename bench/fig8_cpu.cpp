@@ -11,8 +11,16 @@
 // per content byte. The paper reports CPU cycles on a 2.33 GHz Xeon; we
 // report wall nanoseconds plus exact word-operation counters — the shapes
 // (linear vs quadratic in k, who wins) are what must match.
+//
+// Unless --benchmark_out is given explicitly, results are also written to
+// BENCH_codec.json (google-benchmark JSON). Its ctrl_ops/*, data_*/* and
+// pkts_used counters are exact and repeat from run to run; the times are
+// this host's.
 #include <benchmark/benchmark.h>
 
+#include <cstring>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -75,59 +83,63 @@ void fill_ltnc(core::LtncCodec& codec, std::size_t packets) {
 
 // --- Fig. 8a / 8c: recoding ------------------------------------------------
 
-void BM_Fig8_Recode_LTNC(benchmark::State& state, std::size_t m) {
-  const auto k = static_cast<std::size_t>(state.range(0));
-  // A mid-dissemination store: roughly half the content received.
-  core::LtncConfig cfg;
-  cfg.k = k;
-  cfg.payload_bytes = m;
-  core::LtncCodec codec(cfg);
-  fill_ltnc(codec, k / 2);
+constexpr std::size_t kCountedRecodes = 1000;
+
+// Times recode() on `timed`. The counters come from the first
+// kCountedRecodes recodes of `counted`, an identically filled codec, so
+// they are exact and do not depend on how many iterations the timer chose
+// (each recode moves the codec's state on).
+template <typename Codec>
+void run_recode(benchmark::State& state, Codec& timed, Codec& counted,
+                std::size_t m) {
   Rng rng(11);
   for (auto _ : state) {
-    auto pkt = codec.recode(rng);
+    auto pkt = timed.recode(rng);
     benchmark::DoNotOptimize(pkt);
   }
-  const auto& ops = codec.recode_ops();
-  state.counters["ctrl_ops/op"] = ops.invocations == 0
-      ? 0.0
-      : static_cast<double>(ops.control_total()) /
-            static_cast<double>(ops.invocations);
-  state.counters["data_bytes/op"] = ops.invocations == 0
-      ? 0.0
-      : ops.data_bytes() / static_cast<double>(ops.invocations);
+  Rng counted_rng(11);
+  for (std::size_t i = 0; i < kCountedRecodes; ++i) {
+    auto pkt = counted.recode(counted_rng);
+    benchmark::DoNotOptimize(pkt);
+  }
+  const auto& ops = counted.recode_ops();
+  const double invocations = static_cast<double>(ops.invocations);
+  state.counters["ctrl_ops/op"] =
+      static_cast<double>(ops.control_total()) / invocations;
+  state.counters["data_bytes/op"] = ops.data_bytes() / invocations;
   if (m > kControlPayload) {
     state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                             static_cast<std::int64_t>(m));
   }
 }
 
+void BM_Fig8_Recode_LTNC(benchmark::State& state, std::size_t m) {
+  const auto k = static_cast<std::size_t>(state.range(0));
+  // A mid-dissemination store: roughly half the content received.
+  const auto make = [&] {
+    core::LtncConfig cfg;
+    cfg.k = k;
+    cfg.payload_bytes = m;
+    auto codec = std::make_unique<core::LtncCodec>(cfg);
+    fill_ltnc(*codec, k / 2);
+    return codec;
+  };
+  run_recode(state, *make(), *make(), m);
+}
+
 void BM_Fig8_Recode_RLNC(benchmark::State& state, std::size_t m) {
   const auto k = static_cast<std::size_t>(state.range(0));
-  rlnc::RlncConfig cfg;
-  cfg.k = k;
-  cfg.payload_bytes = m;
-  rlnc::RlncCodec codec(cfg);
-  for (auto& pkt : sparse_stream(k, m, k / 2, 13)) {
-    codec.receive(std::move(pkt));
-  }
-  Rng rng(11);
-  for (auto _ : state) {
-    auto pkt = codec.recode(rng);
-    benchmark::DoNotOptimize(pkt);
-  }
-  const auto& ops = codec.recode_ops();
-  state.counters["ctrl_ops/op"] = ops.invocations == 0
-      ? 0.0
-      : static_cast<double>(ops.control_total()) /
-            static_cast<double>(ops.invocations);
-  state.counters["data_bytes/op"] = ops.invocations == 0
-      ? 0.0
-      : ops.data_bytes() / static_cast<double>(ops.invocations);
-  if (m > kControlPayload) {
-    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(m));
-  }
+  const auto make = [&] {
+    rlnc::RlncConfig cfg;
+    cfg.k = k;
+    cfg.payload_bytes = m;
+    auto codec = std::make_unique<rlnc::RlncCodec>(cfg);
+    for (auto& pkt : sparse_stream(k, m, k / 2, 13)) {
+      codec->receive(std::move(pkt));
+    }
+    return codec;
+  };
+  run_recode(state, *make(), *make(), m);
 }
 
 // --- Fig. 8b / 8d: decoding -------------------------------------------------
@@ -221,9 +233,31 @@ void register_all() {
 
 }  // namespace
 
+// Custom main: default --benchmark_out to BENCH_codec.json so every full
+// run leaves a machine-readable baseline (same convention as
+// micro_primitives / BENCH_kernels.json).
 int main(int argc, char** argv) {
   register_all();
-  benchmark::Initialize(&argc, argv);
+  std::vector<char*> args(argv, argv + argc);
+  bool has_out = false;
+  bool filtered = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strncmp(argv[i], "--benchmark_out=", 16) == 0) has_out = true;
+    if (std::strncmp(argv[i], "--benchmark_filter", 18) == 0) filtered = true;
+  }
+  std::string out_flag = "--benchmark_out=BENCH_codec.json";
+  std::string format_flag = "--benchmark_out_format=json";
+  // Only full runs refresh the baseline: a filtered run writing the
+  // default file would replace the committed baseline with a partial one.
+  if (!has_out && !filtered) {
+    args.push_back(out_flag.data());
+    args.push_back(format_flag.data());
+  }
+  int args_count = static_cast<int>(args.size());
+  benchmark::Initialize(&args_count, args.data());
+  if (benchmark::ReportUnrecognizedArguments(args_count, args.data())) {
+    return 1;
+  }
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;
