@@ -58,16 +58,21 @@ void BpDecoder::free_edge(std::uint32_t e) const {
   free_edge_ = e;
 }
 
+void BpDecoder::release_pending(const Slot& slot) const {
+  if (slot.pending == kNoEdge) return;
+  edges_[slot.pending_tail].next = free_edge_;
+  free_edge_ = slot.pending;
+  slot.pending = kNoEdge;
+  slot.pending_tail = kNoEdge;
+}
+
 std::size_t BpDecoder::fold(const Slot& slot) const {
   if (slot.pending == kNoEdge) return 0;
   fold_sources_.clear();
-  for (std::uint32_t e = slot.pending; e != kNoEdge;) {
-    const std::uint32_t next = edges_[e].next;
+  for (std::uint32_t e = slot.pending; e != kNoEdge; e = edges_[e].next) {
     fold_sources_.push_back(&decoded_values_[edges_[e].id]);
-    free_edge(e);
-    e = next;
   }
-  slot.pending = kNoEdge;
+  release_pending(slot);
   return slot.payload.xor_accumulate(fold_sources_.data(),
                                      fold_sources_.size());
 }
@@ -189,6 +194,7 @@ void BpDecoder::decode_native(NativeIndex i, Payload value) {
     const std::size_t old_degree = slot.degree;
     slot.coeffs.flip(i);
     edges_[e] = Edge{i, 0, slot.pending};
+    if (slot.pending == kNoEdge) slot.pending_tail = e;
     slot.pending = e;
     slot.degree = old_degree - 1;
     e = next;
@@ -245,12 +251,7 @@ void BpDecoder::retire_slot(PacketId id, std::size_t registered_degree) {
   }
   slot.degree = 0;
   ++slot.generation;
-  for (std::uint32_t e = slot.pending; e != kNoEdge;) {
-    const std::uint32_t next = edges_[e].next;
-    free_edge(e);
-    e = next;
-  }
-  slot.pending = kNoEdge;
+  release_pending(slot);
   slot.coeffs = BitVector();
   slot.payload = Payload();
   free_list_.push_back(id);

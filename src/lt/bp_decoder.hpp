@@ -12,8 +12,8 @@
 // native flips its bit in those packets and moves each node onto the
 // packet's pending list. A stored payload is brought up to date — every
 // pending native XORed in by one batched pass — only when it is read: by
-// the degree-1 ripple, by packet_payload(), or through the observer.
-// Packets absorbed or dropped before that never pay for their payload.
+// the degree-1 ripple or through packet_payload(). Packets absorbed or
+// dropped before that never pay for their payload.
 //
 // The decoder exposes a StoreObserver so LTNC (src/core) can mirror the
 // packet store into its recoding structures (degree index, connected
@@ -181,8 +181,9 @@ class BpDecoder {
     BitVector coeffs;
     // Folding on read updates these behind the const accessors without
     // changing the packet's value, hence mutable.
-    mutable Payload payload;  ///< lacks the natives on `pending`
-    mutable std::uint32_t pending = kNoEdge;  ///< decoded, not yet folded
+    mutable Payload payload;  ///< lacks the natives on the pending list
+    mutable std::uint32_t pending = kNoEdge;       ///< decoded, not folded
+    mutable std::uint32_t pending_tail = kNoEdge;  ///< its last node
     std::size_t degree = 0;
     /// Bumped when the slot is retired, so edges a retired packet left on
     /// its undecoded natives' lists never name the slot's next packet.
@@ -214,6 +215,8 @@ class BpDecoder {
   std::size_t fold(const Slot& slot) const;
   /// Debug check for an absorbed packet: its folded payload is zero.
   bool folds_to_zero(const Slot& slot) const;
+  /// Returns the slot's pending nodes to the free list in one splice.
+  void release_pending(const Slot& slot) const;
   std::uint32_t new_edge(std::uint32_t id, std::uint32_t generation);
   void free_edge(std::uint32_t e) const;
 
