@@ -40,8 +40,7 @@ std::size_t BpDecoder::packet_degree(PacketId id) const {
   return slots_[id].degree;
 }
 
-std::uint32_t BpDecoder::new_edge(std::uint32_t id,
-                                  std::uint32_t generation) {
+std::uint32_t BpDecoder::new_edge(std::uint32_t id) {
   std::uint32_t e = free_edge_;
   if (e != kNoEdge) {
     free_edge_ = edges_[e].next;
@@ -49,7 +48,7 @@ std::uint32_t BpDecoder::new_edge(std::uint32_t id,
     e = static_cast<std::uint32_t>(edges_.size());
     edges_.emplace_back();
   }
-  edges_[e] = Edge{id, generation, kNoEdge};
+  edges_[e] = Edge{id, kNoEdge};
   return e;
 }
 
@@ -64,6 +63,14 @@ void BpDecoder::release_pending(const Slot& slot) const {
   free_edge_ = slot.pending;
   slot.pending = kNoEdge;
   slot.pending_tail = kNoEdge;
+}
+
+std::uint32_t BpDecoder::next_visit_stamp() const {
+  if (++visit_stamp_ == 0) {  // wrapped: clear every stale stamp once
+    for (const Slot& slot : slots_) slot.visited = 0;
+    visit_stamp_ = 1;
+  }
+  return visit_stamp_;
 }
 
 std::size_t BpDecoder::fold(const Slot& slot) const {
@@ -146,7 +153,7 @@ ReceiveResult BpDecoder::receive(const CodedPacket& packet) {
   slot.alive = true;
   ++stored_count_;
   slot.coeffs.for_each_set([&](std::size_t i) {
-    const std::uint32_t e = new_edge(id, slot.generation);
+    const std::uint32_t e = new_edge(id);
     EdgeList& list = adjacency_[i];
     if (list.tail == kNoEdge) {
       list.head = e;
@@ -193,7 +200,7 @@ void BpDecoder::decode_native(NativeIndex i, Payload value) {
     Slot& slot = slots_[id];
     const std::size_t old_degree = slot.degree;
     slot.coeffs.flip(i);
-    edges_[e] = Edge{i, 0, slot.pending};
+    edges_[e] = Edge{i, slot.pending};
     if (slot.pending == kNoEdge) slot.pending_tail = e;
     slot.pending = e;
     slot.degree = old_degree - 1;
@@ -250,7 +257,6 @@ void BpDecoder::retire_slot(PacketId id, std::size_t registered_degree) {
     observer_->on_removed(id, slot.coeffs, registered_degree);
   }
   slot.degree = 0;
-  ++slot.generation;
   release_pending(slot);
   slot.coeffs = BitVector();
   slot.payload = Payload();

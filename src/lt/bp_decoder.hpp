@@ -137,12 +137,20 @@ class BpDecoder {
   std::size_t packet_degree(PacketId id) const;
 
   /// Invokes fn(PacketId) once for every live stored packet containing
-  /// native x.
+  /// native x. fn must not call for_each_packet_containing itself.
   template <typename Fn>
   void for_each_packet_containing(NativeIndex x, Fn&& fn) const {
+    // A retired packet's edges stay on its undecoded natives' lists, so a
+    // reused slot can be named by several edges; the visit stamp lets only
+    // the first through.
+    const std::uint32_t stamp = next_visit_stamp();
     for (std::uint32_t e = adjacency_[x].head; e != kNoEdge;
          e = edges_[e].next) {
-      if (edge_live(edges_[e])) fn(edges_[e].id);
+      const PacketId id = edges_[e].id;
+      if (!packet_alive(id) || !slots_[id].coeffs.test(x)) continue;
+      if (slots_[id].visited == stamp) continue;
+      slots_[id].visited = stamp;
+      fn(id);
     }
   }
 
@@ -168,9 +176,8 @@ class BpDecoder {
   /// moves onto the packet's pending list and names the native. Free
   /// nodes are chained through `next` from free_edge_.
   struct Edge {
-    std::uint32_t id;          ///< PacketId on a native's list, else NativeIndex
-    std::uint32_t generation;  ///< the slot's generation when stored
-    std::uint32_t next;        ///< next node on the same list, or kNoEdge
+    std::uint32_t id;    ///< PacketId on a native's list, else NativeIndex
+    std::uint32_t next;  ///< next node on the same list, or kNoEdge
   };
   /// One native's edge list, in store order.
   struct EdgeList {
@@ -179,25 +186,15 @@ class BpDecoder {
   };
   struct Slot {
     BitVector coeffs;
-    // Folding on read updates these behind the const accessors without
-    // changing the packet's value, hence mutable.
+    // Folding on read and the traversal stamp change these behind the
+    // const accessors without changing the packet's value, hence mutable.
     mutable Payload payload;  ///< lacks the natives on the pending list
     mutable std::uint32_t pending = kNoEdge;       ///< decoded, not folded
     mutable std::uint32_t pending_tail = kNoEdge;  ///< its last node
+    mutable std::uint32_t visited = 0;  ///< last for_each_packet_containing
     std::size_t degree = 0;
-    /// Bumped when the slot is retired, so edges a retired packet left on
-    /// its undecoded natives' lists never name the slot's next packet.
-    std::uint32_t generation = 0;
     bool alive = false;
   };
-
-  /// True iff a native-list edge still names the live packet it was made
-  /// for (retired packets leave their edges behind until the native is
-  /// decoded).
-  bool edge_live(const Edge& edge) const {
-    return packet_alive(edge.id) &&
-           slots_[edge.id].generation == edge.generation;
-  }
 
   /// Strips decoded natives from an arriving code vector, collecting their
   /// values in reduce_sources_; charges control ops.
@@ -217,8 +214,10 @@ class BpDecoder {
   bool folds_to_zero(const Slot& slot) const;
   /// Returns the slot's pending nodes to the free list in one splice.
   void release_pending(const Slot& slot) const;
-  std::uint32_t new_edge(std::uint32_t id, std::uint32_t generation);
+  std::uint32_t new_edge(std::uint32_t id);
   void free_edge(std::uint32_t e) const;
+  /// A stamp no slot carries yet, for one for_each_packet_containing.
+  std::uint32_t next_visit_stamp() const;
 
   std::size_t k_;
   std::size_t payload_bytes_;
@@ -240,6 +239,7 @@ class BpDecoder {
   // ops_ is charged for that fold. None of it is observable state.
   mutable std::vector<Edge> edges_;
   mutable std::uint32_t free_edge_ = kNoEdge;
+  mutable std::uint32_t visit_stamp_ = 0;
   /// Reusable scratch: pending natives' values for one batched fold.
   mutable std::vector<const Payload*> fold_sources_;
   mutable OpCounters ops_;
