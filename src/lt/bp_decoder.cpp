@@ -134,6 +134,7 @@ ReceiveResult BpDecoder::receive(const CodedPacket& packet) {
     const std::size_t i = coeffs.first_set();
     decode_native(static_cast<NativeIndex>(i), std::move(payload));
     process_ripple();
+    if (complete()) release_graph();
     return ReceiveResult::kDecodedNative;
   }
 
@@ -242,6 +243,17 @@ void BpDecoder::process_ripple() {
       decode_native(static_cast<NativeIndex>(i), std::move(value));
     }
   }
+}
+
+void BpDecoder::release_graph() {
+  // Every stored packet was absorbed by the last decoded natives and no
+  // packet can be stored again, so the slots and the edge pool are dead.
+  LTNC_DCHECK(stored_count_ == 0);
+  slots_ = std::vector<Slot>();
+  free_list_ = std::vector<PacketId>();
+  ripple_ = std::vector<PacketId>();
+  edges_ = std::vector<Edge>();
+  free_edge_ = kNoEdge;
 }
 
 void BpDecoder::remove_packet(PacketId id) {

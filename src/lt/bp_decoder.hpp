@@ -212,6 +212,8 @@ class BpDecoder {
   std::size_t fold(const Slot& slot) const;
   /// Debug check for an absorbed packet: its folded payload is zero.
   bool folds_to_zero(const Slot& slot) const;
+  /// Frees the packet store and the edge pool once decoding is complete.
+  void release_graph();
   /// Returns the slot's pending nodes to the free list in one splice.
   void release_pending(const Slot& slot) const;
   std::uint32_t new_edge(std::uint32_t id);
