@@ -150,8 +150,7 @@ ReceiveResult BpDecoder::receive(const CodedPacket& packet) {
   Slot& slot = slots_[id];
   slot.coeffs = std::move(coeffs);
   slot.payload = std::move(payload);
-  slot.degree = degree;
-  slot.alive = true;
+  slot.degree = static_cast<std::uint32_t>(degree);
   ++stored_count_;
   slot.coeffs.for_each_set([&](std::size_t i) {
     const std::uint32_t e = new_edge(id);
@@ -204,7 +203,7 @@ void BpDecoder::decode_native(NativeIndex i, Payload value) {
     edges_[e] = Edge{i, slot.pending};
     if (slot.pending == kNoEdge) slot.pending_tail = e;
     slot.pending = e;
-    slot.degree = old_degree - 1;
+    slot.degree = static_cast<std::uint32_t>(old_degree - 1);
     e = next;
 
     if (slot.degree == 0) {
@@ -263,12 +262,11 @@ void BpDecoder::remove_packet(PacketId id) {
 
 void BpDecoder::retire_slot(PacketId id, std::size_t registered_degree) {
   Slot& slot = slots_[id];
-  slot.alive = false;  // invisible to traversals from observer callbacks
+  slot.degree = 0;  // dead: invisible to traversals from observer callbacks
   --stored_count_;
   if (observer_ != nullptr) {
     observer_->on_removed(id, slot.coeffs, registered_degree);
   }
-  slot.degree = 0;
   release_pending(slot);
   slot.coeffs = BitVector();
   slot.payload = Payload();

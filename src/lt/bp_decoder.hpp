@@ -127,7 +127,7 @@ class BpDecoder {
   // --- Packet-store introspection (for the LTNC recoding structures) ---
   std::size_t stored_count() const { return stored_count_; }
   bool packet_alive(PacketId id) const {
-    return id < slots_.size() && slots_[id].alive;
+    return id < slots_.size() && slots_[id].degree != 0;
   }
   const BitVector& packet_coeffs(PacketId id) const;
   /// The packet's reduced payload. Folds the natives decoded since it was
@@ -158,7 +158,7 @@ class BpDecoder {
   template <typename Fn>
   void for_each_packet(Fn&& fn) const {
     for (PacketId id = 0; id < slots_.size(); ++id) {
-      if (slots_[id].alive) fn(id);
+      if (slots_[id].degree != 0) fn(id);
     }
   }
 
@@ -192,8 +192,9 @@ class BpDecoder {
     mutable std::uint32_t pending = kNoEdge;       ///< decoded, not folded
     mutable std::uint32_t pending_tail = kNoEdge;  ///< its last node
     mutable std::uint32_t visited = 0;  ///< last for_each_packet_containing
-    std::size_t degree = 0;
-    bool alive = false;
+    /// A stored packet always keeps at least one native, so 0 marks a
+    /// free slot.
+    std::uint32_t degree = 0;
   };
 
   /// Strips decoded natives from an arriving code vector, collecting their
