@@ -191,7 +191,7 @@ class BpDecoder {
     mutable Payload payload;  ///< lacks the natives on the pending list
     mutable std::uint32_t pending = kNoEdge;       ///< decoded, not folded
     mutable std::uint32_t pending_tail = kNoEdge;  ///< its last node
-    mutable std::uint32_t visited = 0;  ///< last for_each_packet_containing
+    mutable std::uint32_t visited = 0;  ///< stamp of the last traversal
     /// A stored packet always keeps at least one native, so 0 marks a
     /// free slot.
     std::uint32_t degree = 0;
@@ -238,8 +238,9 @@ class BpDecoder {
   /// Reusable scratch: decoded values stripped from the arriving packet.
   std::vector<const Payload*> reduce_sources_;
 
-  // The edge pool and the fold scratch change when a payload is read;
-  // ops_ is charged for that fold. None of it is observable state.
+  // Reading a payload folds it (recycling edge nodes and charging ops_),
+  // and a traversal advances the visit stamp: both happen behind const
+  // accessors without changing anything a caller can observe.
   mutable std::vector<Edge> edges_;
   mutable std::uint32_t free_edge_ = kNoEdge;
   mutable std::uint32_t visit_stamp_ = 0;
