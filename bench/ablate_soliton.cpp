@@ -13,7 +13,7 @@
 
 int main(int argc, char** argv) {
   using namespace ltnc;
-  using dissem::Scheme;
+  using session::Scheme;
   const auto args = bench::Args::parse(argc, argv);
 
   dissem::SimConfig cfg;

@@ -14,7 +14,7 @@
 
 int main(int argc, char** argv) {
   using namespace ltnc;
-  using dissem::Scheme;
+  using session::Scheme;
   const auto args = bench::Args::parse(argc, argv);
 
   const std::size_t nodes = args.nodes != 0 ? args.nodes

@@ -64,7 +64,7 @@ long peak_rss_kb() {
 /// record (without splicing) for the given n.
 metrics::RunRecord run_point(std::size_t n, std::uint64_t seed) {
   const dissem::SimConfig cfg = scaling_config(n, seed);
-  dissem::EventSimulation sim(dissem::Scheme::kLtnc, cfg,
+  dissem::EventSimulation sim(session::Scheme::kLtnc, cfg,
                               dissem::EngineMode::kScale);
   const auto start = std::chrono::steady_clock::now();
   const dissem::SimResult result = sim.run();
@@ -147,10 +147,10 @@ std::string run_speedup_point(std::size_t n, std::uint64_t seed) {
 
   const auto t0 = std::chrono::steady_clock::now();
   const dissem::SimResult lock =
-      dissem::run_simulation(dissem::Scheme::kLtnc, cfg);
+      dissem::run_simulation(session::Scheme::kLtnc, cfg);
   const auto t1 = std::chrono::steady_clock::now();
   const dissem::SimResult event = dissem::run_event_simulation(
-      dissem::Scheme::kLtnc, cfg, dissem::EngineMode::kScale);
+      session::Scheme::kLtnc, cfg, dissem::EngineMode::kScale);
   const auto t2 = std::chrono::steady_clock::now();
 
   const double lock_s = std::chrono::duration<double>(t1 - t0).count();

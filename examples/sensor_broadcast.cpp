@@ -14,7 +14,7 @@
 
 int main(int argc, char** argv) {
   using namespace ltnc;
-  using dissem::Scheme;
+  using session::Scheme;
 
   const std::size_t sensors =
       argc > 1 ? static_cast<std::size_t>(std::atoll(argv[1])) : 80;
@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
          static_cast<double>(res.decode_ops.data_word_ops)) /
         static_cast<double>(sensors);
     table.add_row(
-        {dissem::scheme_name(scheme),
+        {session::scheme_name(scheme),
          res.all_complete
              ? TextTable::integer(static_cast<long long>(res.rounds_run))
              : "did not finish",

@@ -7,8 +7,8 @@
 
 namespace ltnc::dissem {
 
-EventSimulation::EventSimulation(Scheme scheme, const SimConfig& config,
-                                 EngineMode mode)
+EventSimulation::EventSimulation(session::Scheme scheme,
+                                 const SimConfig& config, EngineMode mode)
     : core_(scheme, config), mode_(mode) {
   if (mode_ == EngineMode::kScale) {
     push_armed_.assign(config.num_nodes, false);
@@ -145,7 +145,7 @@ SimResult EventSimulation::run() {
   return core_.finalise();
 }
 
-SimResult run_event_simulation(Scheme scheme, const SimConfig& config,
+SimResult run_event_simulation(session::Scheme scheme, const SimConfig& config,
                                EngineMode mode) {
   EventSimulation sim(scheme, config, mode);
   return sim.run();

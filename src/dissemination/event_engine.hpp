@@ -58,7 +58,7 @@ enum class EngineMode {
 
 class EventSimulation final : private SimObserver {
  public:
-  EventSimulation(Scheme scheme, const SimConfig& config,
+  EventSimulation(session::Scheme scheme, const SimConfig& config,
                   EngineMode mode = EngineMode::kScale);
 
   /// Runs to completion (or max_rounds) and returns the collected result.
@@ -131,7 +131,7 @@ class EventSimulation final : private SimObserver {
 };
 
 /// Convenience: configure + run in one call.
-SimResult run_event_simulation(Scheme scheme, const SimConfig& config,
+SimResult run_event_simulation(session::Scheme scheme, const SimConfig& config,
                                EngineMode mode = EngineMode::kScale);
 
 }  // namespace ltnc::dissem

@@ -39,12 +39,12 @@
 #include "common/op_counters.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
-#include "dissemination/protocols.hpp"
 #include "dissemination/sources.hpp"
 #include "net/peer_sampler.hpp"
 #include "net/sim_channel.hpp"
 #include "net/traffic.hpp"
 #include "session/endpoint.hpp"
+#include "session/protocols.hpp"
 #include "wire/frame.hpp"
 
 namespace ltnc::dissem {
@@ -69,7 +69,7 @@ struct SimConfig {
   std::size_t source_pushes_per_round = 4;
   /// Packets each eligible node pushes per gossip period.
   std::size_t node_pushes_per_round = 1;
-  FeedbackMode feedback = FeedbackMode::kBinary;
+  session::FeedbackMode feedback = session::FeedbackMode::kBinary;
   /// Probability that a payload transfer is lost in flight (failure
   /// injection; the header/abort exchange is assumed reliable, as with
   /// TCP connection setup in the paper's setting).
@@ -102,7 +102,7 @@ struct SimConfig {
 };
 
 struct SimResult {
-  Scheme scheme{};
+  session::Scheme scheme{};
   SimConfig config{};
   std::size_t rounds_run = 0;
   std::size_t nodes_complete = 0;
@@ -156,10 +156,10 @@ class SimObserver {
 
 class SimCore {
  public:
-  SimCore(Scheme scheme, const SimConfig& config);
+  SimCore(session::Scheme scheme, const SimConfig& config);
 
   const SimConfig& config() const { return cfg_; }
-  Scheme scheme() const { return scheme_; }
+  session::Scheme scheme() const { return scheme_; }
   Rng& rng() { return rng_; }
 
   // --- fleet access (flyweight-aware) --------------------------------------
@@ -244,11 +244,11 @@ class SimCore {
   void deliver_overhears(NodeId target);
   void reclaim_after_transfer(session::Endpoint& sender, NodeId sender_peer,
                               NodeId target, ContentId content);
-  ProtocolParams protocol_params() const;
+  session::ProtocolParams protocol_params() const;
   session::EndpointConfig endpoint_config() const;
   std::unique_ptr<session::Endpoint> make_endpoint() const;
 
-  Scheme scheme_;
+  session::Scheme scheme_;
   SimConfig cfg_;
   Rng rng_;
   /// One textbook encoder per content (index = content id).

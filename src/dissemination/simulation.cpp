@@ -20,7 +20,7 @@ SimResult EpidemicSimulation::run() {
   return core_.finalise();
 }
 
-SimResult run_simulation(Scheme scheme, const SimConfig& config) {
+SimResult run_simulation(session::Scheme scheme, const SimConfig& config) {
   EpidemicSimulation sim(scheme, config);
   return sim.run();
 }

@@ -40,15 +40,15 @@
 #include <cstddef>
 
 #include "common/types.hpp"
-#include "dissemination/protocols.hpp"
 #include "dissemination/sim_core.hpp"
 #include "session/endpoint.hpp"
+#include "session/protocols.hpp"
 
 namespace ltnc::dissem {
 
 class EpidemicSimulation {
  public:
-  EpidemicSimulation(Scheme scheme, const SimConfig& config)
+  EpidemicSimulation(session::Scheme scheme, const SimConfig& config)
       : core_(scheme, config) {}
 
   /// Runs to completion (or max_rounds) and returns the collected result.
@@ -71,7 +71,7 @@ class EpidemicSimulation {
   const SimCore& core() const { return core_; }
   /// Accessors materialize flyweight nodes on demand — logically const
   /// (a blank endpoint is indistinguishable from a never-built one).
-  const NodeProtocol& node(NodeId id) const {
+  const session::NodeProtocol& node(NodeId id) const {
     return *const_cast<SimCore&>(core_).endpoint(id).protocol();
   }
   const session::Endpoint& endpoint(NodeId id) const {
@@ -83,6 +83,6 @@ class EpidemicSimulation {
 };
 
 /// Convenience: configure + run in one call.
-SimResult run_simulation(Scheme scheme, const SimConfig& config);
+SimResult run_simulation(session::Scheme scheme, const SimConfig& config);
 
 }  // namespace ltnc::dissem

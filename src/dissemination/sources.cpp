@@ -51,19 +51,19 @@ CodedPacket WcSource::next(Rng& rng) {
   return CodedPacket::native(natives_.size(), i, natives_[i]);
 }
 
-std::unique_ptr<Source> make_source(Scheme scheme, std::size_t k,
+std::unique_ptr<Source> make_source(session::Scheme scheme, std::size_t k,
                                     std::size_t payload_bytes,
                                     std::uint64_t content_seed,
                                     const lt::RobustSolitonParams& soliton,
                                     bool fast_degree_lut) {
   auto natives = lt::make_native_payloads(k, payload_bytes, content_seed);
   switch (scheme) {
-    case Scheme::kLtnc:
+    case session::Scheme::kLtnc:
       return std::make_unique<LtSource>(std::move(natives), soliton,
                                         fast_degree_lut);
-    case Scheme::kRlnc:
+    case session::Scheme::kRlnc:
       return std::make_unique<RlncSource>(std::move(natives));
-    case Scheme::kWc:
+    case session::Scheme::kWc:
       return std::make_unique<WcSource>(std::move(natives));
   }
   LTNC_CHECK_MSG(false, "unknown scheme");

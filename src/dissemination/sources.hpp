@@ -12,8 +12,8 @@
 
 #include "common/coded_packet.hpp"
 #include "common/rng.hpp"
-#include "dissemination/protocols.hpp"
 #include "lt/lt_encoder.hpp"
+#include "session/protocols.hpp"
 
 namespace ltnc::dissem {
 
@@ -57,7 +57,7 @@ class WcSource final : public Source {
 /// Builds the scheme's source over the canonical deterministic content.
 /// `fast_degree_lut` switches the LT source to the fixed-point degree
 /// sampler (distribution-equivalent, draw-sequence different; LTNC only).
-std::unique_ptr<Source> make_source(Scheme scheme, std::size_t k,
+std::unique_ptr<Source> make_source(session::Scheme scheme, std::size_t k,
                                     std::size_t payload_bytes,
                                     std::uint64_t content_seed,
                                     const lt::RobustSolitonParams& soliton,

@@ -92,7 +92,7 @@ const RunRecord::Value& RunRecord::at(std::string_view key) const {
 
 RunRecord sim_run_record(const dissem::SimResult& result) {
   RunRecord r;
-  r.set("scheme", std::string(dissem::scheme_name(result.scheme)));
+  r.set("scheme", std::string(session::scheme_name(result.scheme)));
   r.set("num_nodes", static_cast<std::uint64_t>(result.config.num_nodes));
   r.set("k", static_cast<std::uint64_t>(result.config.k));
   r.set("payload_bytes",

@@ -6,7 +6,7 @@
 
 namespace ltnc::metrics {
 
-MonteCarloResult run_monte_carlo(dissem::Scheme scheme,
+MonteCarloResult run_monte_carlo(session::Scheme scheme,
                                  const dissem::SimConfig& base_config,
                                  std::size_t runs) {
   LTNC_CHECK_MSG(runs >= 1, "at least one run required");
@@ -49,7 +49,7 @@ MonteCarloResult run_monte_carlo(dissem::Scheme scheme,
 
     traces.push_back(res.convergence_trace);
 
-    if (scheme == dissem::Scheme::kLtnc) {
+    if (scheme == session::Scheme::kLtnc) {
       ++ltnc_runs;
       first_accept += res.ltnc_degree_stats.first_accept_rate();
       retries += res.ltnc_degree_stats.mean_retries_when_retried();

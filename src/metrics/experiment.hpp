@@ -17,7 +17,7 @@
 namespace ltnc::metrics {
 
 struct MonteCarloResult {
-  dissem::Scheme scheme{};
+  session::Scheme scheme{};
   std::size_t runs = 0;
   std::size_t runs_fully_converged = 0;
   bool payloads_verified = true;
@@ -47,7 +47,7 @@ struct MonteCarloResult {
 };
 
 /// Runs `runs` simulations with seeds seed, seed+1, … and aggregates.
-MonteCarloResult run_monte_carlo(dissem::Scheme scheme,
+MonteCarloResult run_monte_carlo(session::Scheme scheme,
                                  const dissem::SimConfig& base_config,
                                  std::size_t runs);
 

@@ -64,42 +64,43 @@ void expect_identical(const SimResult& lock, const SimResult& event) {
 
 TEST(EventEngineCompat, MatchesLockstepBinaryFeedback) {
   const SimConfig cfg = small_config();
-  expect_identical(run_simulation(Scheme::kLtnc, cfg),
-                   run_event_simulation(Scheme::kLtnc, cfg,
+  expect_identical(run_simulation(session::Scheme::kLtnc, cfg),
+                   run_event_simulation(session::Scheme::kLtnc, cfg,
                                         EngineMode::kCompat));
 }
 
 TEST(EventEngineCompat, MatchesLockstepSmartFeedbackLossOverhear) {
   SimConfig cfg = small_config();
-  cfg.feedback = FeedbackMode::kSmart;
+  cfg.feedback = session::FeedbackMode::kSmart;
   cfg.loss_rate = 0.1;
   cfg.overhear_count = 2;
-  expect_identical(run_simulation(Scheme::kLtnc, cfg),
-                   run_event_simulation(Scheme::kLtnc, cfg,
+  expect_identical(run_simulation(session::Scheme::kLtnc, cfg),
+                   run_event_simulation(session::Scheme::kLtnc, cfg,
                                         EngineMode::kCompat));
 }
 
 TEST(EventEngineCompat, MatchesLockstepNoFeedbackWithChurn) {
   SimConfig cfg = small_config();
-  cfg.feedback = FeedbackMode::kNone;
+  cfg.feedback = session::FeedbackMode::kNone;
   cfg.churn_rate = 0.2;
   cfg.loss_rate = 0.05;
-  expect_identical(run_simulation(Scheme::kLtnc, cfg),
-                   run_event_simulation(Scheme::kLtnc, cfg,
+  expect_identical(run_simulation(session::Scheme::kLtnc, cfg),
+                   run_event_simulation(session::Scheme::kLtnc, cfg,
                                         EngineMode::kCompat));
 }
 
 TEST(EventEngineCompat, MatchesLockstepMultiContent) {
   SimConfig cfg = small_config();
   cfg.num_contents = 2;
-  expect_identical(run_simulation(Scheme::kLtnc, cfg),
-                   run_event_simulation(Scheme::kLtnc, cfg,
+  expect_identical(run_simulation(session::Scheme::kLtnc, cfg),
+                   run_event_simulation(session::Scheme::kLtnc, cfg,
                                         EngineMode::kCompat));
 }
 
 TEST(EventEngineCompat, MatchesLockstepOtherSchemes) {
   const SimConfig cfg = small_config();
-  for (const Scheme scheme : {Scheme::kRlnc, Scheme::kWc}) {
+  for (const session::Scheme scheme :
+       {session::Scheme::kRlnc, session::Scheme::kWc}) {
     expect_identical(run_simulation(scheme, cfg),
                      run_event_simulation(scheme, cfg, EngineMode::kCompat));
   }
@@ -108,8 +109,8 @@ TEST(EventEngineCompat, MatchesLockstepOtherSchemes) {
 TEST(EventEngineCompat, MatchesLockstepMultiplePushesPerRound) {
   SimConfig cfg = small_config();
   cfg.node_pushes_per_round = 3;
-  expect_identical(run_simulation(Scheme::kLtnc, cfg),
-                   run_event_simulation(Scheme::kLtnc, cfg,
+  expect_identical(run_simulation(session::Scheme::kLtnc, cfg),
+                   run_event_simulation(session::Scheme::kLtnc, cfg,
                                         EngineMode::kCompat));
 }
 
@@ -118,7 +119,7 @@ TEST(EventEngineCompat, MatchesLockstepMultiplePushesPerRound) {
 TEST(EventEngineScale, CompletesAndVerifies) {
   const SimConfig cfg = small_config(200, 16);
   const SimResult res =
-      run_event_simulation(Scheme::kLtnc, cfg, EngineMode::kScale);
+      run_event_simulation(session::Scheme::kLtnc, cfg, EngineMode::kScale);
   EXPECT_TRUE(res.all_complete);
   EXPECT_TRUE(res.payloads_verified);
   EXPECT_EQ(res.convergence_trace.size(), res.rounds_run);
@@ -128,9 +129,9 @@ TEST(EventEngineScale, CompletesAndVerifies) {
 TEST(EventEngineScale, DeterministicForSeed) {
   const SimConfig cfg = small_config(96, 16);
   const SimResult a =
-      run_event_simulation(Scheme::kLtnc, cfg, EngineMode::kScale);
+      run_event_simulation(session::Scheme::kLtnc, cfg, EngineMode::kScale);
   const SimResult b =
-      run_event_simulation(Scheme::kLtnc, cfg, EngineMode::kScale);
+      run_event_simulation(session::Scheme::kLtnc, cfg, EngineMode::kScale);
   EXPECT_EQ(a.rounds_run, b.rounds_run);
   EXPECT_EQ(a.completion_round, b.completion_round);
   EXPECT_EQ(a.traffic.wire_bytes_total(), b.traffic.wire_bytes_total());
@@ -141,7 +142,7 @@ TEST(EventEngineScale, ChurnFlowsThroughTheWheel) {
   SimConfig cfg = small_config(64, 16);
   cfg.churn_rate = 0.3;
   const SimResult res =
-      run_event_simulation(Scheme::kLtnc, cfg, EngineMode::kScale);
+      run_event_simulation(session::Scheme::kLtnc, cfg, EngineMode::kScale);
   EXPECT_TRUE(res.all_complete);
   EXPECT_TRUE(res.payloads_verified);
   EXPECT_GT(res.nodes_churned, 0u);
@@ -151,7 +152,7 @@ TEST(EventEngineScale, OverhearsFlowThroughTheWheel) {
   SimConfig cfg = small_config(64, 16);
   cfg.overhear_count = 2;
   const SimResult res =
-      run_event_simulation(Scheme::kLtnc, cfg, EngineMode::kScale);
+      run_event_simulation(session::Scheme::kLtnc, cfg, EngineMode::kScale);
   EXPECT_TRUE(res.all_complete);
   EXPECT_GT(res.overheard_useful, 0u);
 }
@@ -163,7 +164,7 @@ TEST(EventEngineScale, FlyweightFleetStaysSparse) {
   // never materialize.
   SimConfig cfg = small_config(5000, 32);
   cfg.max_rounds = 3;
-  EventSimulation sim(Scheme::kLtnc, cfg, EngineMode::kScale);
+  EventSimulation sim(session::Scheme::kLtnc, cfg, EngineMode::kScale);
   EXPECT_EQ(sim.core().materialized_count(), 0u);
   SimResult res = sim.run();
   // Contacted set grows like the epidemic front (sources + one hop per
@@ -179,7 +180,7 @@ TEST(EventEngineScale, FlyweightFleetStaysSparse) {
 TEST(EventEngineScale, ArmsNodesOnlyOncePastTheGate) {
   SimConfig cfg = small_config(128, 32);
   cfg.max_rounds = 5;
-  EventSimulation sim(Scheme::kLtnc, cfg, EngineMode::kScale);
+  EventSimulation sim(session::Scheme::kLtnc, cfg, EngineMode::kScale);
   EXPECT_EQ(sim.armed_pushes(), 0u);  // 1 % of 32 ⇒ blank nodes gated
   sim.run();
   // Every armed node must have materialized first (a payload arrived).
@@ -188,7 +189,7 @@ TEST(EventEngineScale, ArmsNodesOnlyOncePastTheGate) {
 
 TEST(EventEngineScale, StepAdvancesOneRound) {
   const SimConfig cfg = small_config(48, 16);
-  EventSimulation sim(Scheme::kLtnc, cfg, EngineMode::kScale);
+  EventSimulation sim(session::Scheme::kLtnc, cfg, EngineMode::kScale);
   EXPECT_EQ(sim.round(), 0u);
   sim.step();
   EXPECT_EQ(sim.round(), 1u);
@@ -200,9 +201,9 @@ TEST(EventEngineScale, ScaleTracksLockstepStatistically) {
   // Different draw sequences, same protocol: completion times should land
   // in the same ballpark (well within 2× of each other).
   const SimConfig cfg = small_config(96, 16);
-  const SimResult lock = run_simulation(Scheme::kLtnc, cfg);
+  const SimResult lock = run_simulation(session::Scheme::kLtnc, cfg);
   const SimResult scale =
-      run_event_simulation(Scheme::kLtnc, cfg, EngineMode::kScale);
+      run_event_simulation(session::Scheme::kLtnc, cfg, EngineMode::kScale);
   EXPECT_TRUE(scale.all_complete);
   EXPECT_GT(scale.mean_completion(), 0.5 * lock.mean_completion());
   EXPECT_LT(scale.mean_completion(), 2.0 * lock.mean_completion());

@@ -27,9 +27,9 @@ struct ThreeWay {
 
 ThreeWay run_three(std::size_t nodes, std::size_t k) {
   const SimConfig cfg = config(nodes, k);
-  return ThreeWay{run_simulation(Scheme::kLtnc, cfg),
-                  run_simulation(Scheme::kRlnc, cfg),
-                  run_simulation(Scheme::kWc, cfg)};
+  return ThreeWay{run_simulation(session::Scheme::kLtnc, cfg),
+                  run_simulation(session::Scheme::kRlnc, cfg),
+                  run_simulation(session::Scheme::kWc, cfg)};
 }
 
 class ThreeSchemeComparison : public ::testing::Test {
@@ -43,8 +43,8 @@ class ThreeSchemeComparison : public ::testing::Test {
 TEST_F(ThreeSchemeComparison, AllConvergeAndVerify) {
   for (const SimResult* r :
        {&results().ltnc, &results().rlnc, &results().wc}) {
-    EXPECT_TRUE(r->all_complete) << scheme_name(r->scheme);
-    EXPECT_TRUE(r->payloads_verified) << scheme_name(r->scheme);
+    EXPECT_TRUE(r->all_complete) << session::scheme_name(r->scheme);
+    EXPECT_TRUE(r->payloads_verified) << session::scheme_name(r->scheme);
   }
 }
 
@@ -89,9 +89,9 @@ TEST(Integration, RefinementBalancesOccurrences) {
   // §III-B.3: refinement substitutes over-represented natives, so the
   // relative spread of occurrence counts must shrink versus the ablation.
   SimConfig cfg = config(24, 64);
-  const SimResult with = run_simulation(Scheme::kLtnc, cfg);
+  const SimResult with = run_simulation(session::Scheme::kLtnc, cfg);
   cfg.ltnc.enable_refinement = false;
-  const SimResult without = run_simulation(Scheme::kLtnc, cfg);
+  const SimResult without = run_simulation(session::Scheme::kLtnc, cfg);
   ASSERT_TRUE(with.all_complete);
   ASSERT_TRUE(without.all_complete);
   EXPECT_LT(with.ltnc_occurrence_rel_stddev,
@@ -102,9 +102,9 @@ TEST(Integration, RedundancyDetectionReducesWaste) {
   // Ablation (paper: −31 % redundant insertions): with the detector off,
   // more useless payloads cross the wire.
   SimConfig cfg = config(24, 64);
-  const SimResult with = run_simulation(Scheme::kLtnc, cfg);
+  const SimResult with = run_simulation(session::Scheme::kLtnc, cfg);
   cfg.ltnc.enable_redundancy_detection = false;
-  const SimResult without = run_simulation(Scheme::kLtnc, cfg);
+  const SimResult without = run_simulation(session::Scheme::kLtnc, cfg);
   ASSERT_TRUE(with.all_complete);
   ASSERT_TRUE(without.all_complete);
   EXPECT_LT(with.overhead(), without.overhead());
@@ -115,8 +115,8 @@ TEST(Integration, DecodeCostGapWidensWithK) {
   // k: verify the trend between k = 48 and k = 144.
   auto gap = [](std::size_t k) {
     const SimConfig cfg = config(16, k);
-    const SimResult ltnc = run_simulation(Scheme::kLtnc, cfg);
-    const SimResult rlnc = run_simulation(Scheme::kRlnc, cfg);
+    const SimResult ltnc = run_simulation(session::Scheme::kLtnc, cfg);
+    const SimResult rlnc = run_simulation(session::Scheme::kRlnc, cfg);
     return static_cast<double>(rlnc.decode_ops.control_total()) /
            static_cast<double>(ltnc.decode_ops.control_total());
   };

@@ -84,7 +84,7 @@ TEST(Emitter, SimRunRecordCarriesTheSharedSchema) {
   cfg.seed = 7;
   cfg.source_pushes_per_round = 2;
   const dissem::SimResult res = dissem::run_event_simulation(
-      dissem::Scheme::kLtnc, cfg, dissem::EngineMode::kScale);
+      session::Scheme::kLtnc, cfg, dissem::EngineMode::kScale);
   const RunRecord r = sim_run_record(res);
   EXPECT_EQ(std::get<std::string>(r.at("scheme")), "LTNC");
   EXPECT_EQ(std::get<std::uint64_t>(r.at("num_nodes")), 24u);

@@ -5,7 +5,7 @@
 namespace ltnc::metrics {
 namespace {
 
-using dissem::Scheme;
+using session::Scheme;
 using dissem::SimConfig;
 
 SimConfig tiny() {

@@ -20,8 +20,8 @@ namespace {
 
 struct GoldenCase {
   const char* name;
-  Scheme scheme;
-  FeedbackMode feedback;
+  session::Scheme scheme;
+  session::FeedbackMode feedback;
   double loss;
   std::size_t overhear;
   double churn;
@@ -36,33 +36,45 @@ struct GoldenCase {
 // Captured with: N=24, k=32, m=16, seed=7, max_rounds=60000,
 // source_pushes_per_round=2 (the suite's small_config shape).
 const GoldenCase kGolden[] = {
-    {"ltnc_binary", Scheme::kLtnc, FeedbackMode::kBinary, 0.00, 0, 0.00,
+    {"ltnc_binary", session::Scheme::kLtnc,
+     session::FeedbackMode::kBinary, 0.00, 0, 0.00,
      90, 2298, 792, 0, 1506, 19504, 24096, 0, 3946, 0, true, true},
-    {"rlnc_binary", Scheme::kRlnc, FeedbackMode::kBinary, 0.00, 0, 0.00,
+    {"rlnc_binary", session::Scheme::kRlnc,
+     session::FeedbackMode::kBinary, 0.00, 0, 0.00,
      51, 1279, 511, 0, 768, 11511, 12288, 0, 2533, 0, true, true},
-    {"wc_binary", Scheme::kWc, FeedbackMode::kBinary, 0.00, 0, 0.00,
+    {"wc_binary", session::Scheme::kWc,
+     session::FeedbackMode::kBinary, 0.00, 0, 0.00,
      225, 5797, 5029, 0, 768, 40579, 12288, 0, 25113, 0, true, true},
-    {"ltnc_none", Scheme::kLtnc, FeedbackMode::kNone, 0.00, 0, 0.00,
+    {"ltnc_none", session::Scheme::kLtnc,
+     session::FeedbackMode::kNone, 0.00, 0, 0.00,
      90, 2298, 0, 0, 2298, 19504, 36768, 0, 0, 0, true, true},
-    {"ltnc_smart", Scheme::kLtnc, FeedbackMode::kSmart, 0.00, 0, 0.00,
+    {"ltnc_smart", session::Scheme::kLtnc,
+     session::FeedbackMode::kSmart, 0.00, 0, 0.00,
      65, 1634, 623, 0, 1011, 13709, 16176, 54144, 3100, 0, true, true},
-    {"rlnc_smart", Scheme::kRlnc, FeedbackMode::kSmart, 0.00, 0, 0.00,
+    {"rlnc_smart", session::Scheme::kRlnc,
+     session::FeedbackMode::kSmart, 0.00, 0, 0.00,
      51, 1279, 511, 0, 768, 11511, 12288, 0, 2533, 0, true, true},
-    {"ltnc_binary_loss", Scheme::kLtnc, FeedbackMode::kBinary, 0.15, 0, 0.00,
+    {"ltnc_binary_loss", session::Scheme::kLtnc,
+     session::FeedbackMode::kBinary, 0.15, 0, 0.00,
      111, 2840, 873, 300, 1667, 24172, 26672, 0, 4328, 0, true, true},
-    {"ltnc_smart_chaos", Scheme::kLtnc, FeedbackMode::kSmart, 0.20, 2, 0.02,
+    {"ltnc_smart_chaos", session::Scheme::kLtnc,
+     session::FeedbackMode::kSmart, 0.20, 2, 0.02,
      152, 3926, 3021, 179, 726, 33255, 11616, 130392, 15081, 801, true, true},
-    {"wc_none_loss", Scheme::kWc, FeedbackMode::kNone, 0.10, 0, 0.00,
+    {"wc_none_loss", session::Scheme::kWc,
+     session::FeedbackMode::kNone, 0.10, 0, 0.00,
      231, 5951, 0, 609, 5342, 41657, 85472, 0, 0, 0, true, true},
     // High-loss binary-feedback runs leave advertised-but-undelivered
     // conversations dangling and re-advertise identical vectors (WC's
     // round-robin especially) — the configs that pin the endpoint's
     // replay handling to the original veto semantics.
-    {"wc_binary_loss", Scheme::kWc, FeedbackMode::kBinary, 0.30, 0, 0.00,
+    {"wc_binary_loss", session::Scheme::kWc,
+     session::FeedbackMode::kBinary, 0.30, 0, 0.00,
      282, 7211, 6128, 315, 768, 50477, 12288, 0, 30610, 0, true, true},
-    {"rlnc_binary_loss", Scheme::kRlnc, FeedbackMode::kBinary, 0.30, 0, 0.00,
+    {"rlnc_binary_loss", session::Scheme::kRlnc,
+     session::FeedbackMode::kBinary, 0.30, 0, 0.00,
      63, 1574, 490, 316, 768, 14166, 12288, 0, 2427, 0, true, true},
-    {"wc_binary_loss_churn", Scheme::kWc, FeedbackMode::kBinary, 0.20, 1, 0.03,
+    {"wc_binary_loss_churn", session::Scheme::kWc,
+     session::FeedbackMode::kBinary, 0.20, 1, 0.03,
      1696, 44024, 41650, 496, 1878, 308168, 30048, 0, 234849, 292, true,
      true},
 };
@@ -103,7 +115,7 @@ TEST_P(SessionEquivalence, ReproducesPreSessionTrafficExactly) {
   // ledger charged was a veto some endpoint sent. (Skipped under churn:
   // a replaced node's endpoint takes its counters with it.)
   if (g.churn == 0.0) {
-    if (g.feedback != FeedbackMode::kNone) {
+    if (g.feedback != session::FeedbackMode::kNone) {
       EXPECT_EQ(res.sessions.aborts_sent, g.aborted);
       EXPECT_EQ(res.sessions.advertises_received, g.attempts);
     }

@@ -18,14 +18,15 @@ SimConfig small_config(std::size_t nodes = 24, std::size_t k = 32) {
   return cfg;
 }
 
-class SimulationAllSchemes : public ::testing::TestWithParam<Scheme> {};
+class SimulationAllSchemes
+    : public ::testing::TestWithParam<session::Scheme> {};
 
 TEST_P(SimulationAllSchemes, ConvergesAndVerifies) {
-  const Scheme scheme = GetParam();
+  const session::Scheme scheme = GetParam();
   const SimResult res = run_simulation(scheme, small_config());
-  EXPECT_TRUE(res.all_complete) << scheme_name(scheme) << " stopped at "
-                                << res.rounds_run << " rounds with "
-                                << res.nodes_complete << " complete";
+  EXPECT_TRUE(res.all_complete)
+      << session::scheme_name(scheme) << " stopped at " << res.rounds_run
+      << " rounds with " << res.nodes_complete << " complete";
   EXPECT_TRUE(res.payloads_verified);
   EXPECT_EQ(res.completion_round.size(), 24u);
   EXPECT_GT(res.mean_completion(), 0.0);
@@ -38,16 +39,17 @@ TEST_P(SimulationAllSchemes, ConvergesAndVerifies) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Schemes, SimulationAllSchemes,
-                         ::testing::Values(Scheme::kLtnc, Scheme::kRlnc,
-                                           Scheme::kWc),
+                         ::testing::Values(session::Scheme::kLtnc,
+                                           session::Scheme::kRlnc,
+                                           session::Scheme::kWc),
                          [](const auto& info) {
-                           return scheme_name(info.param);
+                           return session::scheme_name(info.param);
                          });
 
 TEST(Simulation, DeterministicForSeed) {
   const SimConfig cfg = small_config();
-  const SimResult a = run_simulation(Scheme::kLtnc, cfg);
-  const SimResult b = run_simulation(Scheme::kLtnc, cfg);
+  const SimResult a = run_simulation(session::Scheme::kLtnc, cfg);
+  const SimResult b = run_simulation(session::Scheme::kLtnc, cfg);
   EXPECT_EQ(a.rounds_run, b.rounds_run);
   EXPECT_EQ(a.completion_round, b.completion_round);
   EXPECT_EQ(a.traffic.attempts, b.traffic.attempts);
@@ -56,24 +58,26 @@ TEST(Simulation, DeterministicForSeed) {
 
 TEST(Simulation, SeedChangesOutcome) {
   SimConfig cfg = small_config();
-  const SimResult a = run_simulation(Scheme::kLtnc, cfg);
+  const SimResult a = run_simulation(session::Scheme::kLtnc, cfg);
   cfg.seed += 1;
-  const SimResult b = run_simulation(Scheme::kLtnc, cfg);
+  const SimResult b = run_simulation(session::Scheme::kLtnc, cfg);
   EXPECT_NE(a.traffic.attempts, b.traffic.attempts);
 }
 
 TEST(Simulation, RlncAndWcHaveZeroOverhead) {
   // §IV-B: with exact redundancy detection every useless transfer aborts,
   // so completed nodes receive exactly k payloads.
-  for (const Scheme scheme : {Scheme::kRlnc, Scheme::kWc}) {
+  for (const session::Scheme scheme :
+       {session::Scheme::kRlnc, session::Scheme::kWc}) {
     const SimResult res = run_simulation(scheme, small_config());
-    ASSERT_TRUE(res.all_complete) << scheme_name(scheme);
-    EXPECT_NEAR(res.overhead(), 0.0, 1e-12) << scheme_name(scheme);
+    ASSERT_TRUE(res.all_complete) << session::scheme_name(scheme);
+    EXPECT_NEAR(res.overhead(), 0.0, 1e-12) << session::scheme_name(scheme);
   }
 }
 
 TEST(Simulation, LtncHasBoundedPositiveOverhead) {
-  const SimResult res = run_simulation(Scheme::kLtnc, small_config(32, 64));
+  const SimResult res =
+      run_simulation(session::Scheme::kLtnc, small_config(32, 64));
   ASSERT_TRUE(res.all_complete);
   EXPECT_GT(res.overhead(), 0.0);
   EXPECT_LT(res.overhead(), 1.5);  // sanity ceiling at tiny scale
@@ -81,8 +85,8 @@ TEST(Simulation, LtncHasBoundedPositiveOverhead) {
 
 TEST(Simulation, FeedbackNoneStillConverges) {
   SimConfig cfg = small_config();
-  cfg.feedback = FeedbackMode::kNone;
-  const SimResult res = run_simulation(Scheme::kLtnc, cfg);
+  cfg.feedback = session::FeedbackMode::kNone;
+  const SimResult res = run_simulation(session::Scheme::kLtnc, cfg);
   EXPECT_TRUE(res.all_complete);
   EXPECT_EQ(res.traffic.aborted, 0u);
   EXPECT_EQ(res.traffic.attempts, res.traffic.payload_transfers);
@@ -90,8 +94,8 @@ TEST(Simulation, FeedbackNoneStillConverges) {
 
 TEST(Simulation, SmartFeedbackConverges) {
   SimConfig cfg = small_config();
-  cfg.feedback = FeedbackMode::kSmart;
-  const SimResult res = run_simulation(Scheme::kLtnc, cfg);
+  cfg.feedback = session::FeedbackMode::kSmart;
+  const SimResult res = run_simulation(session::Scheme::kLtnc, cfg);
   EXPECT_TRUE(res.all_complete);
   EXPECT_GT(res.traffic.feedback_bytes, 0u);
   EXPECT_GT(res.ltnc_stats.smart_degree1 + res.ltnc_stats.smart_degree2, 0u);
@@ -101,14 +105,14 @@ TEST(Simulation, GossipViewSamplerConverges) {
   SimConfig cfg = small_config();
   cfg.sampler.kind = net::PeerSamplerConfig::Kind::kGossipView;
   cfg.sampler.view_size = 8;
-  const SimResult res = run_simulation(Scheme::kLtnc, cfg);
+  const SimResult res = run_simulation(session::Scheme::kLtnc, cfg);
   EXPECT_TRUE(res.all_complete);
 }
 
 TEST(Simulation, MaxRoundsCapRespected) {
   SimConfig cfg = small_config();
   cfg.max_rounds = 3;  // far too few to converge
-  const SimResult res = run_simulation(Scheme::kLtnc, cfg);
+  const SimResult res = run_simulation(session::Scheme::kLtnc, cfg);
   EXPECT_FALSE(res.all_complete);
   EXPECT_EQ(res.rounds_run, 3u);
   EXPECT_EQ(res.convergence_trace.size(), 3u);
@@ -116,20 +120,20 @@ TEST(Simulation, MaxRoundsCapRespected) {
 
 TEST(Simulation, StepApiMatchesRun) {
   const SimConfig cfg = small_config();
-  EpidemicSimulation sim(Scheme::kWc, cfg);
+  EpidemicSimulation sim(session::Scheme::kWc, cfg);
   std::size_t steps = 0;
   while (!sim.all_complete() && steps < cfg.max_rounds) {
     sim.step();
     ++steps;
   }
   EXPECT_TRUE(sim.all_complete());
-  const SimResult ref = run_simulation(Scheme::kWc, cfg);
+  const SimResult ref = run_simulation(session::Scheme::kWc, cfg);
   EXPECT_EQ(steps, ref.rounds_run);
 }
 
 TEST(MonteCarlo, AggregatesAcrossSeeds) {
   const SimConfig cfg = small_config();
-  const auto mc = metrics::run_monte_carlo(Scheme::kLtnc, cfg, 3);
+  const auto mc = metrics::run_monte_carlo(session::Scheme::kLtnc, cfg, 3);
   EXPECT_EQ(mc.runs, 3u);
   EXPECT_EQ(mc.runs_fully_converged, 3u);
   EXPECT_TRUE(mc.payloads_verified);
@@ -142,7 +146,7 @@ TEST(MonteCarlo, AggregatesAcrossSeeds) {
 }
 
 class LossInjection
-    : public ::testing::TestWithParam<std::tuple<Scheme, double>> {};
+    : public ::testing::TestWithParam<std::tuple<session::Scheme, double>> {};
 
 TEST_P(LossInjection, ConvergesDespitePacketLoss) {
   const auto [scheme, loss] = GetParam();
@@ -151,7 +155,7 @@ TEST_P(LossInjection, ConvergesDespitePacketLoss) {
   cfg.max_rounds = 60000;
   const SimResult res = run_simulation(scheme, cfg);
   EXPECT_TRUE(res.all_complete)
-      << scheme_name(scheme) << " with " << loss * 100 << "% loss";
+      << session::scheme_name(scheme) << " with " << loss * 100 << "% loss";
   EXPECT_TRUE(res.payloads_verified);
   EXPECT_GT(res.traffic.lost, 0u);
   // Losses cost time: the lossy run must be slower than the lossless one.
@@ -162,20 +166,22 @@ TEST_P(LossInjection, ConvergesDespitePacketLoss) {
 
 INSTANTIATE_TEST_SUITE_P(
     SchemesAndRates, LossInjection,
-    ::testing::Combine(::testing::Values(Scheme::kLtnc, Scheme::kRlnc,
-                                         Scheme::kWc),
+    ::testing::Combine(::testing::Values(session::Scheme::kLtnc,
+                                         session::Scheme::kRlnc,
+                                         session::Scheme::kWc),
                        ::testing::Values(0.1, 0.3)),
     [](const auto& info) {
-      return std::string(scheme_name(std::get<0>(info.param))) + "_loss" +
+      return std::string(session::scheme_name(std::get<0>(info.param))) +
+             "_loss" +
              std::to_string(static_cast<int>(std::get<1>(info.param) * 100));
     });
 
 TEST(Simulation, LossZeroMeansNoLostTransfers) {
-  const SimResult res = run_simulation(Scheme::kWc, small_config());
+  const SimResult res = run_simulation(session::Scheme::kWc, small_config());
   EXPECT_EQ(res.traffic.lost, 0u);
 }
 
-class ChurnInjection : public ::testing::TestWithParam<Scheme> {};
+class ChurnInjection : public ::testing::TestWithParam<session::Scheme> {};
 
 TEST_P(ChurnInjection, ReplacedNodesCatchUp) {
   // Nodes crash and restart blank mid-dissemination; as long as the source
@@ -184,20 +190,21 @@ TEST_P(ChurnInjection, ReplacedNodesCatchUp) {
   cfg.churn_rate = 0.05;  // one crash every ~20 rounds
   cfg.max_rounds = 60000;
   const SimResult res = run_simulation(GetParam(), cfg);
-  EXPECT_TRUE(res.all_complete) << scheme_name(GetParam());
+  EXPECT_TRUE(res.all_complete) << session::scheme_name(GetParam());
   EXPECT_TRUE(res.payloads_verified);
   EXPECT_GT(res.nodes_churned, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Schemes, ChurnInjection,
-                         ::testing::Values(Scheme::kLtnc, Scheme::kRlnc,
-                                           Scheme::kWc),
+                         ::testing::Values(session::Scheme::kLtnc,
+                                           session::Scheme::kRlnc,
+                                           session::Scheme::kWc),
                          [](const auto& info) {
-                           return scheme_name(info.param);
+                           return session::scheme_name(info.param);
                          });
 
 TEST(Simulation, ChurnZeroMeansNoReplacements) {
-  const SimResult res = run_simulation(Scheme::kLtnc, small_config());
+  const SimResult res = run_simulation(session::Scheme::kLtnc, small_config());
   EXPECT_EQ(res.nodes_churned, 0u);
 }
 
@@ -205,10 +212,10 @@ TEST(Simulation, WirelessOverhearingSpeedsConvergence) {
   // §VI: the broadcast medium lets bystanders snoop transfers for free —
   // convergence must improve markedly over wired unicast.
   SimConfig wired = small_config();
-  const SimResult unicast = run_simulation(Scheme::kLtnc, wired);
+  const SimResult unicast = run_simulation(session::Scheme::kLtnc, wired);
   SimConfig wireless = small_config();
   wireless.overhear_count = 3;
-  const SimResult snooped = run_simulation(Scheme::kLtnc, wireless);
+  const SimResult snooped = run_simulation(session::Scheme::kLtnc, wireless);
   ASSERT_TRUE(unicast.all_complete);
   ASSERT_TRUE(snooped.all_complete);
   EXPECT_GT(snooped.overheard_useful, 0u);
@@ -217,7 +224,7 @@ TEST(Simulation, WirelessOverhearingSpeedsConvergence) {
 }
 
 TEST(Simulation, OverhearZeroMeansNoSnooping) {
-  const SimResult res = run_simulation(Scheme::kLtnc, small_config());
+  const SimResult res = run_simulation(session::Scheme::kLtnc, small_config());
   EXPECT_EQ(res.overheard_useful, 0u);
 }
 
@@ -226,14 +233,14 @@ TEST(Simulation, ChaosEverythingAtOnce) {
   // gossip views + wireless overhearing, all simultaneously. The protocol
   // must still deliver byte-exact content to every (surviving) node.
   SimConfig cfg = small_config();
-  cfg.feedback = FeedbackMode::kSmart;
+  cfg.feedback = session::FeedbackMode::kSmart;
   cfg.loss_rate = 0.2;
   cfg.churn_rate = 0.02;
   cfg.overhear_count = 2;
   cfg.sampler.kind = net::PeerSamplerConfig::Kind::kGossipView;
   cfg.sampler.view_size = 6;
   cfg.max_rounds = 80000;
-  const SimResult res = run_simulation(Scheme::kLtnc, cfg);
+  const SimResult res = run_simulation(session::Scheme::kLtnc, cfg);
   EXPECT_TRUE(res.all_complete);
   EXPECT_TRUE(res.payloads_verified);
   EXPECT_GT(res.traffic.lost, 0u);
@@ -242,13 +249,13 @@ TEST(Simulation, ChaosEverythingAtOnce) {
 TEST(Simulation, TrafficAccountingIsExact) {
   SimConfig cfg = small_config();
   cfg.loss_rate = 0.1;
-  for (const Scheme scheme :
-       {Scheme::kLtnc, Scheme::kRlnc, Scheme::kWc}) {
+  for (const session::Scheme scheme :
+       {session::Scheme::kLtnc, session::Scheme::kRlnc, session::Scheme::kWc}) {
     const SimResult res = run_simulation(scheme, cfg);
     const auto& t = res.traffic;
     // Every attempt ends exactly one way.
     EXPECT_EQ(t.attempts, t.aborted + t.lost + t.payload_transfers)
-        << scheme_name(scheme);
+        << session::scheme_name(scheme);
     // Headers are paid on every attempt, payloads only on transfers. The
     // header is now a measured frame prefix whose size varies per packet
     // (adaptive code-vector encoding), so bound it instead: never smaller
@@ -256,25 +263,30 @@ TEST(Simulation, TrafficAccountingIsExact) {
     // dense bitmap.
     const std::uint64_t min_header = 3 + 1 + 1;  // ver/type/flags + varints
     const std::uint64_t max_header = min_header + 2 + 2 + (cfg.k + 7) / 8;
-    EXPECT_GE(t.header_bytes, t.attempts * min_header) << scheme_name(scheme);
-    EXPECT_LE(t.header_bytes, t.attempts * max_header) << scheme_name(scheme);
+    EXPECT_GE(t.header_bytes, t.attempts * min_header)
+        << session::scheme_name(scheme);
+    EXPECT_LE(t.header_bytes, t.attempts * max_header)
+        << session::scheme_name(scheme);
     EXPECT_EQ(t.payload_bytes, t.payload_transfers * cfg.payload_bytes)
-        << scheme_name(scheme);
+        << session::scheme_name(scheme);
     // Binary feedback: every abort crossed back as a measured frame.
-    if (t.aborted > 0) EXPECT_GT(t.control_bytes, 0u) << scheme_name(scheme);
+    if (t.aborted > 0) {
+      EXPECT_GT(t.control_bytes, 0u) << session::scheme_name(scheme);
+    }
     EXPECT_EQ(t.wire_bytes_total(), t.header_bytes + t.payload_bytes +
                                         t.feedback_bytes + t.control_bytes);
     // Receptions recorded per node must sum to the transfers.
     std::uint64_t receptions = 0;
     for (std::uint64_t r : res.payload_receptions) receptions += r;
-    EXPECT_EQ(receptions, t.payload_transfers) << scheme_name(scheme);
+    EXPECT_EQ(receptions, t.payload_transfers) << session::scheme_name(scheme);
   }
 }
 
 TEST(Simulation, InvalidConfigThrows) {
   SimConfig cfg = small_config();
   cfg.num_nodes = 1;
-  EXPECT_THROW(EpidemicSimulation(Scheme::kLtnc, cfg), std::logic_error);
+  EXPECT_THROW(EpidemicSimulation(session::Scheme::kLtnc, cfg),
+               std::logic_error);
 }
 
 }  // namespace

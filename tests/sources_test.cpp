@@ -23,7 +23,7 @@ Payload expected_payload(const BitVector& coeffs) {
 }
 
 TEST(Sources, WcSourceRoundRobinCoversContent) {
-  auto src = make_source(Scheme::kWc, kK, kM, kSeed, {});
+  auto src = make_source(session::Scheme::kWc, kK, kM, kSeed, {});
   Rng rng(1);
   std::set<std::size_t> seen;
   for (std::size_t i = 0; i < kK; ++i) {
@@ -38,7 +38,7 @@ TEST(Sources, WcSourceRoundRobinCoversContent) {
 }
 
 TEST(Sources, RlncSourceIsDenseAndConsistent) {
-  auto src = make_source(Scheme::kRlnc, kK, kM, kSeed, {});
+  auto src = make_source(session::Scheme::kRlnc, kK, kM, kSeed, {});
   Rng rng(2);
   double total_degree = 0;
   for (int i = 0; i < 200; ++i) {
@@ -52,7 +52,7 @@ TEST(Sources, RlncSourceIsDenseAndConsistent) {
 }
 
 TEST(Sources, LtSourceFollowsRobustSoliton) {
-  auto src = make_source(Scheme::kLtnc, kK, kM, kSeed, {});
+  auto src = make_source(session::Scheme::kLtnc, kK, kM, kSeed, {});
   Rng rng(3);
   const lt::RobustSoliton rs(kK);
   std::vector<int> counts(kK + 1, 0);
@@ -70,7 +70,7 @@ TEST(Sources, LtSourceFollowsRobustSoliton) {
 }
 
 TEST(Sources, LtSourcePayloadsConsistent) {
-  auto src = make_source(Scheme::kLtnc, kK, kM, kSeed, {});
+  auto src = make_source(session::Scheme::kLtnc, kK, kM, kSeed, {});
   Rng rng(4);
   for (int i = 0; i < 100; ++i) {
     const CodedPacket pkt = src->next(rng);
@@ -81,7 +81,7 @@ TEST(Sources, LtSourcePayloadsConsistent) {
 TEST(Sources, ContentMatchesAcrossSchemes) {
   // All three sources serve the same deterministic content for a seed.
   Rng rng(5);
-  auto wc = make_source(Scheme::kWc, kK, kM, kSeed, {});
+  auto wc = make_source(session::Scheme::kWc, kK, kM, kSeed, {});
   const CodedPacket native0 = wc->next(rng);
   EXPECT_EQ(native0.payload,
             Payload::deterministic(kM, kSeed, native0.coeffs.first_set()));

@@ -299,12 +299,12 @@ TEST(TelemetryInvariance, EventEngineUnperturbedByInstruments) {
   cfg.churn_rate = 0.001;  // exercise the churn/disarm trace hooks too
 
   const dissem::SimResult bare =
-      dissem::run_event_simulation(dissem::Scheme::kLtnc, cfg,
+      dissem::run_event_simulation(session::Scheme::kLtnc, cfg,
                                    dissem::EngineMode::kScale);
 
   Registry reg;
   FlightRecorder rec(512);
-  dissem::EventSimulation sim(dissem::Scheme::kLtnc, cfg,
+  dissem::EventSimulation sim(session::Scheme::kLtnc, cfg,
                               dissem::EngineMode::kScale);
   sim.set_telemetry(&rec);
   sim.core().set_telemetry(&reg.histogram("ltnc_sim_completion_rounds"),
