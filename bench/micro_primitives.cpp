@@ -1,7 +1,7 @@
 // Micro-benchmarks for the substrate primitives the codecs are built on —
 // regressions here silently shift every figure, so they are pinned
 // separately: the GF(2) kernel layer (scalar vs dispatched SIMD, sized
-// like real payloads), BitVector word ops, alias sampling, Fenwick
+// like real payloads), BitVector word ops, Soliton degree sampling, Fenwick
 // updates, Gaussian row reduction, BP reception.
 //
 // Unless --benchmark_out is given explicitly, results are also written to
@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "common/bitvector.hpp"
-#include "common/discrete_distribution.hpp"
 #include "common/fenwick.hpp"
 #include "common/kernels.hpp"
 #include "common/rng.hpp"
@@ -200,18 +199,6 @@ void BM_RobustSolitonSample(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RobustSolitonSample)->Arg(512)->Arg(2048)->Arg(8192);
-
-void BM_RobustSolitonSampleLut(benchmark::State& state) {
-  // The fixed-point inverse-CDF LUT vs the alias table above: one 64-bit
-  // draw and integer compares per sample, no floating point.
-  const lt::RobustSoliton rs(static_cast<std::size_t>(state.range(0)), {},
-                             /*use_lut=*/true);
-  Rng rng(3);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(rs.sample(rng));
-  }
-}
-BENCHMARK(BM_RobustSolitonSampleLut)->Arg(512)->Arg(2048)->Arg(8192);
 
 void BM_FenwickAddQuery(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

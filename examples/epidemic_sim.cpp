@@ -50,7 +50,6 @@ using session::Scheme;
       "      lockstep: the paper's every-node-every-round loop\n"
       "      event:    discrete-event engine, active nodes only (big N)\n"
       "      compat:   event engine pinned to the lockstep trajectory\n"
-      "  --fast-lut                fixed-point Soliton degree sampler\n"
       "  --metrics=FILE            per-run record (.json or .csv)\n"
       "  --trace                   print the convergence trace\n"
       "  --stats-period=MS         live telemetry dump every MS wall-clock\n"
@@ -175,8 +174,6 @@ int main(int argc, char** argv) {
       if (engine != "lockstep" && engine != "event" && engine != "compat") {
         usage();
       }
-    } else if (arg == "--fast-lut") {
-      cfg.fast_degree_lut = true;
     } else if (arg.rfind("--metrics=", 0) == 0) {
       metrics_path = val("--metrics=");
     } else if (arg.rfind("--stats-period=", 0) == 0) {

@@ -387,7 +387,7 @@ CacheRunStats run_sim_cache(const SimCacheConfig& config) {
     edge.contents().register_content(
         cc, std::make_unique<CacheEntryProtocol>(cache, id));
     source.contents().register_content(
-        cc, std::make_unique<stream::LtSourceProtocol>(k, bytes, seed, false));
+        cc, std::make_unique<stream::LtSourceProtocol>(k, bytes, seed));
   };
   for (std::size_t slot = 0; slot < catalog.size(); ++slot) {
     register_pair(catalog.id_of(slot), catalog.seed_of(slot));

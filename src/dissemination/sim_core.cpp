@@ -97,8 +97,7 @@ SimCore::SimCore(session::Scheme scheme, const SimConfig& config)
   sources_.reserve(cfg_.num_contents);
   for (std::size_t c = 0; c < cfg_.num_contents; ++c) {
     sources_.push_back(make_source(scheme, cfg_.k, cfg_.payload_bytes,
-                                   cfg_.content_seed + c, cfg_.ltnc.soliton,
-                                   cfg_.fast_degree_lut));
+                                   cfg_.content_seed + c, cfg_.ltnc.soliton));
   }
   traffic_per_content_.resize(cfg_.num_contents);
   source_endpoint_ = std::make_unique<Endpoint>(endpoint_config(), nullptr);

@@ -92,10 +92,6 @@ struct SimConfig {
   /// Verify decoded content against the deterministic ground truth at the
   /// end (includes RLNC's final back-substitution in its decode cost).
   bool verify_payloads = true;
-  /// Sample the LT degree distribution through the fixed-point LUT
-  /// instead of the alias table — statistically equivalent but a
-  /// different draw sequence, so golden-pinned runs keep it off.
-  bool fast_degree_lut = false;
   core::LtncConfig ltnc{};
   rlnc::RlncConfig rlnc{};
   wc::WcConfig wc{};

@@ -7,8 +7,8 @@
 namespace ltnc::dissem {
 
 LtSource::LtSource(std::vector<Payload> natives,
-                   lt::RobustSolitonParams params, bool use_lut)
-    : encoder_(std::move(natives), params, use_lut) {}
+                   lt::RobustSolitonParams params)
+    : encoder_(std::move(natives), params) {}
 
 RlncSource::RlncSource(std::vector<Payload> natives)
     : natives_(std::move(natives)),
@@ -54,13 +54,11 @@ CodedPacket WcSource::next(Rng& rng) {
 std::unique_ptr<Source> make_source(session::Scheme scheme, std::size_t k,
                                     std::size_t payload_bytes,
                                     std::uint64_t content_seed,
-                                    const lt::RobustSolitonParams& soliton,
-                                    bool fast_degree_lut) {
+                                    const lt::RobustSolitonParams& soliton) {
   auto natives = lt::make_native_payloads(k, payload_bytes, content_seed);
   switch (scheme) {
     case session::Scheme::kLtnc:
-      return std::make_unique<LtSource>(std::move(natives), soliton,
-                                        fast_degree_lut);
+      return std::make_unique<LtSource>(std::move(natives), soliton);
     case session::Scheme::kRlnc:
       return std::make_unique<RlncSource>(std::move(natives));
     case session::Scheme::kWc:

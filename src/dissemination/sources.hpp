@@ -25,8 +25,7 @@ class Source {
 
 class LtSource final : public Source {
  public:
-  LtSource(std::vector<Payload> natives, lt::RobustSolitonParams params,
-           bool use_lut = false);
+  LtSource(std::vector<Payload> natives, lt::RobustSolitonParams params);
   CodedPacket next(Rng& rng) override { return encoder_.encode(rng); }
   const lt::LtEncoder& encoder() const { return encoder_; }
 
@@ -55,12 +54,9 @@ class WcSource final : public Source {
 };
 
 /// Builds the scheme's source over the canonical deterministic content.
-/// `fast_degree_lut` switches the LT source to the fixed-point degree
-/// sampler (distribution-equivalent, draw-sequence different; LTNC only).
 std::unique_ptr<Source> make_source(session::Scheme scheme, std::size_t k,
                                     std::size_t payload_bytes,
                                     std::uint64_t content_seed,
-                                    const lt::RobustSolitonParams& soliton,
-                                    bool fast_degree_lut = false);
+                                    const lt::RobustSolitonParams& soliton);
 
 }  // namespace ltnc::dissem

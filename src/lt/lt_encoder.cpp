@@ -5,10 +5,10 @@
 namespace ltnc::lt {
 
 LtEncoder::LtEncoder(std::vector<Payload> natives,
-                     RobustSolitonParams params, bool use_lut)
+                     RobustSolitonParams params)
     : natives_(std::move(natives)),
       payload_bytes_(natives_.empty() ? 0 : natives_[0].size_bytes()),
-      soliton_(natives_.size(), params, use_lut),
+      soliton_(natives_.size(), params),
       stamp_(natives_.size(), 0) {
   LTNC_CHECK_MSG(!natives_.empty(), "encoder needs at least one native");
   for (const auto& n : natives_) {

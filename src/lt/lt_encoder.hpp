@@ -21,10 +21,7 @@ namespace ltnc::lt {
 class LtEncoder {
  public:
   /// Takes ownership of the k native payloads (all the same size).
-  /// `use_lut` selects the fixed-point DegreeLut degree sampler — same
-  /// distribution, different draw sequence (see RobustSoliton).
-  LtEncoder(std::vector<Payload> natives, RobustSolitonParams params = {},
-            bool use_lut = false);
+  LtEncoder(std::vector<Payload> natives, RobustSolitonParams params = {});
 
   std::size_t k() const { return natives_.size(); }
   std::size_t payload_bytes() const { return payload_bytes_; }

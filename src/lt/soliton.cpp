@@ -1,6 +1,7 @@
 #include "lt/soliton.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/check.hpp"
@@ -55,7 +56,7 @@ DegreeLut::DegreeLut(const std::vector<double>& weights) {
   double cum = 0.0;
   for (std::size_t i = 0; i < weights.size(); ++i) {
     cum += weights[i] / total;
-    const double scaled = std::ldexp(std::min(cum, 1.0), 64);
+    const double scaled = std::min(cum, 1.0) * 0x1p64;
     cdf_[i] = scaled >= 0x1p64 ? ~std::uint64_t{0}
                                : static_cast<std::uint64_t>(scaled);
   }
@@ -63,31 +64,29 @@ DegreeLut::DegreeLut(const std::vector<double>& weights) {
 
   // Bucket table: entry t points at the first degree whose CDF exceeds
   // the bucket's lower bound, so every draw starts its walk at most one
-  // bucket-width of probability away from its answer.
-  start_.resize(kEntries);
+  // bucket-width of probability away from its answer. Two entries at
+  // least, so the index shift stays below 64.
+  const std::size_t entries =
+      std::clamp(std::bit_ceil(cdf_.size()), std::size_t{2}, kMaxEntries);
+  shift_ = 64 - static_cast<unsigned>(std::countr_zero(entries));
+  start_.resize(entries);
   std::size_t d = 0;
-  for (std::size_t t = 0; t < kEntries; ++t) {
-    const std::uint64_t lower = static_cast<std::uint64_t>(t)
-                                << (64 - kTableBits);
+  for (std::size_t t = 0; t < entries; ++t) {
+    const std::uint64_t lower = static_cast<std::uint64_t>(t) << shift_;
     while (d + 1 < cdf_.size() && cdf_[d] <= lower) ++d;
     start_[t] = static_cast<std::uint32_t>(d);
   }
 }
 
-RobustSoliton::RobustSoliton(std::size_t k, RobustSolitonParams params,
-                             bool use_lut)
-    : k_(k),
-      params_(params),
-      ripple_(params.c * std::log(static_cast<double>(k) / params.delta) *
+RobustSoliton::RobustSoliton(std::size_t k, RobustSolitonParams params)
+    : ripple_(params.c * std::log(static_cast<double>(k) / params.delta) *
               std::sqrt(static_cast<double>(k))),
-      dist_(robust_soliton_weights(k, params)) {
-  if (use_lut) lut_ = DegreeLut(robust_soliton_weights(k, params));
-}
+      lut_(robust_soliton_weights(k, params)) {}
 
 double RobustSoliton::mean_degree() const {
   double mean = 0.0;
-  for (std::size_t d = 1; d <= k_; ++d) {
-    mean += static_cast<double>(d) * dist_.probability_of(d - 1);
+  for (std::size_t d = 1; d <= k(); ++d) {
+    mean += static_cast<double>(d) * probability(d);
   }
   return mean;
 }

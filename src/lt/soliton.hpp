@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/discrete_distribution.hpp"
 #include "common/rng.hpp"
 
 namespace ltnc::lt {
@@ -36,40 +35,38 @@ std::vector<double> robust_soliton_weights(std::size_t k,
 
 /// Fixed-point inverse-CDF degree sampler (the pyrofling lt_lut shape):
 /// one 64-bit draw, integer compares only, no floating point at sample
-/// time. The top kTableBits of the draw index a table holding the first
+/// time. The top bits of the draw index a bucket table holding the first
 /// candidate degree for that CDF bucket; a short forward walk over the
 /// fixed-point CDF finishes the inversion (expected O(1): buckets are
 /// finer than the distribution's mass almost everywhere).
 ///
-/// The sampler is *distribution*-equivalent to DiscreteDistribution over
-/// the same weights (each degree's probability matches to within 2⁻⁶⁴
-/// rounding) but draw-sequence different — one next() per sample instead
-/// of the alias method's draws — so it is an explicit opt-in: golden
-/// seeded runs keep the alias path.
+/// The table has bit_ceil(k) entries, clamped to [2, kMaxEntries]. Its size
+/// never changes a draw: the walk always ends at the first degree whose
+/// CDF exceeds the draw, and the table only chooses where the walk starts.
+/// Sizing it from k keeps the build O(k) — every LTNC node and every
+/// source builds one — where a fixed 4,096-entry table cost more to build
+/// than the k-entry CDF itself. Each degree's probability matches its
+/// real-valued weight to within 2⁻⁶⁴ rounding.
 class DegreeLut {
  public:
-  static constexpr std::size_t kTableBits = 12;
-  static constexpr std::size_t kEntries = std::size_t{1} << kTableBits;
+  static constexpr std::size_t kMaxEntries = 4096;
 
-  DegreeLut() = default;
   /// Builds from unnormalised non-negative weights, indexed by degree−1.
   explicit DegreeLut(const std::vector<double>& weights);
 
-  bool empty() const { return cdf_.empty(); }
   std::size_t k() const { return cdf_.size(); }
 
   /// Draws a degree in [1, k] — exactly one rng.next().
   std::size_t sample(Rng& rng) const {
     const std::uint64_t u = rng.next();
-    std::size_t d = start_[u >> (64 - kTableBits)];
+    std::size_t d = start_[u >> shift_];
     while (d + 1 < cdf_.size() && u >= cdf_[d]) ++d;
     return d + 1;
   }
 
   /// Fixed-point probability mass of degree d ∈ [1, k] (numerator of
-  /// x/2⁶⁴) — the equivalence test compares this against the weights
-  /// exactly. The top degree's mass is one ulp short: the CDF saturates
-  /// at 2⁶⁴−1.
+  /// x/2⁶⁴). The top degree's mass is one ulp short: the CDF saturates at
+  /// 2⁶⁴−1.
   std::uint64_t mass(std::size_t d) const {
     const std::uint64_t hi = cdf_[d - 1];
     const std::uint64_t lo = d >= 2 ? cdf_[d - 2] : 0;
@@ -79,29 +76,23 @@ class DegreeLut {
  private:
   std::vector<std::uint64_t> cdf_;    ///< cdf_[i] ≈ P(deg ≤ i+1)·2⁶⁴
   std::vector<std::uint32_t> start_;  ///< bucket → first candidate index
+  unsigned shift_;                    ///< 64 − log2(start_.size())
 };
 
 /// Sampler for packet degrees following the Robust Soliton distribution.
 class RobustSoliton {
  public:
-  /// `use_lut` switches sample() to the fixed-point DegreeLut — same
-  /// distribution, different (and cheaper) draw sequence. Keep it off
-  /// wherever a seed pins an exact trajectory.
-  explicit RobustSoliton(std::size_t k, RobustSolitonParams params = {},
-                         bool use_lut = false);
+  explicit RobustSoliton(std::size_t k, RobustSolitonParams params = {});
 
-  std::size_t k() const { return k_; }
-  const RobustSolitonParams& params() const { return params_; }
-  bool uses_lut() const { return !lut_.empty(); }
+  std::size_t k() const { return lut_.k(); }
 
-  /// Draws a degree in [1, k].
-  std::size_t sample(Rng& rng) const {
-    return lut_.empty() ? dist_.sample(rng) + 1 : lut_.sample(rng);
-  }
+  /// Draws a degree in [1, k] — exactly one rng.next().
+  std::size_t sample(Rng& rng) const { return lut_.sample(rng); }
 
-  /// P(degree = d).
+  /// P(degree = d), as the sampler draws it.
   double probability(std::size_t d) const {
-    return (d >= 1 && d <= k_) ? dist_.probability_of(d - 1) : 0.0;
+    return (d >= 1 && d <= k()) ? static_cast<double>(lut_.mass(d)) * 0x1p-64
+                                : 0.0;
   }
 
   /// Expected degree — Θ(log k); drives the paper's O(m·k·log k) decoding
@@ -112,11 +103,8 @@ class RobustSoliton {
   double ripple() const { return ripple_; }
 
  private:
-  std::size_t k_;
-  RobustSolitonParams params_;
   double ripple_;
-  DiscreteDistribution dist_;
-  DegreeLut lut_;  ///< empty unless use_lut was requested
+  DegreeLut lut_;
 };
 
 }  // namespace ltnc::lt

@@ -20,7 +20,6 @@
 
 #include "common/bitvector.hpp"       // IWYU pragma: export
 #include "common/coded_packet.hpp"    // IWYU pragma: export
-#include "common/discrete_distribution.hpp"  // IWYU pragma: export
 #include "common/fenwick.hpp"         // IWYU pragma: export
 #include "common/op_counters.hpp"     // IWYU pragma: export
 #include "common/payload.hpp"         // IWYU pragma: export

@@ -18,9 +18,8 @@ std::uint32_t redundancy_budget(std::size_t k, double base_overhead,
 }
 
 LtSourceProtocol::LtSourceProtocol(std::size_t k, std::size_t payload_bytes,
-                                   std::uint64_t content_seed, bool use_lut)
-    : encoder_(lt::make_native_payloads(k, payload_bytes, content_seed),
-               lt::RobustSolitonParams{}, use_lut) {}
+                                   std::uint64_t content_seed)
+    : encoder_(lt::make_native_payloads(k, payload_bytes, content_seed)) {}
 
 StreamSource::StreamSource(const StreamConfig& config,
                            session::Endpoint& endpoint)
@@ -52,8 +51,7 @@ void StreamSource::emit_block(Instant now) {
   cc.payload_bytes = cfg_.symbol_bytes;
   ep_.contents().register_content(
       cc, std::make_unique<LtSourceProtocol>(cfg_.k(), cfg_.symbol_bytes,
-                                             content_seed_of(seq),
-                                             cfg_.fast_degree_lut));
+                                             content_seed_of(seq)));
   const std::uint32_t budget =
       redundancy_budget(cfg_.k(), cfg_.base_overhead, cfg_.loss_estimate) *
       static_cast<std::uint32_t>(cfg_.fanout);

@@ -63,10 +63,6 @@ struct StreamConfig {
   /// Receivers sharing one unicast source; budgets scale by this so each
   /// receiver still sees a full symbol budget.
   std::size_t fanout = 1;
-  /// Per-block hot loop uses the fixed-point lt::DegreeLut sampler (same
-  /// distribution, one RNG draw per symbol). Streams have no golden
-  /// trajectories to protect, so the fast path is the default.
-  bool fast_degree_lut = true;
   std::uint64_t seed = 1;
 
   std::size_t k() const { return block_bytes / symbol_bytes; }
@@ -83,7 +79,7 @@ std::uint32_t redundancy_budget(std::size_t k, double base_overhead,
 class LtSourceProtocol final : public session::NodeProtocol {
  public:
   LtSourceProtocol(std::size_t k, std::size_t payload_bytes,
-                   std::uint64_t content_seed, bool use_lut);
+                   std::uint64_t content_seed);
 
   void deliver(const CodedPacket& packet) override { (void)packet; }
   bool would_reject(const BitVector& coeffs) const override {

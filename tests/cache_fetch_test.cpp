@@ -55,7 +55,7 @@ Endpoint make_source(ContentId id) {
   cc.k = kK;
   cc.payload_bytes = kBytes;
   store->register_content(cc, std::make_unique<stream::LtSourceProtocol>(
-                                  kK, kBytes, kSeed, false));
+                                  kK, kBytes, kSeed));
   return Endpoint(push_config(), std::move(store));
 }
 
@@ -215,7 +215,7 @@ TEST(EndpointExpiry, RingCapacityIsConfigurable) {
       cc.k = kK;
       cc.payload_bytes = kBytes;
       store->register_content(cc, std::make_unique<stream::LtSourceProtocol>(
-                                      kK, kBytes, kSeed, false));
+                                      kK, kBytes, kSeed));
     }
     Endpoint source(push_config(), std::move(store));
     Rng rng(3);

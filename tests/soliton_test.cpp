@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <numeric>
+#include <vector>
 
 #include "common/rng.hpp"
 
@@ -98,6 +100,20 @@ TEST(RobustSoliton, TinyK) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(rs.sample(rng), 1u);
 }
 
+TEST(RobustSoliton, OneDrawPerSample) {
+  const RobustSoliton rs(32);
+  Rng a(5);
+  Rng b(5);
+  for (int i = 0; i < 1000; ++i) {
+    const std::size_t d = rs.sample(a);
+    ASSERT_GE(d, 1u);
+    ASSERT_LE(d, 32u);
+    b.next();
+    ASSERT_EQ(a.next(), b.next()) << "sample " << i
+                                  << " consumed more than one draw";
+  }
+}
+
 class RobustSolitonSweep : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(RobustSolitonSweep, ProbabilitiesFormDistribution) {
@@ -146,48 +162,24 @@ TEST(DegreeLut, SamplesAreAlwaysInRange) {
   }
 }
 
-TEST(DegreeLut, EmpiricalDistributionMatchesAliasSampler) {
-  // The satellite's contract: LUT and alias sampler draw from the same
-  // distribution (different draw sequences). Compare both empirical
-  // histograms against the analytic weights.
-  const std::size_t k = 64;
-  const std::size_t n = 400000;
-  const auto weights = robust_soliton_weights(k, {});
-  const DegreeLut lut(weights);
-  const RobustSoliton alias(k);
-  std::vector<double> lut_freq(k, 0.0);
-  std::vector<double> alias_freq(k, 0.0);
-  Rng lut_rng(21);
-  Rng alias_rng(22);
-  for (std::size_t i = 0; i < n; ++i) {
-    lut_freq[lut.sample(lut_rng) - 1] += 1.0 / static_cast<double>(n);
-    alias_freq[alias.sample(alias_rng) - 1] += 1.0 / static_cast<double>(n);
-  }
-  for (std::size_t d = 1; d <= k; ++d) {
-    const double p = weights[d - 1];
-    // ~5σ binomial tolerance at n = 4·10⁵.
-    const double tol =
-        5.0 * std::sqrt(p * (1.0 - p) / static_cast<double>(n)) + 1e-6;
-    EXPECT_NEAR(lut_freq[d - 1], p, tol) << "lut d=" << d;
-    EXPECT_NEAR(alias_freq[d - 1], p, tol) << "alias d=" << d;
-  }
-}
-
-TEST(DegreeLut, OptInThroughRobustSoliton) {
-  const RobustSoliton off(32);
-  const RobustSoliton on(32, {}, /*use_lut=*/true);
-  EXPECT_FALSE(off.uses_lut());
-  EXPECT_TRUE(on.uses_lut());
-  // The LUT path consumes exactly one 64-bit draw per sample.
-  Rng a(5);
-  Rng b(5);
-  for (int i = 0; i < 1000; ++i) {
-    const std::size_t d = on.sample(a);
-    ASSERT_GE(d, 1u);
-    ASSERT_LE(d, 32u);
-    b.next();
-    ASSERT_EQ(a.next(), b.next()) << "sample " << i
-                                  << " consumed more than one draw";
+TEST(DegreeLut, SampleInvertsTheFixedPointCdf) {
+  // The bucket table only chooses where the forward walk starts, so every
+  // draw must land on the degree a linear scan of the fixed-point CDF
+  // gives. k = 1 has the smallest table (two entries), 3 and 5000 are not
+  // powers of two, and 5000 is past the 4,096-entry cap.
+  for (const std::size_t k : {1u, 2u, 3u, 16u, 512u, 1024u, 5000u}) {
+    const DegreeLut lut(robust_soliton_weights(k, {}));
+    std::vector<std::uint64_t> cdf(k);
+    std::uint64_t cum = 0;
+    for (std::size_t d = 1; d <= k; ++d) cdf[d - 1] = cum += lut.mass(d);
+    Rng rng(k);
+    for (int i = 0; i < 100000; ++i) {
+      Rng peek = rng;
+      const std::uint64_t u = peek.next();
+      std::size_t expected = 1;
+      while (expected < k && u >= cdf[expected - 1]) ++expected;
+      ASSERT_EQ(lut.sample(rng), expected) << "k=" << k << " draw " << i;
+    }
   }
 }
 

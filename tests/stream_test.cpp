@@ -255,7 +255,7 @@ TEST(StreamExpiry, ExpireCancelsInFlightConversation) {
   Endpoint sender(cfg, std::make_unique<store::ContentStore>());
   sender.contents().register_content(
       sink_config(3, 4, 16),
-      std::make_unique<LtSourceProtocol>(4, 16, 42, true));
+      std::make_unique<LtSourceProtocol>(4, 16, 42));
   Rng rng(1);
   ASSERT_TRUE(sender.start_transfer(0, 3, rng));  // advertise in flight
 
@@ -519,10 +519,6 @@ TEST(StreamHarness, UdpLoopbackStreamDecodes) {
   EXPECT_EQ(r.completed + r.missed, 12u);
   EXPECT_EQ(r.verify_failures, 0u);
   EXPECT_GT(r.latency_samples, 0u);
-}
-
-TEST(StreamConfigDefaults, FastDegreeLutIsTheDefault) {
-  EXPECT_TRUE(StreamConfig{}.fast_degree_lut);
 }
 
 }  // namespace
