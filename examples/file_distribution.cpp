@@ -11,26 +11,21 @@
 //   ./build/examples/file_distribution [peers] [blocks] [scheme]
 //       Simulated swarm (scheme = ltnc|rlnc|wc|all; the paper's
 //       trade-off table).
-//   ./build/examples/file_distribution --udp-recv <port> [blocks] [bytes]
-//       Bind a real UDP socket, decode incoming LT frames, verify the
-//       deterministic content, ack the sender when complete.
-//   ./build/examples/file_distribution --udp-send <ip> <port> [blocks] [bytes]
-//       LT-encode the file and stream wire frames at the receiver until
-//       its ack (binary feedback, §III-C) comes back.
-//   ./build/examples/file_distribution --udp-loopback [blocks] [bytes]
-//       Both ends in one process over 127.0.0.1 — the CI smoke test that
-//       proves a file really transfers and verifies over UDP.
 //
-// Multi-file modes (directory → one content per file, multiplexed over a
-// single endpoint pair; ids derived from each file's chunk count, block
-// size and hash, so both ends agree without coordination — the receiver
-// reads the same directory to learn the registrations, then verifies the
-// decoded bytes hash-exact):
+// File transfer over UDP (directory → one content per file, multiplexed
+// over a single endpoint pair; ids derived from each file's chunk count,
+// block size and hash, so both ends agree without coordination — the
+// receiver reads the same directory to learn the registrations, then
+// verifies the decoded bytes hash-exact; one file is a one-file directory):
 //   ./build/examples/file_distribution --udp-send-dir <ip> <port> <dir> [bytes]
+//       LT-encode every file and stream wire frames at the receiver until
+//       each file's completion ack comes back.
 //   ./build/examples/file_distribution --udp-recv-dir <port> <dir> [bytes]
+//       Bind a UDP socket, decode, hash-verify and ack every file; gives
+//       up after 10 s without a datagram.
 //   ./build/examples/file_distribution --udp-loopback-dir <dir> [bytes]
-//       The CI smoke test: ≥3 real files cross a real socket concurrently
-//       and every hash must match.
+//       Both ends in one process over 127.0.0.1 — the CI smoke tests: the
+//       files cross a real socket concurrently and every hash must match.
 //
 // Sharded swarm mode (the multi-core data plane):
 //   ./build/examples/file_distribution --udp-swarm-loopback
@@ -102,13 +97,13 @@ void flush(session::Endpoint& endpoint, net::Transport& transport,
   }
 }
 
-session::EndpointConfig receiver_config(
-    std::size_t blocks, std::size_t block_bytes,
-    session::FeedbackMode feedback = session::FeedbackMode::kNone) {
+session::EndpointConfig receiver_config(std::size_t blocks,
+                                        std::size_t block_bytes,
+                                        session::FeedbackMode feedback) {
   session::EndpointConfig cfg;
   cfg.k = blocks;
   cfg.payload_bytes = block_bytes;
-  // Default: the sender streams rateless frames without a per-packet
+  // With kNone the sender streams rateless frames without a per-packet
   // handshake; the session closes with the completion kAck (re-announced
   // on tick so a lost ack cannot wedge the sender). With kBinary the
   // receiver additionally answers each advertise with abort/proceed.
@@ -119,9 +114,9 @@ session::EndpointConfig receiver_config(
   return cfg;
 }
 
-session::EndpointConfig sender_config(
-    std::size_t blocks, std::size_t block_bytes,
-    session::FeedbackMode feedback = session::FeedbackMode::kNone) {
+session::EndpointConfig sender_config(std::size_t blocks,
+                                      std::size_t block_bytes,
+                                      session::FeedbackMode feedback) {
   session::EndpointConfig cfg;
   cfg.k = blocks;
   cfg.payload_bytes = block_bytes;
@@ -136,184 +131,6 @@ session::EndpointConfig sender_config(
     cfg.max_retries = 8;
   }
   return cfg;
-}
-
-void print_receiver_summary(const session::Endpoint& endpoint,
-                            std::size_t blocks, std::size_t block_bytes) {
-  const session::SessionStats& s = endpoint.stats();
-  std::cout << "receiver: decoded and verified " << blocks << " blocks ("
-            << blocks * block_bytes << " content bytes) from "
-            << s.frames_received << " frames / " << s.bytes_received
-            << " wire bytes — overhead "
-            << (static_cast<double>(s.bytes_received) /
-                    static_cast<double>(blocks * block_bytes) -
-                1.0) *
-                   100.0
-            << " %\n";
-}
-
-/// Feeds frames from `transport` into the endpoint until its decoder
-/// completes (or the spin budget runs out), then verifies every block and
-/// acks the sender.
-int run_udp_receiver(net::UdpTransport& transport, std::size_t blocks,
-                     std::size_t block_bytes) {
-  session::Endpoint endpoint(
-      receiver_config(blocks, block_bytes),
-      std::make_unique<session::LtSinkProtocol>(blocks, block_bytes));
-  wire::Frame frame;
-  std::uint64_t idle_spins = 0;
-  // ~10s of polling with no traffic at all = give up.
-  constexpr std::uint64_t kMaxIdleSpins = 200'000'000;
-
-  while (!endpoint.complete()) {
-    if (!transport.recv(frame)) {
-      if (++idle_spins > kMaxIdleSpins) {
-        std::cerr << "receiver: timed out waiting for frames\n";
-        return 1;
-      }
-      continue;
-    }
-    idle_spins = 0;
-    // The endpoint absorbs malformed and foreign frames itself (stray
-    // datagrams on an open port must never wedge the listener).
-    endpoint.handle_frame(0, frame.bytes());
-  }
-
-  if (!endpoint.protocol()->finish_and_verify(kContentSeed)) {
-    std::cerr << "receiver: content failed verification\n";
-    return 1;
-  }
-
-  // The endpoint queued its completion kAck at the delivering frame;
-  // tick() re-announces it, giving the burst that survives loss.
-  if (transport.set_peer_to_last_sender()) {
-    UdpTally acks;
-    for (session::Instant now = 1; now <= 8; ++now) {
-      flush(endpoint, transport, frame, acks);
-      endpoint.tick(now);
-    }
-  }
-
-  print_receiver_summary(endpoint, blocks, block_bytes);
-  return 0;
-}
-
-/// Streams encoded frames at the peer until its completion ack arrives.
-int run_udp_sender(net::UdpTransport& transport, std::size_t blocks,
-                   std::size_t block_bytes) {
-  lt::LtEncoder encoder(
-      lt::make_native_payloads(blocks, block_bytes, kContentSeed));
-  session::Endpoint endpoint(sender_config(blocks, block_bytes), nullptr);
-  Rng rng(1);
-  wire::Frame frame;
-  wire::Frame feedback;
-  // Worst-case budget: BP needs a small multiple of k packets; loopback
-  // drops under bursty sends add some more.
-  const std::uint64_t max_frames = 400 * blocks + 100000;
-
-  UdpTally sent;
-  while (!endpoint.peer_completed() && sent.frames < max_frames) {
-    endpoint.offer_packet(0, encoder.encode(rng));
-    flush(endpoint, transport, frame, sent);
-
-    // Poll the feedback channel between sends; pace bursts so a loopback
-    // receiver in the same process can keep up.
-    if (sent.frames % 16 == 0 && transport.recv(feedback)) {
-      endpoint.handle_frame(0, feedback.bytes());
-    }
-  }
-  if (!endpoint.peer_completed()) {
-    std::cerr << "sender: no ack after " << sent.frames << " frames\n";
-    return 1;
-  }
-  std::cout << "sender: receiver acked after "
-            << endpoint.peer_completion_token() << " received frames; sent "
-            << sent.frames << " frames / " << sent.bytes << " wire bytes\n";
-  return 0;
-}
-
-/// Sender and receiver endpoints in one process over loopback — frame
-/// pacing is explicit (send a small burst, drain the receiver) so kernel
-/// socket buffers never overflow unrealistically.
-int run_udp_loopback(std::size_t blocks, std::size_t block_bytes) {
-  std::string error;
-  net::UdpConfig rx_cfg;
-  rx_cfg.bind_address = "127.0.0.1";
-  auto rx_transport = net::UdpTransport::open(rx_cfg, &error);
-  if (rx_transport == nullptr) {
-    std::cerr << "loopback: cannot open receiver socket: " << error << "\n";
-    return 1;
-  }
-  net::UdpConfig tx_cfg;
-  tx_cfg.bind_address = "127.0.0.1";
-  tx_cfg.peer_address = "127.0.0.1";
-  tx_cfg.peer_port = rx_transport->local_port();
-  auto tx_transport = net::UdpTransport::open(tx_cfg, &error);
-  if (tx_transport == nullptr) {
-    std::cerr << "loopback: cannot open sender socket: " << error << "\n";
-    return 1;
-  }
-  std::cout << "loopback: streaming " << blocks << " blocks of "
-            << block_bytes << " bytes over 127.0.0.1:"
-            << rx_transport->local_port() << "\n";
-
-  lt::LtEncoder encoder(
-      lt::make_native_payloads(blocks, block_bytes, kContentSeed));
-  session::Endpoint sender(sender_config(blocks, block_bytes), nullptr);
-  session::Endpoint receiver(
-      receiver_config(blocks, block_bytes),
-      std::make_unique<session::LtSinkProtocol>(blocks, block_bytes));
-  Rng rng(1);
-  wire::Frame tx_frame;
-  wire::Frame rx_frame;
-  UdpTally sent;
-  const std::uint64_t max_frames = 400 * blocks + 100000;
-
-  while (!receiver.complete() && sent.frames < max_frames) {
-    for (int burst = 0; burst < 8 && !receiver.complete(); ++burst) {
-      sender.offer_packet(0, encoder.encode(rng));
-      flush(sender, *tx_transport, tx_frame, sent);
-    }
-    while (rx_transport->recv(rx_frame)) {
-      receiver.handle_frame(0, rx_frame.bytes());
-    }
-  }
-
-  if (!receiver.complete()) {
-    std::cerr << "loopback: decoder incomplete after " << sent.frames
-              << " frames\n";
-    return 1;
-  }
-  if (!receiver.protocol()->finish_and_verify(kContentSeed)) {
-    std::cerr << "loopback: content failed verification\n";
-    return 1;
-  }
-
-  // Close the loop the way a real deployment would: the receiver's
-  // completion kAck crosses the socket back to the sender endpoint.
-  rx_transport->set_peer_to_last_sender();
-  UdpTally acks;
-  for (session::Instant now = 1; now <= 8 && !sender.peer_completed();
-       ++now) {
-    flush(receiver, *rx_transport, rx_frame, acks);
-    receiver.tick(now);
-    while (tx_transport->recv(tx_frame)) {
-      sender.handle_frame(0, tx_frame.bytes());
-    }
-  }
-
-  const session::SessionStats& rs = receiver.stats();
-  std::cout << "loopback: transferred and verified " << blocks * block_bytes
-            << " content bytes in " << rs.data_delivered << " frames ("
-            << rs.bytes_received << " wire bytes, overhead "
-            << (static_cast<double>(rs.bytes_received) /
-                    static_cast<double>(blocks * block_bytes) -
-                1.0) *
-                   100.0
-            << " %), ack "
-            << (sender.peer_completed() ? "received" : "NOT received")
-            << "\n";
-  return sender.peer_completed() ? 0 : 1;
 }
 
 // --- multi-file transfer (directory → one content per file) ----------------
@@ -475,18 +292,16 @@ int run_udp_dir_receiver(net::UdpTransport& transport,
                          const std::vector<LoadedFile>& files) {
   session::Endpoint receiver = make_dir_receiver(files);
   wire::Frame frame;
-  std::uint64_t idle_spins = 0;
-  constexpr std::uint64_t kMaxIdleSpins = 200'000'000;
+  constexpr int kIdleTimeoutMs = 10'000;
 
   while (!receiver.complete()) {
     if (!transport.recv(frame)) {
-      if (++idle_spins > kMaxIdleSpins) {
-        std::cerr << "receiver: timed out waiting for frames\n";
+      if (!transport.wait_readable(kIdleTimeoutMs)) {
+        std::cerr << "receiver: no frame for 10 s, giving up\n";
         return 1;
       }
       continue;
     }
-    idle_spins = 0;
     receiver.handle_frame(0, frame.bytes());
   }
   for (const LoadedFile& file : files) {
@@ -1027,10 +842,6 @@ std::size_t arg_or(int argc, char** argv, int index, std::size_t fallback) {
 int main(int argc, char** argv) {
   const std::string_view mode = argc > 1 ? argv[1] : "";
 
-  if (mode == "--udp-loopback") {
-    return run_udp_loopback(arg_or(argc, argv, 2, 256),
-                            arg_or(argc, argv, 3, 1024));
-  }
   if (mode == "--udp-swarm-loopback") {
     // Positional args first, then optional flags anywhere.
     std::uint32_t shards = 0;
@@ -1146,45 +957,6 @@ int main(int argc, char** argv) {
               << " for " << files.size() << " files\n";
     return run_udp_dir_receiver(*transport, files);
   }
-  if (mode == "--udp-recv") {
-    if (argc < 3) {
-      std::cerr << "usage: file_distribution --udp-recv <port> [blocks] "
-                   "[bytes]\n";
-      return 2;
-    }
-    std::string error;
-    net::UdpConfig cfg;
-    cfg.bind_address = "0.0.0.0";
-    cfg.bind_port = static_cast<std::uint16_t>(std::atoi(argv[2]));
-    auto transport = net::UdpTransport::open(cfg, &error);
-    if (transport == nullptr) {
-      std::cerr << "cannot open socket: " << error << "\n";
-      return 1;
-    }
-    std::cout << "receiver: listening on UDP port " << transport->local_port()
-              << "\n";
-    return run_udp_receiver(*transport, arg_or(argc, argv, 3, 256),
-                            arg_or(argc, argv, 4, 1024));
-  }
-  if (mode == "--udp-send") {
-    if (argc < 4) {
-      std::cerr << "usage: file_distribution --udp-send <ip> <port> [blocks] "
-                   "[bytes]\n";
-      return 2;
-    }
-    std::string error;
-    net::UdpConfig cfg;
-    cfg.peer_address = argv[2];
-    cfg.peer_port = static_cast<std::uint16_t>(std::atoi(argv[3]));
-    auto transport = net::UdpTransport::open(cfg, &error);
-    if (transport == nullptr) {
-      std::cerr << "cannot open socket: " << error << "\n";
-      return 1;
-    }
-    return run_udp_sender(*transport, arg_or(argc, argv, 4, 256),
-                          arg_or(argc, argv, 5, 1024));
-  }
-
   return run_swarm_comparison(arg_or(argc, argv, 1, 100),
                               arg_or(argc, argv, 2, 256),
                               argc > 3 ? argv[3] : "");
