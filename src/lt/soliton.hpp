@@ -37,16 +37,16 @@ std::vector<double> robust_soliton_weights(std::size_t k,
 /// one 64-bit draw, integer compares only, no floating point at sample
 /// time. The top bits of the draw index a bucket table holding the first
 /// candidate degree for that CDF bucket; a short forward walk over the
-/// fixed-point CDF finishes the inversion (expected O(1): buckets are
-/// finer than the distribution's mass almost everywhere).
+/// fixed-point CDF finishes the inversion. Each degree's probability
+/// matches its real-valued weight to within 2⁻⁶⁴ rounding.
 ///
-/// The table has bit_ceil(k) entries, clamped to [2, kMaxEntries]. Its size
-/// never changes a draw: the walk always ends at the first degree whose
-/// CDF exceeds the draw, and the table only chooses where the walk starts.
-/// Sizing it from k keeps the build O(k) — every LTNC node and every
-/// source builds one — where a fixed 4,096-entry table cost more to build
-/// than the k-entry CDF itself. Each degree's probability matches its
-/// real-valued weight to within 2⁻⁶⁴ rounding.
+/// The table has bit_ceil(k) entries, clamped to [2, kMaxEntries]. Its
+/// size never changes a draw: the walk always ends at the first degree
+/// whose CDF exceeds the draw, and the table only chooses where the walk
+/// starts. The expected walk is at most k / entries steps, so at most one
+/// for k ≤ 4,096. Sizing the table from k keeps the build O(k), which
+/// matters because every LTNC node and every source builds one: a fixed
+/// 4,096-entry table would be eight times the CDF at k = 512.
 class DegreeLut {
  public:
   static constexpr std::size_t kMaxEntries = 4096;
@@ -76,7 +76,7 @@ class DegreeLut {
  private:
   std::vector<std::uint64_t> cdf_;    ///< cdf_[i] ≈ P(deg ≤ i+1)·2⁶⁴
   std::vector<std::uint32_t> start_;  ///< bucket → first candidate index
-  unsigned shift_;                    ///< 64 − log2(start_.size())
+  unsigned shift_ = 63;               ///< 64 − log2(start_.size())
 };
 
 /// Sampler for packet degrees following the Robust Soliton distribution.
