@@ -140,8 +140,9 @@ TEST(EventEngineScale, DeterministicForSeed) {
 
 TEST(EventEngineScale, ChurnFlowsThroughTheWheel) {
   // One crash every ~20 rounds, as in ChurnInjection.ReplacedNodesCatchUp.
-  // At 0.3 a node restarts blank every ~3 rounds and the whole fleet is
-  // rarely complete at one moment, so completion was a matter of the seed.
+  // At a rate like 0.3 a node restarts blank every ~3 rounds, the whole
+  // fleet is rarely complete at one moment, and completion would depend
+  // on the seed.
   SimConfig cfg = small_config(64, 16);
   cfg.churn_rate = 0.05;
   const SimResult res =
