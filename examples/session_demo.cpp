@@ -5,21 +5,22 @@
 //
 //     source ──▶ alice ◀──▶ bob        (every arrow: a lossy SimChannel)
 //
-// Every endpoint serves TWO contents over the same links, interleaved by
-// its SwarmScheduler (rarest-first, round-robin fallback):
+// Every endpoint serves TWO files over the same links, as four contents
+// interleaved by its SwarmScheduler (rarest-first, round-robin fallback):
 //
-//   content 1  a plain LTNC content of k blocks
-//   content 2  a generationed content (3 generations × k blocks) — the
-//              paper's §generations extension running over the session
-//              layer, one independent LTNC instance per generation with
-//              per-generation veto handshakes and completion tracking
+//   content 1     a plain LTNC content of k blocks
+//   contents 2–4  a file of 3k blocks split into 3 generations of k
+//                 blocks — the paper's §generations extension: each
+//                 generation is an independent LTNC instance, so it
+//                 registers as a content of its own, with its own veto
+//                 handshakes and completion, and rarest-first over
+//                 contents is rarest-generation-first
 //
-// A protocol-less source endpoint offers encoded packets of both contents
-// to alice; alice and bob gossip recoded packets at each other, the
-// scheduler deciding per push slot which content (and, inside content 2,
-// which generation) the slot carries. The application loop below is
-// everything a transport glue has to do: move frames between
-// poll_transmit() and handle_frame(), and call tick(now).
+// A protocol-less source endpoint offers encoded packets of both files to
+// alice; alice and bob gossip recoded packets at each other, the
+// scheduler deciding per push slot which content the slot carries. The
+// application loop below is everything a transport glue has to do: move
+// frames between poll_transmit() and handle_frame(), and call tick(now).
 //
 // Build & run:  ./build/examples/session_demo [k] [payload] [loss]
 #include <cstdlib>
@@ -40,10 +41,15 @@ int main(int argc, char** argv) {
   const std::size_t payload = argc > 2 ? std::atoi(argv[2]) : 256;
   const double loss = argc > 3 ? std::atof(argv[3]) : 0.2;
   constexpr std::uint64_t kPlainSeed = 77;
-  constexpr std::uint64_t kGenSeed = 78;
   constexpr ContentId kPlainContent = 1;
-  constexpr ContentId kGenContent = 2;
   constexpr std::size_t kGenerations = 3;
+  // Generation g of the second file is content 2 + g, seeded 78 + g.
+  const auto gen_content = [](std::size_t g) {
+    return static_cast<ContentId>(2 + g);
+  };
+  const auto gen_seed = [](std::size_t g) {
+    return std::uint64_t{78} + g;
+  };
 
   session::EndpointConfig cfg;
   cfg.feedback = session::FeedbackMode::kBinary;
@@ -56,17 +62,15 @@ int main(int argc, char** argv) {
 
   const auto make_store = [&] {
     auto contents = std::make_unique<store::ContentStore>();
-    store::ContentConfig plain;
-    plain.id = kPlainContent;
-    plain.k = k;
-    plain.payload_bytes = payload;
-    contents->register_content(plain);
-    store::ContentConfig gen;
-    gen.id = kGenContent;
-    gen.k = k;  // blocks per generation
-    gen.payload_bytes = payload;
-    gen.generations = kGenerations;
-    contents->register_content(gen);
+    store::ContentConfig cfg;
+    cfg.k = k;  // the plain file's blocks, and each generation's
+    cfg.payload_bytes = payload;
+    cfg.id = kPlainContent;
+    contents->register_content(cfg);
+    for (std::size_t g = 0; g < kGenerations; ++g) {
+      cfg.id = gen_content(g);
+      contents->register_content(cfg);
+    }
     return contents;
   };
 
@@ -78,11 +82,11 @@ int main(int argc, char** argv) {
       cfg, std::make_unique<store::ContentStore>()));  // pure seeder
 
   lt::LtEncoder plain_source(lt::make_native_payloads(k, payload, kPlainSeed));
-  core::GenerationConfig gen_cfg;
-  gen_cfg.total_blocks = k * kGenerations;
-  gen_cfg.generations = kGenerations;
-  gen_cfg.payload_bytes = payload;
-  store::GenerationedLtSource gen_source(gen_cfg, kGenSeed);
+  std::vector<lt::LtEncoder> gen_sources;
+  for (std::size_t g = 0; g < kGenerations; ++g) {
+    gen_sources.emplace_back(lt::make_native_payloads(k, payload, gen_seed(g)));
+  }
+  std::size_t next_generation = 0;  // the source rotates generations
   Rng rng(1);
 
   // One hostile unidirectional channel per directed pair.
@@ -136,10 +140,12 @@ int main(int argc, char** argv) {
     // the in-flight one), so lost advertises get their timer-driven
     // second chance instead of being papered over by the next offer.
     if (now % (cfg.response_timeout + 2) == 1) {
-      // The source seeds alice with both contents, interleaved.
+      // The source seeds alice with both files, interleaved.
       endpoints[2]->offer_packet(0, kPlainContent, plain_source.encode(rng));
-      const core::GenerationPacket gp = gen_source.next(rng);
-      endpoints[2]->offer_packet(0, kGenContent, gp.generation, gp.packet);
+      const std::size_t g = next_generation;
+      next_generation = (next_generation + 1) % kGenerations;
+      endpoints[2]->offer_packet(0, gen_content(g),
+                                 gen_sources[g].encode(rng));
     }
     swarm_push(0, 1);
     swarm_push(1, 0);
@@ -153,21 +159,26 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < 2 && verified; ++i) {
     verified &= endpoints[i]->contents().find(kPlainContent)
                     ->finish_and_verify(kPlainSeed);
-    verified &= endpoints[i]->contents().find(kGenContent)
-                    ->finish_and_verify(kGenSeed);
+    for (std::size_t g = 0; g < kGenerations; ++g) {
+      verified &= endpoints[i]->contents().find(gen_content(g))
+                      ->finish_and_verify(gen_seed(g));
+    }
   }
 
   std::cout << "k=" << k << " payload=" << payload << "B loss=" << loss
-            << " dup=0.1 reorder=0.2 — 2 contents (plain + " << kGenerations
-            << "-generation), "
+            << " dup=0.1 reorder=0.2 — 2 files (plain + " << kGenerations
+            << " generations) as " << 1 + kGenerations << " contents, "
             << (done ? "both endpoints complete" : "DID NOT COMPLETE")
             << " after " << now << " ticks, contents "
             << (verified ? "verified byte-exact" : "NOT verified") << "\n";
   for (std::size_t i = 0; i < 2; ++i) {
-    const store::Content* gen = endpoints[i]->contents().find(kGenContent);
+    std::size_t generations_done = 0;
+    for (std::size_t g = 0; g < kGenerations; ++g) {
+      generations_done +=
+          endpoints[i]->contents().find(gen_content(g))->complete() ? 1 : 0;
+    }
     std::cout << (i == 0 ? "alice" : "bob") << " generations complete: "
-              << gen->completed_generation_count() << "/" << kGenerations
-              << "\n";
+              << generations_done << "/" << kGenerations << "\n";
   }
   std::cout << "\n";
 
@@ -191,7 +202,7 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
   std::cout << "\nEvery frame above crossed a lossy channel carrying its "
-               "content id; the scheduler interleaved both contents and "
-               "the pacer capped each node's push bursts.\n";
+               "content id; the scheduler interleaved all four contents "
+               "and the pacer capped each node's push bursts.\n";
   return done && verified ? 0 : 1;
 }

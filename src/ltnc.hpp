@@ -7,8 +7,7 @@
 //   gf2/…           Gaussian elimination (RLNC decoding, test oracles)
 //   lt/…            LT erasure codes: Soliton distributions, encoder,
 //                   belief-propagation decoder
-//   core/…          LTNC — the recoding network-code (paper §III),
-//                   plus the generations extension
+//   core/…          LTNC — the recoding network-code (paper §III)
 //   rlnc/…, wc/…    the paper's two baselines
 //   wire/…          versioned binary wire codec + frame buffers
 //   net/…           peer sampling, traffic accounting, transports
@@ -27,7 +26,6 @@
 #include "common/stats.hpp"           // IWYU pragma: export
 #include "common/table.hpp"           // IWYU pragma: export
 #include "common/types.hpp"           // IWYU pragma: export
-#include "core/generations.hpp"      // IWYU pragma: export
 #include "core/ltnc_codec.hpp"       // IWYU pragma: export
 #include "dissemination/simulation.hpp"  // IWYU pragma: export
 #include "gf2/gaussian.hpp"          // IWYU pragma: export

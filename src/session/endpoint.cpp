@@ -327,26 +327,13 @@ void Endpoint::queue_advertise(PeerId peer, ContentId content,
                                const Outbound& out) {
   wire::AdvertiseInfo info;
   info.content = content;
-  info.has_generation = out.generationed;
-  info.generation = out.generation;
   info.payload_bytes = out.packet.payload.size_bytes();
   wire::serialize_advertise(info, out.packet.coeffs, push_slot(peer));
 }
 
 void Endpoint::queue_data(PeerId peer, ContentId content,
-                          const Outbound& out) {
-  queue_data_direct(peer, content, out.generationed, out.generation,
-                    out.packet);
-}
-
-void Endpoint::queue_data_direct(PeerId peer, ContentId content,
-                                 bool generationed, std::uint32_t generation,
-                                 const CodedPacket& packet) {
-  if (generationed) {
-    wire::serialize_generation(content, generation, packet, push_slot(peer));
-  } else {
-    wire::serialize(content, packet, push_slot(peer));
-  }
+                          const CodedPacket& packet) {
+  wire::serialize(content, packet, push_slot(peer));
 }
 
 void Endpoint::queue_feedback(PeerId peer, ContentId content,
@@ -367,23 +354,19 @@ bool Endpoint::start_transfer(PeerId peer, Rng& rng) {
 
 bool Endpoint::start_transfer(PeerId peer, ContentId content, Rng& rng) {
   store::Content* c = store_->find(content);
-  if (c == nullptr) return false;
+  NodeProtocol* protocol = c == nullptr ? nullptr : c->protocol();
+  if (protocol == nullptr) return false;
   std::optional<CodedPacket> packet;
-  std::uint32_t generation = 0;
-  if (!c->generationed() && c->protocol() != nullptr &&
-      cfg_.feedback == FeedbackMode::kSmart) {
-    Convo& cv = convo(peer, content);
-    if (cv.cc_fresh) {
-      cv.cc_fresh = false;  // one construction per shipped cc array
-      packet = c->protocol()->emit_for(cv.cc, rng);
-    } else {
-      packet = c->protocol()->emit(rng);
-    }
+  Convo* cv =
+      cfg_.feedback == FeedbackMode::kSmart ? &convo(peer, content) : nullptr;
+  if (cv != nullptr && cv->cc_fresh) {
+    cv->cc_fresh = false;  // one construction per shipped cc array
+    packet = protocol->emit_for(cv->cc, rng);
   } else {
-    packet = c->emit(generation, rng);
+    packet = protocol->emit(rng);
   }
   if (!packet.has_value()) return false;
-  begin_offer(peer, content, c->generationed(), generation, *packet);
+  begin_offer(peer, content, *packet);
   return true;
 }
 
@@ -418,22 +401,15 @@ const store::Content* Endpoint::next_push(PeerId peer) {
 }
 
 void Endpoint::offer_packet(PeerId peer, const CodedPacket& packet) {
-  begin_offer(peer, ContentId{0}, false, 0, packet);
+  begin_offer(peer, ContentId{0}, packet);
 }
 
 void Endpoint::offer_packet(PeerId peer, ContentId content,
                             const CodedPacket& packet) {
-  begin_offer(peer, content, false, 0, packet);
+  begin_offer(peer, content, packet);
 }
 
-void Endpoint::offer_packet(PeerId peer, ContentId content,
-                            std::uint32_t generation,
-                            const CodedPacket& packet) {
-  begin_offer(peer, content, true, generation, packet);
-}
-
-void Endpoint::begin_offer(PeerId peer, ContentId content, bool generationed,
-                           std::uint32_t generation,
+void Endpoint::begin_offer(PeerId peer, ContentId content,
                            const CodedPacket& packet) {
   ++stats_.offers;
   if (cfg_.feedback == FeedbackMode::kNone) {
@@ -446,7 +422,7 @@ void Endpoint::begin_offer(PeerId peer, ContentId content, bool generationed,
       direct.ever_offered = true;
       direct.first_offer_at = now_;
     });
-    queue_data_direct(peer, content, generationed, generation, packet);
+    queue_data(peer, content, packet);
     ++stats_.data_sent;
     LTNC_TELEMETRY(trace_event(telemetry_, telemetry::TracePoint::kPayloadSent,
                                now_, content));
@@ -461,8 +437,6 @@ void Endpoint::begin_offer(PeerId peer, ContentId content, bool generationed,
     ++stats_.transfers_abandoned;  // superseded by the fresher offer
   }
   cv.out.packet = packet;
-  cv.out.generationed = generationed;
-  cv.out.generation = generation;
   cv.out.state = Outbound::State::kAwaitFeedback;
   cv.out.retries = 0;
   cv.out.deadline = now_ + cfg_.response_timeout;
@@ -494,11 +468,10 @@ bool Endpoint::overhear(const CodedPacket& packet) {
 
 bool Endpoint::overhear(ContentId content, const CodedPacket& packet) {
   store::Content* c = store_->find(content);
-  if (c == nullptr || c->generationed() || c->protocol() == nullptr ||
-      c->would_reject(0, packet.coeffs)) {
-    return false;
-  }
-  c->deliver(0, packet);
+  // would_reject is true for a seeder-only content, so deliver always
+  // finds a protocol.
+  if (c == nullptr || c->would_reject(packet.coeffs)) return false;
+  c->deliver(packet);
   ++stats_.overheard;
   return true;
 }
@@ -550,8 +523,6 @@ Endpoint::Event Endpoint::handle_frame(PeerId peer,
       return on_advertise(peer, bytes);
     case wire::MessageType::kCodedPacket:
       return on_data(peer, bytes);
-    case wire::MessageType::kGenerationPacket:
-      return on_generation_data(peer, bytes);
     case wire::MessageType::kAbort:
     case wire::MessageType::kAck:
     case wire::MessageType::kProceed: {
@@ -580,9 +551,7 @@ Endpoint::Event Endpoint::on_advertise(PeerId peer,
   }
   store::Content* c = store_->find(rx_adv_.content);
   if (c == nullptr || rx_coeffs_.size() != c->k() ||
-      rx_adv_.payload_bytes != c->payload_bytes() ||
-      rx_adv_.has_generation != c->generationed() ||
-      (rx_adv_.has_generation && rx_adv_.generation >= c->generations())) {
+      rx_adv_.payload_bytes != c->payload_bytes()) {
     if (c == nullptr && recently_expired(rx_adv_.content)) {
       ++stats_.expired_frames;  // late offer for a block past its window
       return Event::kExpired;
@@ -594,8 +563,7 @@ Endpoint::Event Endpoint::on_advertise(PeerId peer,
   LTNC_TELEMETRY(trace_event(telemetry_, telemetry::TracePoint::kAdvertiseRecv,
                              now_, rx_adv_.content));
   Convo& cv = convo(peer, rx_adv_.content);
-  if (cv.in.awaiting_data && cv.in.generation == rx_adv_.generation &&
-      cv.in.coeffs == rx_coeffs_) {
+  if (cv.in.awaiting_data && cv.in.coeffs == rx_coeffs_) {
     // Replay of an advertise we already answered (our proceed was lost,
     // or the frame was duplicated in flight). Note it, then fall through
     // to a full re-evaluation: the vector may have turned redundant since
@@ -607,7 +575,7 @@ Endpoint::Event Endpoint::on_advertise(PeerId peer,
   // vetoing up front beats inviting a data frame it would drop as
   // foreign.
   const bool reject = cfg_.feedback != FeedbackMode::kNone &&
-                      c->would_reject(rx_adv_.generation, rx_coeffs_);
+                      c->would_reject(rx_coeffs_);
   const std::uint64_t token = next_feedback_token();
   if (reject) {
     cv.in.awaiting_data = false;  // any stale conversation dies with the veto
@@ -620,7 +588,6 @@ Endpoint::Event Endpoint::on_advertise(PeerId peer,
   // A fresh advertise supersedes whatever this (peer, content) had in
   // flight.
   cv.in.coeffs = rx_coeffs_;
-  cv.in.generation = rx_adv_.generation;
   cv.in.awaiting_data = true;
   cv.in.deadline = now_ + cfg_.response_timeout;
   queue_feedback(peer, rx_adv_.content, wire::MessageType::kProceed, token);
@@ -640,7 +607,7 @@ Endpoint::Event Endpoint::on_data(PeerId peer,
   }
   const std::size_t index = store_->index_of(content);
   store::Content* c = index < store_->size() ? &store_->at(index) : nullptr;
-  if (c == nullptr || c->generationed() || c->protocol() == nullptr ||
+  if (c == nullptr || c->protocol() == nullptr ||
       rx_packet_.coeffs.size() != c->k() ||
       rx_packet_.payload.size_bytes() != c->payload_bytes()) {
     if (c == nullptr && recently_expired(content)) {
@@ -650,41 +617,8 @@ Endpoint::Event Endpoint::on_data(PeerId peer,
     ++stats_.foreign_frames;
     return Event::kNone;
   }
-  return deliver_data(peer, index, *c, 0);
-}
-
-Endpoint::Event Endpoint::on_generation_data(
-    PeerId peer, std::span<const std::uint8_t> bytes) {
-  ContentId content = 0;
-  std::uint32_t generation = 0;
-  if (wire::deserialize_generation(bytes, content, generation, rx_packet_) !=
-      wire::DecodeStatus::kOk) {
-    ++stats_.malformed_frames;
-    return Event::kMalformed;
-  }
-  const std::size_t index = store_->index_of(content);
-  store::Content* c = index < store_->size() ? &store_->at(index) : nullptr;
-  if (c == nullptr || !c->generationed() ||
-      generation >= c->generations() ||
-      rx_packet_.coeffs.size() != c->k() ||
-      rx_packet_.payload.size_bytes() != c->payload_bytes()) {
-    if (c == nullptr && recently_expired(content)) {
-      ++stats_.expired_frames;  // late payload for a block past its window
-      return Event::kExpired;
-    }
-    ++stats_.foreign_frames;  // genuinely unknown content id or shape
-    return Event::kNone;
-  }
-  return deliver_data(peer, index, *c, generation);
-}
-
-Endpoint::Event Endpoint::deliver_data(PeerId peer,
-                                       std::size_t content_index,
-                                       store::Content& content,
-                                       std::uint32_t generation) {
-  Convo& cv = convo(peer, content.id());
-  if (cv.in.awaiting_data && cv.in.generation == generation &&
-      cv.in.coeffs == rx_packet_.coeffs) {
+  Convo& cv = convo(peer, content);
+  if (cv.in.awaiting_data && cv.in.coeffs == rx_packet_.coeffs) {
     cv.in.awaiting_data = false;  // the conversation closes on delivery
   } else if (cfg_.feedback != FeedbackMode::kNone) {
     // Data with no matching advertise: a reordered or replayed frame.
@@ -692,11 +626,11 @@ Endpoint::Event Endpoint::deliver_data(PeerId peer,
     // authority on usefulness, and rateless payloads are always safe.
     ++stats_.unsolicited_data;
   }
-  content.deliver(generation, rx_packet_);
+  c->deliver(rx_packet_);
   ++stats_.data_delivered;
   LTNC_TELEMETRY(
       trace_event(telemetry_, telemetry::TracePoint::kPayloadDelivered, now_,
-                  content.id());
+                  content);
       if (telemetry_ != nullptr && telemetry_->completion_ticks != nullptr) {
         // First payload anchors the content's completion-latency sample;
         // the sample is recorded exactly once, at the completing delivery.
@@ -704,18 +638,18 @@ Endpoint::Event Endpoint::deliver_data(PeerId peer,
           first_delivery_.resize(store_->size(), kNeverDelivered);
           completion_recorded_.resize(store_->size(), 0);
         }
-        if (first_delivery_[content_index] == kNeverDelivered) {
-          first_delivery_[content_index] = now_;
+        if (first_delivery_[index] == kNeverDelivered) {
+          first_delivery_[index] = now_;
         }
-        if (completion_recorded_[content_index] == 0 && content.complete()) {
-          completion_recorded_[content_index] = 1;
+        if (completion_recorded_[index] == 0 && c->complete()) {
+          completion_recorded_[index] = 1;
           telemetry_->completion_ticks->record(
-              now_ - first_delivery_[content_index]);
+              now_ - first_delivery_[index]);
           trace_event(telemetry_, telemetry::TracePoint::kComplete, now_,
-                      content.id());
+                      content);
         }
       });
-  maybe_announce_completion(content_index, content, peer);
+  maybe_announce_completion(index, *c, peer);
   return Event::kDelivered;
 }
 
@@ -769,7 +703,7 @@ Endpoint::Event Endpoint::on_feedback(PeerId peer, ContentId content,
                         content);
           trace_event(telemetry_, telemetry::TracePoint::kPayloadSent, now_,
                       content));
-      queue_data(peer, content, cv->out);
+      queue_data(peer, content, cv->out.packet);
       ++stats_.data_sent;
       close_outbound(cv->out);
       return Event::kProceedReceived;
@@ -784,7 +718,7 @@ Endpoint::Event Endpoint::on_feedback(PeerId peer, ContentId content,
                       content);
           // Sender-side completion latency: first offer to this peer →
           // its completion ack (the receiver-side twin is recorded in
-          // deliver_data when the local decode finishes).
+          // on_data when the local decode finishes).
           if (telemetry_ != nullptr && telemetry_->completion_ticks != nullptr &&
               cv->ever_offered) {
             telemetry_->completion_ticks->record(now_ - cv->first_offer_at);
@@ -814,7 +748,7 @@ Endpoint::Event Endpoint::on_cc(PeerId peer,
   // mismatched cc must not allocate a (peer, content) slot (see
   // on_feedback). A stale fresh-flag for the slot, if any, dies too.
   const store::Content* c = store_->find(content);
-  if (c == nullptr || c->generationed() || rx_cc_.size() != c->k()) {
+  if (c == nullptr || rx_cc_.size() != c->k()) {
     if (Convo* cv = find_convo(peer, content)) cv->cc_fresh = false;
     if (c == nullptr && recently_expired(content)) {
       ++stats_.expired_frames;

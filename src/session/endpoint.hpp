@@ -1,8 +1,7 @@
 // Endpoint — the sans-I/O session layer (quiche/h2-style).
 //
 // One Endpoint owns one store::ContentStore — N registered contents, each
-// a NodeProtocol (LTNC, RLNC, WC, an LT sink) or a GenerationedLtnc — and
-// runs the paper's transfer conversation (§III-C) as a per-(peer, content)
+// a NodeProtocol (LTNC, RLNC, WC, an LT sink) — and runs the paper's transfer conversation (§III-C) as a per-(peer, content)
 // state machine, with **no sockets, no clocks and no allocation at steady
 // state**:
 //
@@ -16,18 +15,18 @@
 //
 // The conversation per transfer, sender S → receiver R:
 //
-//   S  kAdvertise (content id [+ generation] + code vector + dims;
-//      byte-identical to the data frame minus its payload) ──▶ R
+//   S  kAdvertise (content id + code vector + dims; byte-identical
+//      to the data frame minus its payload)                  ──▶ R
 //   R  kAbort  (veto: the vector is useless to R)            ──▶ S  done
 //   R  kProceed (go ahead)                                   ──▶ S
-//   S  kCodedPacket / kGenerationPacket (the payload)        ──▶ R  done
+//   S  kCodedPacket (the payload)                            ──▶ R  done
 //
 // Multi-content sessions: every frame carries its ContentId (zero wire
 // bytes for the default content 0, so single-content traffic is
 // byte-identical to the pre-store implementation); conversations,
 // completion acks and cc caches are per (peer, content); next_push() asks
 // the SwarmScheduler which content a push slot should carry
-// (rarest-generation-first, round-robin fallback) under a token-bucket
+// (rarest-first, round-robin fallback) under a token-bucket
 // pacer refilled by tick() — an endpoint serving hundreds of contents
 // must not burst-flood a real UDP link.
 //
@@ -238,7 +237,7 @@ class Endpoint {
   store::ContentStore& contents() { return *store_; }
   const store::ContentStore& contents() const { return *store_; }
   /// The default content's protocol (legacy single-content surface);
-  /// null when content 0 is unregistered, protocol-less or generationed.
+  /// null when content 0 is unregistered or protocol-less.
   NodeProtocol* protocol();
   const NodeProtocol* protocol() const;
   const SessionStats& stats() const { return stats_; }
@@ -257,8 +256,7 @@ class Endpoint {
   /// when the protocol has nothing to say. Supersedes any transfer of the
   /// same content to `peer` still awaiting feedback.
   bool start_transfer(PeerId peer, Rng& rng);
-  /// Multi-content variant; generationed contents recode from their
-  /// scarcest generation (rarest-generation-first).
+  /// Multi-content variant.
   bool start_transfer(PeerId peer, ContentId content, Rng& rng);
 
   /// Scheduler surface: picks which content the next push slot toward
@@ -281,9 +279,6 @@ class Endpoint {
   /// source encoder, a replayed store). Always succeeds.
   void offer_packet(PeerId peer, const CodedPacket& packet);
   void offer_packet(PeerId peer, ContentId content, const CodedPacket& packet);
-  /// Generation-scoped offer: the payload travels as kGenerationPacket.
-  void offer_packet(PeerId peer, ContentId content, std::uint32_t generation,
-                    const CodedPacket& packet);
 
   /// Queues this node's cc array for a content toward `peer` (smart
   /// feedback §III-C.2). False when the content has none to ship.
@@ -389,8 +384,6 @@ class Endpoint {
     enum class State : std::uint8_t { kIdle, kAwaitFeedback };
     State state = State::kIdle;
     CodedPacket packet;  ///< pending payload (storage reused across offers)
-    bool generationed = false;  ///< payload travels as kGenerationPacket
-    std::uint32_t generation = 0;
     Instant deadline = 0;
     std::uint32_t retries = 0;
     Instant offered_at = 0;  ///< advertise time — handshake latency anchor
@@ -398,7 +391,6 @@ class Endpoint {
 
   struct Inbound {
     BitVector coeffs;  ///< advertised vector we answered with a proceed
-    std::uint32_t generation = 0;
     bool awaiting_data = false;
     Instant deadline = 0;
   };
@@ -448,12 +440,9 @@ class Endpoint {
   /// between transfers (N peers × N endpoints would otherwise retain
   /// O(N²) buffers in the simulator).
   static void close_outbound(Outbound& out);
-  void begin_offer(PeerId peer, ContentId content, bool generationed,
-                   std::uint32_t generation, const CodedPacket& packet);
+  void begin_offer(PeerId peer, ContentId content, const CodedPacket& packet);
   void queue_advertise(PeerId peer, ContentId content, const Outbound& out);
-  void queue_data(PeerId peer, ContentId content, const Outbound& out);
-  void queue_data_direct(PeerId peer, ContentId content, bool generationed,
-                         std::uint32_t generation, const CodedPacket& packet);
+  void queue_data(PeerId peer, ContentId content, const CodedPacket& packet);
   void queue_feedback(PeerId peer, ContentId content, wire::MessageType type,
                       std::uint64_t token);
   void queue_cc(PeerId peer, ContentId content,
@@ -467,9 +456,6 @@ class Endpoint {
 
   Event on_advertise(PeerId peer, std::span<const std::uint8_t> bytes);
   Event on_data(PeerId peer, std::span<const std::uint8_t> bytes);
-  Event on_generation_data(PeerId peer, std::span<const std::uint8_t> bytes);
-  Event deliver_data(PeerId peer, std::size_t content_index,
-                     store::Content& content, std::uint32_t generation);
   Event on_feedback(PeerId peer, ContentId content, wire::MessageType type,
                     std::uint64_t token);
   Event on_cc(PeerId peer, std::span<const std::uint8_t> bytes);

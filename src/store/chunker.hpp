@@ -4,7 +4,7 @@
 // stream into fixed-size blocks, pad the tail, rebuild and verify on the
 // far side. This is the one copy: chunk_bytes() produces the native
 // Payloads a content registers with, assemble_bytes() inverts it from any
-// block source (a BP decoder, a GenerationedLtnc, a test vector), and
+// block source (a BP decoder, an LTNC codec, a test vector), and
 // hash_bytes() is the FNV-1a fingerprint the transfer examples verify
 // against. file_content_config() bundles the metadata into the
 // ContentConfig + id that both ends of a transfer derive identically.

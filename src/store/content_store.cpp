@@ -41,132 +41,44 @@ ContentId derive_content_id(std::size_t k, std::size_t payload_bytes,
 
 Content::Content(const ContentConfig& config,
                  std::unique_ptr<session::NodeProtocol> protocol)
-    : cfg_(config), protocol_(std::move(protocol)), gen_complete_(1) {
+    : cfg_(config), protocol_(std::move(protocol)) {
   LTNC_CHECK_MSG(cfg_.k > 0, "content needs a code length");
   LTNC_CHECK_MSG(cfg_.payload_bytes > 0, "content needs a payload size");
-  refresh_completion();
-}
-
-Content::Content(const ContentConfig& config,
-                 std::unique_ptr<core::GenerationedLtnc> generationed)
-    : cfg_(config),
-      generationed_(std::move(generationed)),
-      gen_complete_(generationed_->generations()) {
-  LTNC_CHECK_MSG(cfg_.k == generationed_->blocks_per_generation(),
-                 "content k must match the per-generation block count");
-  LTNC_CHECK_MSG(cfg_.payload_bytes > 0, "content needs a payload size");
-  refresh_completion();
 }
 
 bool Content::can_emit() const {
-  if (generationed_ != nullptr) {
-    // Emittable as soon as any generation holds material to recode from
-    // (GenerationedLtnc::recode picks the scarcest such generation).
-    for (std::size_t g = 0; g < generationed_->generations(); ++g) {
-      const core::LtncCodec& codec = generationed_->codec(g);
-      if (codec.decoded_count() + codec.stored_count() > 0) return true;
-    }
-    return false;
-  }
   return protocol_ != nullptr && protocol_->can_emit();
 }
 
 bool Content::complete() const {
-  if (generationed_ != nullptr) return generationed_->complete();
   return protocol_ != nullptr && protocol_->complete();
 }
 
-bool Content::would_reject(std::uint32_t generation,
-                           const BitVector& coeffs) const {
-  if (generationed_ != nullptr) {
-    if (generation >= generationed_->generations()) return true;
-    return generationed_->would_reject(generation, coeffs);
-  }
-  // Plain contents ignore the generation (the session layer has already
-  // matched frame shape to content shape); a seeder-only content vetoes
-  // everything rather than inviting a payload it would drop.
+bool Content::would_reject(const BitVector& coeffs) const {
+  // A seeder-only content vetoes everything rather than inviting a
+  // payload it would drop.
   return protocol_ == nullptr || protocol_->would_reject(coeffs);
 }
 
-void Content::deliver(std::uint32_t generation, const CodedPacket& packet) {
-  if (generationed_ != nullptr) {
-    LTNC_CHECK_MSG(generation < generationed_->generations(),
-                   "generation id out of range");
-    generationed_->receive(core::GenerationPacket{generation, packet});
-  } else {
-    LTNC_CHECK_MSG(protocol_ != nullptr, "seeder-only content cannot absorb");
-    protocol_->deliver(packet);
-  }
-  refresh_completion();
-}
-
-std::optional<CodedPacket> Content::emit(std::uint32_t& generation, Rng& rng) {
-  if (generationed_ != nullptr) {
-    auto packet = generationed_->recode(rng);
-    if (!packet.has_value()) return std::nullopt;
-    generation = packet->generation;
-    return std::move(packet->packet);
-  }
-  generation = 0;
-  if (protocol_ == nullptr) return std::nullopt;
-  return protocol_->emit(rng);
+void Content::deliver(const CodedPacket& packet) {
+  LTNC_CHECK_MSG(protocol_ != nullptr, "seeder-only content cannot absorb");
+  protocol_->deliver(packet);
 }
 
 double Content::fill_fraction() const {
-  const std::size_t total = total_blocks();
-  std::size_t held = 0;
-  if (generationed_ != nullptr) {
-    held = generationed_->decoded_count();
-  } else if (protocol_ != nullptr) {
-    held = protocol_->useful_packets();
-  }
-  if (held >= total) return 1.0;
-  return static_cast<double>(held) / static_cast<double>(total);
-}
-
-void Content::refresh_completion() {
-  if (generationed_ != nullptr) {
-    for (std::size_t g = 0; g < generationed_->generations(); ++g) {
-      if (!gen_complete_.test(g) && generationed_->codec(g).complete()) {
-        gen_complete_.set(g);
-      }
-    }
-    return;
-  }
-  if (protocol_ != nullptr && protocol_->complete() &&
-      !gen_complete_.test(0)) {
-    gen_complete_.set(0);
-  }
+  const std::size_t held =
+      protocol_ != nullptr ? protocol_->useful_packets() : 0;
+  if (held >= cfg_.k) return 1.0;
+  return static_cast<double>(held) / static_cast<double>(cfg_.k);
 }
 
 bool Content::finish_and_verify(std::uint64_t content_seed) {
-  if (generationed_ != nullptr) {
-    if (!generationed_->complete()) return false;
-    for (std::size_t b = 0; b < generationed_->total_blocks(); ++b) {
-      if (generationed_->block_payload(b) !=
-          Payload::deterministic(cfg_.payload_bytes, content_seed, b)) {
-        return false;
-      }
-    }
-    return true;
-  }
   return protocol_ != nullptr && protocol_->finish_and_verify(content_seed);
 }
 
 // --- ContentStore -----------------------------------------------------------
 
 Content& ContentStore::register_content(const ContentConfig& config) {
-  if (config.generations > 1) {
-    LTNC_CHECK_MSG(find(config.id) == nullptr, "duplicate content id");
-    core::GenerationConfig gen;
-    gen.total_blocks = config.k * config.generations;
-    gen.generations = config.generations;
-    gen.payload_bytes = config.payload_bytes;
-    gen.ltnc = config.ltnc;
-    contents_.push_back(std::make_unique<Content>(
-        config, std::make_unique<core::GenerationedLtnc>(gen)));
-    return *contents_.back();
-  }
   session::ProtocolParams params;
   params.k = config.k;
   params.payload_bytes = config.payload_bytes;
@@ -244,32 +156,6 @@ bool ContentStore::all_complete() const {
     if (!content->complete()) return false;
   }
   return any;
-}
-
-// --- GenerationedLtSource ----------------------------------------------------
-
-GenerationedLtSource::GenerationedLtSource(const core::GenerationConfig& config,
-                                           std::uint64_t content_seed) {
-  LTNC_CHECK_MSG(config.generations >= 1, "need at least one generation");
-  LTNC_CHECK_MSG(config.total_blocks % config.generations == 0,
-                 "generations must divide the block count evenly");
-  const std::size_t per_gen = config.total_blocks / config.generations;
-  encoders_.reserve(config.generations);
-  for (std::size_t g = 0; g < config.generations; ++g) {
-    std::vector<Payload> natives;
-    natives.reserve(per_gen);
-    for (std::size_t j = 0; j < per_gen; ++j) {
-      natives.push_back(Payload::deterministic(
-          config.payload_bytes, content_seed, g * per_gen + j));
-    }
-    encoders_.emplace_back(std::move(natives), config.ltnc.soliton);
-  }
-}
-
-core::GenerationPacket GenerationedLtSource::next(Rng& rng) {
-  const auto g = static_cast<std::uint32_t>(next_generation_);
-  next_generation_ = (next_generation_ + 1) % encoders_.size();
-  return core::GenerationPacket{g, encoders_[g].encode(rng)};
 }
 
 }  // namespace ltnc::store

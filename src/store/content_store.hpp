@@ -1,14 +1,17 @@
 // ContentStore — the multi-tenant coding state of one node.
 //
 // The paper's protocol moves exactly one content per node; a production
-// node is an edge cache serving many contents (and, via the §generations
-// extension, many independent generations of each) over the same links.
-// The store owns N registered contents, each keyed by a compact ContentId
-// and holding either a per-content NodeProtocol (LTNC / RLNC / WC / LT
-// sink — the plain single-generation case) or a GenerationedLtnc with a
-// per-generation completion bitmap. Everything above the codecs — the
-// session Endpoint, the epidemic simulator, the UDP examples — looks
-// contents up here by the id that rides the v2 wire frames.
+// node is an edge cache serving many contents over the same links. The
+// store owns N registered contents, each keyed by a compact ContentId and
+// holding a per-content NodeProtocol (LTNC / RLNC / WC / LT sink).
+// Everything above the codecs — the session Endpoint, the epidemic
+// simulator, the UDP examples — looks contents up here by the id that
+// rides the v2 wire frames.
+//
+// Generations (paper §I: each is an independent LTNC instance) need no
+// shape of their own: a file of K blocks split into G generations
+// registers G contents of K/G blocks, and the SwarmScheduler's
+// rarest-first pick is then the rarest-generation-first pick.
 //
 // Ids are caller-assigned (examples use 1..N; the default single-content
 // session uses 0, which costs zero wire bytes) or derived from the
@@ -21,15 +24,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "common/bitvector.hpp"
 #include "common/coded_packet.hpp"
-#include "common/rng.hpp"
 #include "common/types.hpp"
-#include "core/generations.hpp"
-#include "lt/lt_encoder.hpp"
 #include "session/protocols.hpp"
 
 namespace ltnc::store {
@@ -49,13 +48,9 @@ ContentId derive_content_id(std::size_t k, std::size_t payload_bytes,
 
 struct ContentConfig {
   ContentId id = 0;
-  /// Code length of one packet: blocks per generation (== total blocks
-  /// for plain contents).
+  /// Code length of one packet: the content's block count.
   std::size_t k = 0;
   std::size_t payload_bytes = 0;
-  /// 1 = plain content (one NodeProtocol); > 1 = GenerationedLtnc with
-  /// `generations` independent LTNC instances of k blocks each.
-  std::size_t generations = 1;
   session::Scheme scheme = session::Scheme::kLtnc;
   /// Fraction of k a node must hold before it starts recoding.
   double aggressiveness = 0.01;
@@ -70,71 +65,40 @@ struct ContentConfig {
 /// but can never absorb one.
 class Content {
  public:
-  /// Plain content over an explicit protocol (nullptr = seeder-only).
+  /// Content over an explicit protocol (nullptr = seeder-only).
   Content(const ContentConfig& config,
           std::unique_ptr<session::NodeProtocol> protocol);
-  /// Generationed content (config.generations > 1 or == 1 both fine; the
-  /// frames go out as kGenerationPacket either way).
-  Content(const ContentConfig& config,
-          std::unique_ptr<core::GenerationedLtnc> generationed);
 
   ContentId id() const { return cfg_.id; }
   std::size_t k() const { return cfg_.k; }
   std::size_t payload_bytes() const { return cfg_.payload_bytes; }
-  bool generationed() const { return generationed_ != nullptr; }
-  std::size_t generations() const {
-    return generationed_ ? generationed_->generations() : 1;
-  }
-  std::size_t total_blocks() const {
-    return generationed_ ? generationed_->total_blocks() : cfg_.k;
-  }
 
   session::NodeProtocol* protocol() { return protocol_.get(); }
   const session::NodeProtocol* protocol() const { return protocol_.get(); }
-  core::GenerationedLtnc* generationed_ltnc() { return generationed_.get(); }
-  const core::GenerationedLtnc* generationed_ltnc() const {
-    return generationed_.get();
-  }
 
   /// Can this content absorb payloads? (False for seeder-only contents.)
-  bool has_receiver() const {
-    return protocol_ != nullptr || generationed_ != nullptr;
-  }
+  bool has_receiver() const { return protocol_ != nullptr; }
   /// Can this content emit recoded packets?
   bool can_emit() const;
   bool complete() const;
   /// Binary feedback: would this content refuse the advertised vector?
   /// (Seeder-only contents refuse everything — they cannot consume.)
-  bool would_reject(std::uint32_t generation, const BitVector& coeffs) const;
-  /// Full reception of a packet scoped to `generation` (0 for plain).
-  void deliver(std::uint32_t generation, const CodedPacket& packet);
-  /// Fresh recoded packet; generationed contents pick their scarcest
-  /// generation (rarest-generation-first), plain contents report 0.
-  std::optional<CodedPacket> emit(std::uint32_t& generation, Rng& rng);
+  bool would_reject(const BitVector& coeffs) const;
+  /// Full reception of a packet.
+  void deliver(const CodedPacket& packet);
 
   /// Fraction of the content held locally, in [0, 1] — the scheduler's
   /// rarity proxy (a content this node barely holds is one the swarm has
   /// barely replicated, from this node's vantage point).
   double fill_fraction() const;
 
-  /// Per-generation completion bitmap (bit g = generation g decoded).
-  /// Size 1 for plain contents. Bits only ever turn on.
-  const BitVector& completed_generations() const { return gen_complete_; }
-  std::size_t completed_generation_count() const {
-    return gen_complete_.popcount();
-  }
-
   /// Verifies every decoded block against the canonical deterministic
   /// content for `content_seed` (RLNC pays its back-substitution here).
   bool finish_and_verify(std::uint64_t content_seed);
 
  private:
-  void refresh_completion();
-
   ContentConfig cfg_;
   std::unique_ptr<session::NodeProtocol> protocol_;
-  std::unique_ptr<core::GenerationedLtnc> generationed_;
-  BitVector gen_complete_;
 };
 
 class ContentStore {
@@ -143,11 +107,11 @@ class ContentStore {
   ContentStore(const ContentStore&) = delete;
   ContentStore& operator=(const ContentStore&) = delete;
 
-  /// Builds and registers the content's coding state from its config:
-  /// a scheme protocol for plain contents, a GenerationedLtnc otherwise.
+  /// Builds and registers the content's coding state (the config's scheme
+  /// protocol).
   Content& register_content(const ContentConfig& config);
-  /// Registers a plain content over a caller-built protocol (nullptr for
-  /// a seeder-only entry that pins dimensions without decode state).
+  /// Registers a content over a caller-built protocol (nullptr for a
+  /// seeder-only entry that pins dimensions without decode state).
   Content& register_content(const ContentConfig& config,
                             std::unique_ptr<session::NodeProtocol> protocol);
 
@@ -196,22 +160,6 @@ class ContentStore {
 
  private:
   std::vector<std::unique_ptr<Content>> contents_;
-};
-
-/// Seeder-side encoder for a generationed content: one textbook LT
-/// encoder per generation over the canonical deterministic blocks. next()
-/// rotates generations so a seed spreads them evenly from round one.
-class GenerationedLtSource {
- public:
-  GenerationedLtSource(const core::GenerationConfig& config,
-                       std::uint64_t content_seed);
-
-  core::GenerationPacket next(Rng& rng);
-  std::size_t generations() const { return encoders_.size(); }
-
- private:
-  std::vector<lt::LtEncoder> encoders_;
-  std::size_t next_generation_ = 0;
 };
 
 }  // namespace ltnc::store

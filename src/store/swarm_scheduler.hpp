@@ -9,10 +9,9 @@
 //                  holds the smallest fraction of (Content::fill_fraction)
 //                  — locally scarce contents are the ones the swarm has
 //                  replicated least from this vantage point, so pushing
-//                  them first evens out availability. For generationed
-//                  contents the second level is free: GenerationedLtnc's
-//                  recode already picks the scarcest generation, so the
-//                  scheduler composes into rarest-generation-first.
+//                  them first evens out availability. A file split into
+//                  generations registers one content per generation, so
+//                  this pick is also rarest-generation-first.
 //   round-robin    ties (the common steady state of a seeder holding
 //                  every content at 100 %) rotate through a cursor, so no
 //                  content starves and interleaving is deterministic.

@@ -186,21 +186,19 @@ DecodeStatus read_sparse(Reader& r, BitVector& coeffs) {
 
 std::size_t header_size() { return 3; }  // version, type, flags
 
-/// The multiplexing flag bits introduced by wire v2.
-constexpr std::uint8_t kV2Flags = kFlagContentId | kFlagGeneration;
+/// The retired type byte (see codec.hpp): inside the 1–7 range, so the
+/// range check alone would let it through.
+constexpr std::uint8_t kRetiredType = 2;
 
-/// Flags for a frame carrying `content` (and, for advertises, a
-/// generation); the version byte follows from whether any v2 bit is set,
-/// so default-content frames keep the exact v1 byte image.
-std::uint8_t frame_flags(std::uint8_t base, ContentId content, bool has_gen) {
-  std::uint8_t flags = base;
-  if (content != 0) flags |= kFlagContentId;
-  if (has_gen) flags |= kFlagGeneration;
-  return flags;
+/// Flags for a frame carrying `content`; the version byte follows from
+/// whether the v2 content-id bit is set, so default-content frames keep
+/// the exact v1 byte image.
+std::uint8_t frame_flags(std::uint8_t base, ContentId content) {
+  return content != 0 ? base | kFlagContentId : base;
 }
 
 void write_header(Writer& w, MessageType type, std::uint8_t flags) {
-  w.put_u8((flags & kV2Flags) != 0 ? std::uint8_t{2} : std::uint8_t{1});
+  w.put_u8((flags & kFlagContentId) != 0 ? std::uint8_t{2} : std::uint8_t{1});
   w.put_u8(static_cast<std::uint8_t>(type));
   w.put_u8(flags);
 }
@@ -222,13 +220,16 @@ DecodeStatus read_header(Reader& r, MessageType& type, std::uint8_t& flags) {
   }
   WIRE_TRY(r.get_u8(raw_type));
   if (raw_type < static_cast<std::uint8_t>(MessageType::kCodedPacket) ||
-      raw_type > static_cast<std::uint8_t>(MessageType::kProceed)) {
+      raw_type > static_cast<std::uint8_t>(MessageType::kProceed) ||
+      raw_type == kRetiredType) {
     return DecodeStatus::kBadType;
   }
   WIRE_TRY(r.get_u8(flags));
-  // v1 predates the multiplexing fields: its reserved bits stay reserved,
+  // v1 predates the multiplexing field: its reserved bit stays reserved,
   // so an old frame can never alias into a content-id read.
-  if (version == 1 && (flags & kV2Flags) != 0) return DecodeStatus::kMalformed;
+  if (version == 1 && (flags & kFlagContentId) != 0) {
+    return DecodeStatus::kMalformed;
+  }
   type = static_cast<MessageType>(raw_type);
   return DecodeStatus::kOk;
 }
@@ -284,12 +285,6 @@ std::size_t packet_frame_size(ContentId content, const CodedPacket& packet,
          packet_body_size(packet, layout);
 }
 
-std::size_t generation_frame_size(ContentId content, std::uint32_t generation,
-                                  const CodedPacket& packet,
-                                  const CoeffLayout& layout) {
-  return packet_frame_size(content, packet, layout) + varint_size(generation);
-}
-
 std::size_t advertise_frame_size(const AdvertiseInfo& info,
                                  const BitVector& coeffs,
                                  const CoeffLayout& layout) {
@@ -297,8 +292,7 @@ std::size_t advertise_frame_size(const AdvertiseInfo& info,
   // arithmetic, so the advertise/packet size identity can never drift.
   return header_size() +
          coeff_prefix_size(coeffs, info.payload_bytes, layout) +
-         content_id_size(info.content) +
-         (info.has_generation ? varint_size(info.generation) : 0);
+         content_id_size(info.content);
 }
 
 void write_packet_body(Writer& w, const CodedPacket& packet,
@@ -409,18 +403,6 @@ std::size_t serialized_size(ContentId content, const CodedPacket& packet) {
   return packet_frame_size(content, packet, coeff_layout(packet.coeffs));
 }
 
-std::size_t serialized_size_generation(std::uint32_t generation,
-                                       const CodedPacket& packet) {
-  return serialized_size_generation(ContentId{0}, generation, packet);
-}
-
-std::size_t serialized_size_generation(ContentId content,
-                                       std::uint32_t generation,
-                                       const CodedPacket& packet) {
-  return generation_frame_size(content, generation, packet,
-                               coeff_layout(packet.coeffs));
-}
-
 std::size_t serialized_size_feedback(std::uint64_t token) {
   return header_size() + varint_size(token);
 }
@@ -456,28 +438,8 @@ void serialize(ContentId content, const CodedPacket& packet, Frame& out) {
   out.resize(packet_frame_size(content, packet, layout));
   Writer w{out.data()};
   write_head(w, MessageType::kCodedPacket,
-             frame_flags(static_cast<std::uint8_t>(layout.enc), content,
-                         false),
+             frame_flags(static_cast<std::uint8_t>(layout.enc), content),
              content);
-  write_packet_body(w, packet, layout.enc);
-  LTNC_DCHECK(w.p == out.data() + out.size());
-}
-
-void serialize_generation(std::uint32_t generation, const CodedPacket& packet,
-                          Frame& out) {
-  serialize_generation(ContentId{0}, generation, packet, out);
-}
-
-void serialize_generation(ContentId content, std::uint32_t generation,
-                          const CodedPacket& packet, Frame& out) {
-  const CoeffLayout layout = coeff_layout(packet.coeffs);
-  out.resize(generation_frame_size(content, generation, packet, layout));
-  Writer w{out.data()};
-  write_head(w, MessageType::kGenerationPacket,
-             frame_flags(static_cast<std::uint8_t>(layout.enc), content,
-                         false),
-             content);
-  w.put_varint(generation);
   write_packet_body(w, packet, layout.enc);
   LTNC_DCHECK(w.p == out.data() + out.size());
 }
@@ -493,7 +455,7 @@ void serialize_feedback(ContentId content, MessageType type,
                  "feedback frames are kAbort, kAck or kProceed");
   out.resize(serialized_size_feedback(content, token));
   Writer w{out.data()};
-  write_head(w, type, frame_flags(0, content, false), content);
+  write_head(w, type, frame_flags(0, content), content);
   w.put_varint(token);
   LTNC_DCHECK(w.p == out.data() + out.size());
 }
@@ -506,8 +468,7 @@ void serialize_cc(ContentId content, std::span<const std::uint32_t> leaders,
                   Frame& out) {
   out.resize(serialized_size_cc(leaders) + content_id_size(content));
   Writer w{out.data()};
-  write_head(w, MessageType::kCcArray, frame_flags(0, content, false),
-             content);
+  write_head(w, MessageType::kCcArray, frame_flags(0, content), content);
   w.put_varint(leaders.size());
   for (const std::uint32_t leader : leaders) w.put_varint(leader);
   LTNC_DCHECK(w.p == out.data() + out.size());
@@ -526,10 +487,8 @@ void serialize_advertise(const AdvertiseInfo& info, const BitVector& coeffs,
   out.resize(advertise_frame_size(info, coeffs, layout));
   Writer w{out.data()};
   write_head(w, MessageType::kAdvertise,
-             frame_flags(static_cast<std::uint8_t>(layout.enc), info.content,
-                         info.has_generation),
+             frame_flags(static_cast<std::uint8_t>(layout.enc), info.content),
              info.content);
-  if (info.has_generation) w.put_varint(info.generation);
   write_coeff_prefix(w, coeffs, info.payload_bytes, layout.enc);
   LTNC_DCHECK(w.p == out.data() + out.size());
 }
@@ -569,31 +528,6 @@ DecodeStatus deserialize(std::span<const std::uint8_t> frame,
   return finish(r);
 }
 
-DecodeStatus deserialize_generation(std::span<const std::uint8_t> frame,
-                                    std::uint32_t& generation,
-                                    CodedPacket& packet) {
-  ContentId content = 0;
-  return deserialize_generation(frame, content, generation, packet);
-}
-
-DecodeStatus deserialize_generation(std::span<const std::uint8_t> frame,
-                                    ContentId& content,
-                                    std::uint32_t& generation,
-                                    CodedPacket& packet) {
-  Reader r{frame.data(), frame.data() + frame.size()};
-  MessageType type{};
-  std::uint8_t flags = 0;
-  WIRE_TRY(read_head(r, kFlagSparse | kFlagContentId, type, flags, content));
-  if (type != MessageType::kGenerationPacket) return DecodeStatus::kBadType;
-  std::uint64_t gen = 0;
-  WIRE_TRY(r.get_varint(gen));
-  if (gen > 0xFFFFFFFFULL) return DecodeStatus::kMalformed;
-  WIRE_TRY(read_packet_body(r, flags, packet));
-  WIRE_TRY(finish(r));
-  generation = static_cast<std::uint32_t>(gen);
-  return DecodeStatus::kOk;
-}
-
 DecodeStatus deserialize_feedback(std::span<const std::uint8_t> frame,
                                   MessageType& type, std::uint64_t& token) {
   ContentId content = 0;
@@ -628,17 +562,9 @@ DecodeStatus deserialize_advertise(std::span<const std::uint8_t> frame,
   Reader r{frame.data(), frame.data() + frame.size()};
   MessageType type{};
   std::uint8_t flags = 0;
-  WIRE_TRY(read_head(r, kFlagSparse | kFlagContentId | kFlagGeneration, type,
-                     flags, info.content));
+  WIRE_TRY(read_head(r, kFlagSparse | kFlagContentId, type, flags,
+                     info.content));
   if (type != MessageType::kAdvertise) return DecodeStatus::kBadType;
-  info.has_generation = (flags & kFlagGeneration) != 0;
-  info.generation = 0;
-  if (info.has_generation) {
-    std::uint64_t gen = 0;
-    WIRE_TRY(r.get_varint(gen));
-    if (gen > 0xFFFFFFFFULL) return DecodeStatus::kMalformed;
-    info.generation = static_cast<std::uint32_t>(gen);
-  }
   std::uint64_t m = 0;
   WIRE_TRY(read_coeff_prefix(r, flags, coeffs, m));
   WIRE_TRY(finish(r));

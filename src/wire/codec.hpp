@@ -7,31 +7,31 @@
 //   |  (u8)   |  (u8)   |  (u8)   |                                  |
 //   +---------+---------+---------+----------------------------------+
 //
-//   kCodedPacket       varint k, varint m, code vector, m payload bytes
-//   kGenerationPacket  varint generation, then the kCodedPacket body
-//   kAbort / kAck      varint token (binary feedback channel, §III-C.2)
-//   kCcArray           varint n, n × varint leader (smart feedback)
-//   kAdvertise         varint k, varint m, code vector — a kCodedPacket
-//                      minus its payload, byte for byte: the header a
-//                      transfer ships ahead so the receiver can veto the
-//                      payload (§III-C). The size identity
-//                      serialized_size_advertise(p) ==
-//                      serialized_size(p) − p.payload.size_bytes() is
-//                      load-bearing for the simulator's traffic ledger.
-//   kProceed           varint token — the go-ahead answer to an advertise
-//                      (the explicit form of "silence means proceed" that
-//                      unreliable transports need)
+//   kCodedPacket   varint k, varint m, code vector, m payload bytes
+//   kAbort / kAck  varint token (binary feedback channel, §III-C.2)
+//   kCcArray       varint n, n × varint leader (smart feedback)
+//   kAdvertise     varint k, varint m, code vector — a kCodedPacket minus
+//                  its payload, byte for byte: the header a transfer
+//                  ships ahead so the receiver can veto the payload
+//                  (§III-C). The size identity
+//                  serialized_size_advertise(p) ==
+//                  serialized_size(p) − p.payload.size_bytes() is
+//                  load-bearing for the simulator's traffic ledger.
+//   kProceed       varint token — the go-ahead answer to an advertise
+//                  (the explicit form of "silence means proceed" that
+//                  unreliable transports need)
+//
+// Type 2 and flags bit 2 are retired: they carried a generation number
+// for contents split into generations, and a generation is now a content
+// of its own. Decoders reject type 2 as kBadType and bit 2 as kMalformed.
 //
 // **v2 — content multiplexing.** Every message may carry a content id so
 // one endpoint can serve many contents over the same link. The id is a
 // varint inserted immediately after the 3-byte header, present iff flags
-// bit 1 is set; an advertise may additionally carry a generation varint
-// (flags bit 2, written right after the content id) so generationed
-// contents can run the veto handshake per generation. The serializer
-// omits both fields — and stamps version 1 — whenever the content id is 0
-// and no generation is attached, so single-content traffic stays
+// bit 1 is set. The serializer omits the field — and stamps version 1 —
+// whenever the content id is 0, so single-content traffic stays
 // byte-identical to the v1 wire image. Decoders accept version 1 (content
-// id fields rejected, mapping to the default id 0) and version 2.
+// id field rejected, mapping to the default id 0) and version 2.
 //
 // The code vector uses **adaptive encoding** — the serializer computes
 // both sizes and picks the smaller, recording the choice in flags bit 0:
@@ -73,11 +73,10 @@ namespace ltnc::wire {
 inline constexpr std::uint8_t kProtocolVersion = 2;
 
 /// Flag bits shared by every message type. Bit 0 is the adaptive
-/// code-vector encoding on packet-shaped frames; bits 1–2 gate the v2
-/// multiplexing fields; the rest stay reserved-must-be-zero.
+/// code-vector encoding on packet-shaped frames; bit 1 gates the v2
+/// content-id field; the rest stay reserved-must-be-zero.
 inline constexpr std::uint8_t kFlagSparse = 0x01;
 inline constexpr std::uint8_t kFlagContentId = 0x02;
-inline constexpr std::uint8_t kFlagGeneration = 0x04;  ///< kAdvertise only
 
 /// Hard caps on declared dimensions: a garbage varint must not drive a
 /// multi-gigabyte allocation. Generous for any realistic deployment.
@@ -86,7 +85,7 @@ inline constexpr std::size_t kMaxPayloadBytes = std::size_t{1} << 28;
 
 enum class MessageType : std::uint8_t {
   kCodedPacket = 1,
-  kGenerationPacket = 2,
+  // 2 is retired (see the header comment): decoders reject it.
   kAbort = 3,  ///< binary feedback: receiver vetoes the advertised vector
   kAck = 4,    ///< binary feedback: receiver accepts / transfer complete
   kCcArray = 5,  ///< smart feedback: the receiver's component-leader array
@@ -123,11 +122,6 @@ std::size_t content_id_size(ContentId content);
 
 std::size_t serialized_size(const CodedPacket& packet);
 std::size_t serialized_size(ContentId content, const CodedPacket& packet);
-std::size_t serialized_size_generation(std::uint32_t generation,
-                                       const CodedPacket& packet);
-std::size_t serialized_size_generation(ContentId content,
-                                       std::uint32_t generation,
-                                       const CodedPacket& packet);
 std::size_t serialized_size_feedback(std::uint64_t token);
 std::size_t serialized_size_feedback(ContentId content, std::uint64_t token);
 std::size_t serialized_size_cc(std::span<const std::uint32_t> leaders);
@@ -136,12 +130,10 @@ std::size_t serialized_size_advertise(const BitVector& coeffs,
                                       std::size_t payload_bytes);
 
 /// The v2 advertise companion fields: which content the transfer targets
-/// and (for generationed contents) which generation the vector indexes
-/// into. Also the decode result of deserialize_advertise.
+/// and the length of the payload to come. Also the decode result of
+/// deserialize_advertise.
 struct AdvertiseInfo {
   ContentId content = 0;
-  bool has_generation = false;
-  std::uint32_t generation = 0;
   std::size_t payload_bytes = 0;
 };
 
@@ -155,10 +147,6 @@ std::size_t serialized_size_advertise(const AdvertiseInfo& info,
 
 void serialize(const CodedPacket& packet, Frame& out);
 void serialize(ContentId content, const CodedPacket& packet, Frame& out);
-void serialize_generation(std::uint32_t generation, const CodedPacket& packet,
-                          Frame& out);
-void serialize_generation(ContentId content, std::uint32_t generation,
-                          const CodedPacket& packet, Frame& out);
 /// `type` must be kAbort, kAck or kProceed.
 void serialize_feedback(MessageType type, std::uint64_t token, Frame& out);
 void serialize_feedback(ContentId content, MessageType type,
@@ -197,13 +185,6 @@ DecodeStatus deserialize(std::span<const std::uint8_t> frame,
                          CodedPacket& packet);
 DecodeStatus deserialize(std::span<const std::uint8_t> frame,
                          ContentId& content, CodedPacket& packet);
-DecodeStatus deserialize_generation(std::span<const std::uint8_t> frame,
-                                    std::uint32_t& generation,
-                                    CodedPacket& packet);
-DecodeStatus deserialize_generation(std::span<const std::uint8_t> frame,
-                                    ContentId& content,
-                                    std::uint32_t& generation,
-                                    CodedPacket& packet);
 /// Accepts kAbort, kAck or kProceed; reports which via `type`.
 DecodeStatus deserialize_feedback(std::span<const std::uint8_t> frame,
                                   MessageType& type, std::uint64_t& token);

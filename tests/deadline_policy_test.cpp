@@ -41,7 +41,7 @@ std::unique_ptr<store::ContentStore> make_store(std::size_t n) {
 void fill(store::ContentStore& store, std::size_t index, std::size_t n) {
   for (std::size_t j = 0; j < n; ++j) {
     store.at(index).deliver(
-        0, CodedPacket::native(kK, j, Payload::deterministic(kM, 9, j)));
+        CodedPacket::native(kK, j, Payload::deterministic(kM, 9, j)));
   }
 }
 

@@ -1,14 +1,16 @@
 // Multi-content session layer: one Endpoint pair serving many contents
-// and generations over the same link.
+// over the same link.
 //
-// The acceptance criterion of the store subsystem lives here: ≥8 contents
-// — mixed plain (LTNC / RLNC / WC) and generationed, mixed dimensions —
+// The acceptance criterion of the store subsystem lives here: a dozen
+// contents — mixed schemes (LTNC / RLNC / WC), mixed dimensions, and
+// files split into generations (one LTNC content per generation) —
 // transfer concurrently over a lossy/duplicating/reordering SimChannel to
-// full decode with byte-exact payloads, generation completion growing
-// monotonically, and zero foreign-frame drops between well-configured
-// endpoints. Satellites: kGenerationPacket routing (+ the foreign_frames
-// counter for genuinely unknown content ids), per-content completion
-// acks, the token-bucket pacer, and the simulator's multi-content mode.
+// full decode with byte-exact payloads, completion never regressing, and
+// zero foreign-frame drops between well-configured endpoints. Satellites:
+// data-frame routing (+ the foreign_frames counter for genuinely unknown
+// content ids and shapes), the retired generation frame forms counted as
+// malformed, per-content completion acks, the token-bucket pacer, and the
+// simulator's multi-content mode.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -34,19 +36,16 @@ void seed_full(store::Content& content) {
   const std::uint64_t seed = content_seed(content.id());
   const std::size_t k = content.k();
   const std::size_t m = content.payload_bytes();
-  for (std::uint32_t g = 0; g < content.generations(); ++g) {
-    for (std::size_t j = 0; j < k; ++j) {
-      content.deliver(
-          g, CodedPacket::native(
-                 k, j, Payload::deterministic(m, seed, g * k + j)));
-    }
+  for (std::size_t j = 0; j < k; ++j) {
+    content.deliver(
+        CodedPacket::native(k, j, Payload::deterministic(m, seed, j)));
   }
   ASSERT_TRUE(content.complete());
 }
 
-/// The mixed 8-content catalogue of the acceptance run: plain contents of
-/// three schemes and two dimension shapes, plus three generationed
-/// contents of differing generation counts.
+/// The mixed 12-content catalogue of the acceptance run: contents of
+/// three schemes and two dimension shapes, plus three files split into
+/// 2, 2 and 3 generations, each generation an LTNC content of its own.
 std::unique_ptr<store::ContentStore> make_mixed_store() {
   auto contents = std::make_unique<store::ContentStore>();
   const auto plain = [&](ContentId id, Scheme scheme, std::size_t k,
@@ -58,27 +57,25 @@ std::unique_ptr<store::ContentStore> make_mixed_store() {
     cfg.scheme = scheme;
     contents->register_content(cfg);
   };
-  const auto generationed = [&](ContentId id, std::size_t gens,
-                                std::size_t k, std::size_t m) {
-    store::ContentConfig cfg;
-    cfg.id = id;
-    cfg.k = k;
-    cfg.payload_bytes = m;
-    cfg.generations = gens;
-    contents->register_content(cfg);
+  // Generations first_id .. first_id + gens - 1 of one file.
+  const auto generations = [&](ContentId first_id, std::size_t gens,
+                               std::size_t k, std::size_t m) {
+    for (std::size_t g = 0; g < gens; ++g) {
+      plain(first_id + g, Scheme::kLtnc, k, m);
+    }
   };
   plain(1, Scheme::kLtnc, 16, 32);
   plain(2, Scheme::kLtnc, 16, 32);
   plain(3, Scheme::kRlnc, 16, 32);
   plain(4, Scheme::kWc, 16, 32);
   plain(7, Scheme::kLtnc, 8, 16);  // different dims on the same link
-  generationed(5, 2, 8, 32);
-  generationed(6, 2, 8, 32);
-  generationed(8, 3, 4, 16);
+  generations(5, 2, 8, 32);
+  generations(8, 2, 8, 32);
+  generations(10, 3, 4, 16);
   return contents;
 }
 
-TEST(MultiContentSession, EightMixedContentsDecodeOverHostileChannel) {
+TEST(MultiContentSession, MixedContentsDecodeOverHostileChannel) {
   EndpointConfig cfg;
   cfg.feedback = FeedbackMode::kBinary;
   cfg.response_timeout = 3;
@@ -86,7 +83,7 @@ TEST(MultiContentSession, EightMixedContentsDecodeOverHostileChannel) {
 
   Endpoint seeder(cfg, make_mixed_store());
   Endpoint leecher(cfg, make_mixed_store());
-  ASSERT_EQ(seeder.contents().size(), 8u);
+  ASSERT_EQ(seeder.contents().size(), 12u);
   for (std::size_t i = 0; i < seeder.contents().size(); ++i) {
     seed_full(seeder.contents().at(i));
   }
@@ -112,8 +109,9 @@ TEST(MultiContentSession, EightMixedContentsDecodeOverHostileChannel) {
     while (to_seeder.recv(frame)) seeder.handle_frame(0, frame.bytes());
   };
 
-  // Track per-generation completion monotonicity on the receiving side.
-  std::vector<std::size_t> gen_complete(leecher.contents().size(), 0);
+  // Track completion monotonicity on the receiving side: a content (and
+  // so a generation) once decoded stays decoded.
+  std::vector<std::uint8_t> was_complete(leecher.contents().size(), 0);
 
   Instant now = 0;
   const Instant deadline = 60000;
@@ -132,10 +130,9 @@ TEST(MultiContentSession, EightMixedContentsDecodeOverHostileChannel) {
     leecher.tick(now);
     pump();
     for (std::size_t i = 0; i < leecher.contents().size(); ++i) {
-      const std::size_t done =
-          leecher.contents().at(i).completed_generation_count();
-      EXPECT_GE(done, gen_complete[i]) << "generation completion regressed";
-      gen_complete[i] = done;
+      const bool done = leecher.contents().at(i).complete();
+      EXPECT_TRUE(done || was_complete[i] == 0) << "completion regressed";
+      was_complete[i] = done ? 1 : 0;
     }
   }
 
@@ -145,7 +142,6 @@ TEST(MultiContentSession, EightMixedContentsDecodeOverHostileChannel) {
     store::Content& content = leecher.contents().at(i);
     EXPECT_TRUE(content.finish_and_verify(content_seed(content.id())))
         << "content " << content.id() << " failed byte verification";
-    EXPECT_EQ(content.completed_generation_count(), content.generations());
   }
   // Well-configured endpoints never see each other's traffic as foreign.
   EXPECT_EQ(seeder.stats().foreign_frames, 0u);
@@ -154,71 +150,15 @@ TEST(MultiContentSession, EightMixedContentsDecodeOverHostileChannel) {
   EXPECT_GT(leecher.stats().data_delivered, 0u);
 }
 
-TEST(MultiContentSession, GenerationedContentDecodesEndToEnd) {
-  // Satellite: GenerationedLtnc over the session layer — two endpoints,
-  // one generationed content, a lossy channel, decode to completion with
-  // monotone per-generation progress and byte-exact payloads.
-  constexpr ContentId kId = 9;
-  const auto make = [] {
-    auto contents = std::make_unique<store::ContentStore>();
-    store::ContentConfig cfg;
-    cfg.id = kId;
-    cfg.k = 8;
-    cfg.payload_bytes = 64;
-    cfg.generations = 4;
-    contents->register_content(cfg);
-    return contents;
-  };
-  EndpointConfig cfg;
-  cfg.feedback = FeedbackMode::kBinary;
-  cfg.response_timeout = 2;
-  Endpoint a(cfg, make());
-  Endpoint b(cfg, make());
-  seed_full(a.contents().at(0));
-
-  net::SimChannelConfig ch;
-  ch.loss_rate = 0.2;
-  ch.seed = 11;
-  net::SimChannel ab(ch);
-  ch.seed = 12;
-  net::SimChannel ba(ch);
-
-  Rng rng(23);
-  wire::Frame frame;
-  PeerId dst = 0;
-  std::size_t last_done = 0;
-  Instant now = 0;
-  while (!b.complete() && now < 20000) {
-    ++now;
-    while (const store::Content* c = a.next_push(0)) {
-      if (!a.start_transfer(0, c->id(), rng)) break;
-    }
-    while (a.poll_transmit(dst, frame)) ab.send(frame.bytes());
-    while (ab.recv(frame)) b.handle_frame(0, frame.bytes());
-    while (b.poll_transmit(dst, frame)) ba.send(frame.bytes());
-    while (ba.recv(frame)) a.handle_frame(0, frame.bytes());
-    a.tick(now);
-    b.tick(now);
-    const std::size_t done = b.contents().at(0).completed_generation_count();
-    ASSERT_GE(done, last_done);
-    last_done = done;
-  }
-  ASSERT_TRUE(b.complete());
-  EXPECT_EQ(last_done, 4u);
-  EXPECT_TRUE(b.contents().at(0).finish_and_verify(content_seed(kId)));
-  EXPECT_EQ(b.stats().foreign_frames, 0u);
-}
-
-TEST(MultiContentSession, GenerationPacketsRouteAndUnknownContentsCount) {
-  // Satellite: handle_frame routes kGenerationPacket to the store instead
-  // of dropping it, and foreign_frames counts genuinely unknown content
-  // ids.
+TEST(MultiContentSession, DataFramesRouteAndUnknownContentsCount) {
+  // handle_frame routes data frames to their content, and foreign_frames
+  // counts genuinely unknown content ids and frames whose shape does not
+  // match the addressed content.
   auto contents = std::make_unique<store::ContentStore>();
   store::ContentConfig cfg;
   cfg.id = 4;
   cfg.k = 8;
   cfg.payload_bytes = 16;
-  cfg.generations = 2;
   contents->register_content(cfg);
   EndpointConfig ec;
   ec.feedback = FeedbackMode::kNone;
@@ -228,35 +168,39 @@ TEST(MultiContentSession, GenerationPacketsRouteAndUnknownContentsCount) {
   const CodedPacket native =
       CodedPacket::native(8, 3, Payload::deterministic(16, 1, 3));
 
-  // Known generationed content: delivered.
-  wire::serialize_generation(ContentId{4}, 1, native, frame);
+  // Known content: delivered.
+  wire::serialize(ContentId{4}, native, frame);
   EXPECT_EQ(endpoint.handle_frame(0, frame.bytes()),
             Endpoint::Event::kDelivered);
   EXPECT_EQ(endpoint.stats().data_delivered, 1u);
   EXPECT_EQ(endpoint.stats().foreign_frames, 0u);
 
   // Unknown content id: counted foreign, not silently dropped.
-  wire::serialize_generation(ContentId{99}, 0, native, frame);
+  wire::serialize(ContentId{99}, native, frame);
   EXPECT_EQ(endpoint.handle_frame(0, frame.bytes()), Endpoint::Event::kNone);
   EXPECT_EQ(endpoint.stats().foreign_frames, 1u);
 
-  // Out-of-range generation on a known content: foreign too.
-  wire::serialize_generation(ContentId{4}, 7, native, frame);
+  // A code vector of the wrong length for the known content: foreign.
+  wire::serialize(ContentId{4},
+                  CodedPacket::native(16, 3, Payload::deterministic(16, 1, 3)),
+                  frame);
   EXPECT_EQ(endpoint.handle_frame(0, frame.bytes()), Endpoint::Event::kNone);
   EXPECT_EQ(endpoint.stats().foreign_frames, 2u);
 
-  // A plain data frame addressing the generationed content: shape
-  // mismatch, foreign.
-  wire::serialize(ContentId{4}, native, frame);
+  // The wrong payload size for the known content: foreign too.
+  wire::serialize(ContentId{4},
+                  CodedPacket::native(8, 3, Payload::deterministic(32, 1, 3)),
+                  frame);
   EXPECT_EQ(endpoint.handle_frame(0, frame.bytes()), Endpoint::Event::kNone);
   EXPECT_EQ(endpoint.stats().foreign_frames, 3u);
   EXPECT_EQ(endpoint.stats().data_delivered, 1u);
 }
 
-TEST(MultiContentSession, LegacyEndpointCountsGenerationTrafficAsForeign) {
-  // A single-content (plain) endpoint keeps its pre-store behaviour:
-  // generation packets address no registered generationed content, so
-  // they are counted foreign — never delivered, never a crash.
+TEST(MultiContentSession, RemovedGenerationFramesCountAsMalformed) {
+  // Type 2 and advertise flag bit 2 once carried a generation number.
+  // Both forms are retired, so a frame laid out that way — as an older
+  // peer would send it — is malformed: never delivered, never foreign,
+  // never a crash.
   EndpointConfig cfg;
   cfg.k = 8;
   cfg.payload_bytes = 16;
@@ -265,11 +209,31 @@ TEST(MultiContentSession, LegacyEndpointCountsGenerationTrafficAsForeign) {
   params.k = 8;
   params.payload_bytes = 16;
   Endpoint endpoint(cfg, make_node(Scheme::kLtnc, params));
+  const CodedPacket native =
+      CodedPacket::native(8, 0, Payload::deterministic(16, 1, 0));
+  constexpr std::uint8_t kGeneration = 1;
+
+  // Data frame: type byte 2, the generation varint ahead of the body.
   wire::Frame frame;
-  wire::serialize_generation(
-      0, CodedPacket::native(8, 0, Payload::deterministic(16, 1, 0)), frame);
-  EXPECT_EQ(endpoint.handle_frame(0, frame.bytes()), Endpoint::Event::kNone);
-  EXPECT_EQ(endpoint.stats().foreign_frames, 1u);
+  wire::serialize(native, frame);
+  std::vector<std::uint8_t> bytes(frame.bytes().begin(), frame.bytes().end());
+  bytes[1] = 2;
+  bytes.insert(bytes.begin() + 3, kGeneration);
+  EXPECT_EQ(endpoint.handle_frame(0, {bytes.data(), bytes.size()}),
+            Endpoint::Event::kMalformed);
+
+  // Advertise: version 2, flags bit 2, the generation varint after the
+  // header (content 0 carries no id field).
+  wire::serialize_advertise(native.coeffs, 16, frame);
+  bytes.assign(frame.bytes().begin(), frame.bytes().end());
+  bytes[0] = 2;
+  bytes[2] |= 0x04;
+  bytes.insert(bytes.begin() + 3, kGeneration);
+  EXPECT_EQ(endpoint.handle_frame(0, {bytes.data(), bytes.size()}),
+            Endpoint::Event::kMalformed);
+
+  EXPECT_EQ(endpoint.stats().malformed_frames, 2u);
+  EXPECT_EQ(endpoint.stats().foreign_frames, 0u);
   EXPECT_EQ(endpoint.stats().data_delivered, 0u);
 }
 

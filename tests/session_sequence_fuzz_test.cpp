@@ -38,24 +38,17 @@ std::unique_ptr<store::ContentStore> make_two_content_store() {
   plain.k = kK;
   plain.payload_bytes = kM;
   contents->register_content(plain);
-  store::ContentConfig gen;
-  gen.id = 2;
-  gen.k = kK;
-  gen.payload_bytes = kM;
-  gen.generations = 2;
-  contents->register_content(gen);
+  store::ContentConfig second = plain;
+  second.id = 2;
+  contents->register_content(second);
   return contents;
 }
 
 void seed_full(store::Content& content, std::uint64_t seed) {
-  for (std::uint32_t g = 0; g < content.generations(); ++g) {
-    for (std::size_t j = 0; j < content.k(); ++j) {
-      content.deliver(g, CodedPacket::native(
-                             content.k(), j,
-                             Payload::deterministic(content.payload_bytes(),
-                                                    seed, g * content.k() +
-                                                              j)));
-    }
+  for (std::size_t j = 0; j < content.k(); ++j) {
+    content.deliver(CodedPacket::native(
+        content.k(), j,
+        Payload::deterministic(content.payload_bytes(), seed, j)));
   }
 }
 
@@ -131,7 +124,7 @@ TEST(SessionSequenceFuzz, ReplayStormLeaksNothingAndNeverWedges) {
 
     // Phase 1: record every frame of a few legitimate conversation rounds
     // while also delivering it, so the pool spans the whole vocabulary —
-    // advertises, aborts, proceeds, data, generation data, acks.
+    // advertises, aborts, proceeds, data, acks.
     std::vector<std::vector<std::uint8_t>> pool;
     const auto drain = [&](Endpoint& from, Endpoint& to) {
       while (from.poll_transmit(dst, frame)) {

@@ -98,7 +98,8 @@ TEST(ShardHash, EveryFrameTypeOfAConversationRoutesToOneShard) {
 
   std::vector<wire::Frame> frames(6);
   wire::serialize(content, packet, frames[0]);
-  wire::serialize_generation(content, 2, packet, frames[1]);
+  wire::serialize_feedback(content, wire::MessageType::kProceed, 8,
+                           frames[1]);
   wire::serialize_feedback(content, wire::MessageType::kAbort, 9, frames[2]);
   wire::serialize_feedback(content, wire::MessageType::kAck, 10, frames[3]);
   const std::uint32_t leaders[] = {1, 5, 9};

@@ -331,9 +331,8 @@ TEST(SteadyStateAllocation, EndpointDataPathIsAllocationFree) {
 
 TEST(SteadyStateAllocation, MultiContentSwarmLoopIsAllocationFree) {
   // The multi-content data plane: SwarmScheduler pick → per-content emit
-  // (RLNC recode + generationed LTNC recode) → content-id framing →
-  // SimChannel → handle_frame routing (kCodedPacket and
-  // kGenerationPacket) → store delivery. Two saturated endpoints keep
+  // (RLNC recode + LTNC recode) → content-id framing → SimChannel →
+  // handle_frame routing → store delivery. Two saturated endpoints keep
   // exchanging; once warm, not one global allocation per push.
   const auto make_store = [] {
     auto contents = std::make_unique<ltnc::store::ContentStore>();
@@ -343,24 +342,19 @@ TEST(SteadyStateAllocation, MultiContentSwarmLoopIsAllocationFree) {
     rlnc.payload_bytes = 512;
     rlnc.scheme = session::Scheme::kRlnc;
     contents->register_content(rlnc);
-    ltnc::store::ContentConfig gen;
-    gen.id = 2;
-    gen.k = 16;
-    gen.payload_bytes = 512;
-    gen.generations = 2;
-    contents->register_content(gen);
+    ltnc::store::ContentConfig plain;
+    plain.id = 2;
+    plain.k = 16;
+    plain.payload_bytes = 512;
+    contents->register_content(plain);
     return contents;
   };
   const auto seed_full = [](ltnc::store::Content& content,
                             std::uint64_t seed) {
-    for (std::uint32_t g = 0; g < content.generations(); ++g) {
-      for (std::size_t j = 0; j < content.k(); ++j) {
-        content.deliver(
-            g, CodedPacket::native(
-                   content.k(), j,
-                   Payload::deterministic(content.payload_bytes(), seed,
-                                          g * content.k() + j)));
-      }
+    for (std::size_t j = 0; j < content.k(); ++j) {
+      content.deliver(CodedPacket::native(
+          content.k(), j,
+          Payload::deterministic(content.payload_bytes(), seed, j)));
     }
   };
   session::EndpointConfig cfg;

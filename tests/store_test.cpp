@@ -1,6 +1,5 @@
 // ContentStore / SwarmScheduler / chunker unit tests: registration and
-// lookup, generationed completion bitmaps, the rarest-first + round-robin
-// scheduling policy, and the bytes ⇄ blocks round trip behind the
+// lookup, the rarest-first + round-robin scheduling policy, and the bytes ⇄ blocks round trip behind the
 // multi-file transfer modes.
 #include <gtest/gtest.h>
 
@@ -98,8 +97,7 @@ TEST(ContentStore, RegistersFindsAndRejectsDuplicates) {
   EXPECT_EQ(store.find(7), &c);
   EXPECT_EQ(store.find(8), nullptr);
   EXPECT_EQ(store.size(), 1u);
-  EXPECT_FALSE(c.generationed());
-  EXPECT_EQ(c.total_blocks(), 16u);
+  EXPECT_EQ(c.k(), 16u);
   EXPECT_FALSE(store.all_complete());
 }
 
@@ -112,7 +110,7 @@ TEST(ContentStore, SeederOnlyContentIsNeverComplete) {
   Content& c = store.register_content(cfg, nullptr);
   EXPECT_FALSE(c.has_receiver());
   EXPECT_FALSE(c.can_emit());
-  EXPECT_TRUE(c.would_reject(0, BitVector::unit(8, 0)));  // vetoes everything
+  EXPECT_TRUE(c.would_reject(BitVector::unit(8, 0)));  // vetoes everything
   EXPECT_FALSE(store.all_complete());  // no decode state anywhere
 }
 
@@ -125,70 +123,14 @@ TEST(ContentStore, PlainContentDecodesAndVerifies) {
   Content& c = store.register_content(cfg);
   const std::uint64_t seed = 99;
   for (std::size_t i = 0; i < cfg.k; ++i) {
-    c.deliver(0, CodedPacket::native(
-                     cfg.k, i, Payload::deterministic(cfg.payload_bytes,
-                                                      seed, i)));
+    c.deliver(CodedPacket::native(
+        cfg.k, i, Payload::deterministic(cfg.payload_bytes, seed, i)));
   }
   EXPECT_TRUE(c.complete());
   EXPECT_TRUE(store.all_complete());
   EXPECT_TRUE(c.finish_and_verify(seed));
   EXPECT_FALSE(c.finish_and_verify(seed + 1));
-  EXPECT_EQ(c.completed_generation_count(), 1u);
   EXPECT_DOUBLE_EQ(c.fill_fraction(), 1.0);
-}
-
-TEST(ContentStore, GenerationedCompletionBitmapGrowsMonotonically) {
-  ContentStore store;
-  ContentConfig cfg;
-  cfg.id = 5;
-  cfg.k = 8;  // blocks per generation
-  cfg.payload_bytes = 32;
-  cfg.generations = 3;
-  Content& c = store.register_content(cfg);
-  ASSERT_TRUE(c.generationed());
-  EXPECT_EQ(c.generations(), 3u);
-  EXPECT_EQ(c.total_blocks(), 24u);
-  EXPECT_EQ(c.completed_generation_count(), 0u);
-
-  const std::uint64_t seed = 17;
-  std::size_t last_complete = 0;
-  for (std::uint32_t g = 0; g < 3; ++g) {
-    for (std::size_t j = 0; j < cfg.k; ++j) {
-      c.deliver(g, CodedPacket::native(
-                       cfg.k, j,
-                       Payload::deterministic(cfg.payload_bytes, seed,
-                                              g * cfg.k + j)));
-      // The bitmap only ever gains bits.
-      EXPECT_GE(c.completed_generation_count(), last_complete);
-      last_complete = c.completed_generation_count();
-    }
-    EXPECT_EQ(c.completed_generation_count(), g + 1u);
-    EXPECT_TRUE(c.completed_generations().test(g));
-  }
-  EXPECT_TRUE(c.complete());
-  EXPECT_TRUE(c.finish_and_verify(seed));
-}
-
-TEST(ContentStore, GenerationedEmitPicksScarcestGeneration) {
-  ContentStore store;
-  ContentConfig cfg;
-  cfg.id = 2;
-  cfg.k = 8;
-  cfg.payload_bytes = 16;
-  cfg.generations = 2;
-  Content& c = store.register_content(cfg);
-  // Only generation 1 holds material, so recoding must come from it.
-  for (std::size_t j = 0; j < cfg.k; ++j) {
-    c.deliver(1, CodedPacket::native(
-                     cfg.k, j, Payload::deterministic(cfg.payload_bytes,
-                                                      5, cfg.k + j)));
-  }
-  EXPECT_TRUE(c.can_emit());
-  Rng rng(3);
-  std::uint32_t generation = 99;
-  const auto packet = c.emit(generation, rng);
-  ASSERT_TRUE(packet.has_value());
-  EXPECT_EQ(generation, 1u);
 }
 
 TEST(SwarmScheduler, PicksRarestAndRoundRobinsTies) {
@@ -203,11 +145,11 @@ TEST(SwarmScheduler, PicksRarestAndRoundRobinsTies) {
   // Fill: content 1 fully, content 2 half, content 3 empty.
   for (std::size_t i = 0; i < 4; ++i) {
     store.find(1)->deliver(
-        0, CodedPacket::native(4, i, Payload::deterministic(16, 1, i)));
+        CodedPacket::native(4, i, Payload::deterministic(16, 1, i)));
   }
   for (std::size_t i = 0; i < 2; ++i) {
     store.find(2)->deliver(
-        0, CodedPacket::native(4, i, Payload::deterministic(16, 2, i)));
+        CodedPacket::native(4, i, Payload::deterministic(16, 2, i)));
   }
   SwarmScheduler scheduler;
   const std::uint8_t all[] = {1, 1, 1};
@@ -230,7 +172,7 @@ TEST(SwarmScheduler, PicksRarestAndRoundRobinsTies) {
     seeders.register_content(cfg);
     for (std::size_t i = 0; i < 2; ++i) {
       seeders.find(id)->deliver(
-          0, CodedPacket::native(2, i, Payload::deterministic(8, id, i)));
+          CodedPacket::native(2, i, Payload::deterministic(8, id, i)));
     }
   }
   SwarmScheduler rr;

@@ -14,7 +14,6 @@
 #include "common/coded_packet.hpp"
 #include "common/payload.hpp"
 #include "common/rng.hpp"
-#include "core/generations.hpp"
 #include "wire/frame.hpp"
 
 namespace ltnc::wire {
@@ -80,27 +79,22 @@ TEST(WireCodec, ZeroDegreeAndFullDegreeRoundTrip) {
   }
 }
 
-TEST(WireCodec, GenerationPacketRoundTrips) {
-  Rng rng(103);
-  for (const std::uint32_t generation :
-       {0u, 1u, 127u, 128u, 0xFFFFu, 0xFFFFFFFFu}) {
-    const CodedPacket original(random_coeffs(96, 5, rng),
-                               random_payload(33, rng));
-    Frame frame;
-    serialize_generation(generation, original, frame);
-    EXPECT_EQ(frame.size(), serialized_size_generation(generation, original));
-
-    std::uint32_t decoded_gen = 0;
-    CodedPacket decoded;
-    ASSERT_EQ(deserialize_generation(frame.bytes(), decoded_gen, decoded),
-              DecodeStatus::kOk);
-    EXPECT_EQ(decoded_gen, generation);
-    EXPECT_EQ(decoded.coeffs, original.coeffs);
-    EXPECT_EQ(decoded.payload, original.payload);
-
-    core::GenerationPacket pkt{generation, original};
-    EXPECT_EQ(pkt.wire_bytes(), frame.size());
-  }
+/// `advertise` must equal the data frame of `packet` for `content` with
+/// the type byte swapped and the payload span cut off.
+void expect_advertise_is_packet_minus_payload(const Frame& advertise,
+                                              ContentId content,
+                                              const CodedPacket& packet) {
+  Frame data;
+  serialize(content, packet, data);
+  const std::size_t m = packet.payload.size_bytes();
+  ASSERT_EQ(advertise.size() + m, data.size());
+  EXPECT_EQ(advertise.bytes()[1],
+            static_cast<std::uint8_t>(MessageType::kAdvertise));
+  EXPECT_EQ(data.bytes()[1],
+            static_cast<std::uint8_t>(MessageType::kCodedPacket));
+  EXPECT_EQ(advertise.bytes()[0], data.bytes()[0]);  // version agrees
+  EXPECT_TRUE(std::equal(advertise.bytes().begin() + 2,
+                         advertise.bytes().end(), data.bytes().begin() + 2));
 }
 
 TEST(WireCodec, AdvertiseRoundTrips) {
@@ -122,14 +116,19 @@ TEST(WireCodec, AdvertiseRoundTrips) {
 
     // The identity the session layer's traffic accounting rests on: an
     // advertise is the coded-packet frame minus its payload span, byte
-    // for byte.
+    // for byte — with the default content and with a content id, the
+    // case the simulator's multi-content byte counts rely on.
     const CodedPacket packet(coeffs, Payload(m));
     EXPECT_EQ(frame.size(), serialized_size(packet) - m);
-    Frame packet_frame;
-    serialize(packet, packet_frame);
-    // Same adaptive coeff encoding chosen, same prefix layout — only the
-    // type byte and the missing payload differ.
-    EXPECT_EQ(frame.bytes()[2], packet_frame.bytes()[2]);  // flags agree
+    expect_advertise_is_packet_minus_payload(frame, ContentId{0}, packet);
+
+    AdvertiseInfo info;
+    info.content = 1 + static_cast<ContentId>(rep) * 131;  // 1- and 2-byte
+    info.payload_bytes = m;
+    serialize_advertise(info, coeffs, frame);
+    EXPECT_EQ(frame.size(), serialized_size_advertise(info, coeffs));
+    EXPECT_EQ(frame.size(), serialized_size(info.content, packet) - m);
+    expect_advertise_is_packet_minus_payload(frame, info.content, packet);
   }
 }
 
@@ -190,13 +189,20 @@ TEST(WireCodec, PeekTypeSeesEveryMessage) {
   ASSERT_EQ(peek_type(frame.bytes(), type), DecodeStatus::kOk);
   EXPECT_EQ(type, MessageType::kCodedPacket);
 
-  serialize_feedback(MessageType::kAck, 9, frame);
-  ASSERT_EQ(peek_type(frame.bytes(), type), DecodeStatus::kOk);
-  EXPECT_EQ(type, MessageType::kAck);
+  for (const MessageType feedback : {MessageType::kAbort, MessageType::kAck,
+                                     MessageType::kProceed}) {
+    serialize_feedback(feedback, 9, frame);
+    ASSERT_EQ(peek_type(frame.bytes(), type), DecodeStatus::kOk);
+    EXPECT_EQ(type, feedback);
+  }
 
   serialize_cc({}, frame);
   ASSERT_EQ(peek_type(frame.bytes(), type), DecodeStatus::kOk);
   EXPECT_EQ(type, MessageType::kCcArray);
+
+  serialize_advertise(BitVector::unit(8, 2), 4, frame);
+  ASSERT_EQ(peek_type(frame.bytes(), type), DecodeStatus::kOk);
+  EXPECT_EQ(type, MessageType::kAdvertise);
 }
 
 // -- v2 content multiplexing ------------------------------------------------
@@ -218,13 +224,6 @@ TEST(WireCodec, ContentIdRoundTripsOnEveryType) {
     EXPECT_EQ(decoded_cid, cid);
     EXPECT_EQ(packet.coeffs, original.coeffs);
 
-    serialize_generation(cid, 7, original, frame);
-    std::uint32_t gen = 0;
-    ASSERT_EQ(deserialize_generation(frame.bytes(), decoded_cid, gen, packet),
-              DecodeStatus::kOk);
-    EXPECT_EQ(decoded_cid, cid);
-    EXPECT_EQ(gen, 7u);
-
     serialize_feedback(cid, MessageType::kProceed, 99, frame);
     MessageType type{};
     std::uint64_t token = 0;
@@ -243,13 +242,11 @@ TEST(WireCodec, ContentIdRoundTripsOnEveryType) {
   }
 }
 
-TEST(WireCodec, AdvertiseCarriesContentAndGeneration) {
+TEST(WireCodec, AdvertiseCarriesContent) {
   Rng rng(109);
   const BitVector coeffs = random_coeffs(48, 6, rng);
   AdvertiseInfo info;
   info.content = 321;
-  info.has_generation = true;
-  info.generation = 5;
   info.payload_bytes = 100;
   Frame frame;
   serialize_advertise(info, coeffs, frame);
@@ -260,8 +257,6 @@ TEST(WireCodec, AdvertiseCarriesContentAndGeneration) {
   ASSERT_EQ(deserialize_advertise(frame.bytes(), decoded, out),
             DecodeStatus::kOk);
   EXPECT_EQ(out.content, info.content);
-  EXPECT_TRUE(out.has_generation);
-  EXPECT_EQ(out.generation, info.generation);
   EXPECT_EQ(out.payload_bytes, info.payload_bytes);
   EXPECT_EQ(decoded, coeffs);
 }
@@ -383,6 +378,12 @@ TEST(WireCodec, RejectsUnknownType) {
   frame.mutable_bytes()[1] = 0x7F;
   CodedPacket decoded;
   EXPECT_EQ(deserialize(frame.bytes(), decoded), DecodeStatus::kBadType);
+  // Type 2 lies inside the live 1–7 range but is retired (it carried a
+  // generation number): the header check itself refuses it.
+  frame.mutable_bytes()[1] = 2;
+  MessageType type{};
+  EXPECT_EQ(peek_type(frame.bytes(), type), DecodeStatus::kBadType);
+  EXPECT_EQ(deserialize(frame.bytes(), decoded), DecodeStatus::kBadType);
 }
 
 TEST(WireCodec, RejectsMismatchedType) {
@@ -398,6 +399,22 @@ TEST(WireCodec, RejectsReservedFlagBits) {
   frame.mutable_bytes()[2] |= 0x80;
   CodedPacket decoded;
   EXPECT_EQ(deserialize(frame.bytes(), decoded), DecodeStatus::kMalformed);
+
+  // Bit 2 is retired: it announced a generation varint right after the
+  // content id. An advertise carrying both, laid out exactly as that
+  // retired form was, is malformed.
+  AdvertiseInfo info;
+  info.content = 5;
+  info.payload_bytes = 8;
+  serialize_advertise(info, BitVector::unit(16, 3), frame);
+  std::vector<std::uint8_t> bytes(frame.bytes().begin(), frame.bytes().end());
+  ASSERT_EQ(bytes[3], 5u);  // the content-id varint follows the header
+  bytes[2] |= 0x04;
+  bytes.insert(bytes.begin() + 4, std::uint8_t{3});  // generation 3
+  BitVector coeffs;
+  AdvertiseInfo out;
+  EXPECT_EQ(deserialize_advertise({bytes.data(), bytes.size()}, coeffs, out),
+            DecodeStatus::kMalformed);
 }
 
 TEST(WireCodec, RejectsDirtyTailBitsInDenseBitmap) {

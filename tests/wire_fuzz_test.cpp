@@ -6,6 +6,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <vector>
 
 #include "common/coded_packet.hpp"
@@ -35,14 +36,6 @@ bool decode_any(std::span<const std::uint8_t> frame) {
     EXPECT_EQ(packet.degree(), packet.coeffs.indices().size());
   }
 
-  std::uint32_t generation = 0;
-  CodedPacket gen_packet;
-  if (deserialize_generation(frame, generation, gen_packet) ==
-      DecodeStatus::kOk) {
-    accepted = true;
-    EXPECT_EQ(gen_packet.degree(), gen_packet.coeffs.indices().size());
-  }
-
   MessageType type{};
   std::uint64_t token = 0;
   if (deserialize_feedback(frame, type, token) == DecodeStatus::kOk) {
@@ -63,7 +56,8 @@ bool decode_any(std::span<const std::uint8_t> frame) {
   return accepted;
 }
 
-/// One valid serialized frame of each message type, varied by `rng`.
+/// One valid serialized frame of each message type, varied by `rng`, plus
+/// a data frame carrying a content id (the v2 layout).
 std::vector<Frame> sample_frames(Rng& rng) {
   std::vector<Frame> frames(6);
   const std::size_t k = 1 + rng.uniform(300);
@@ -71,8 +65,8 @@ std::vector<Frame> sample_frames(Rng& rng) {
   const CodedPacket packet(random_coeffs(k, rng.uniform(k + 1), rng),
                            Payload::deterministic(m, rng.next(), 0));
   serialize(packet, frames[0]);
-  serialize_generation(static_cast<std::uint32_t>(rng.next()), packet,
-                       frames[1]);
+  serialize(static_cast<ContentId>(1 + rng.uniform(0x3FFF)), packet,
+            frames[1]);
   serialize_feedback(rng.chance(0.5) ? MessageType::kAbort : MessageType::kAck,
                      rng.next(), frames[2]);
   std::vector<std::uint32_t> leaders(rng.uniform(50));
@@ -144,7 +138,13 @@ TEST(WireFuzz, PureGarbageNeverCrashes) {
 }
 
 TEST(WireFuzz, GarbageWithValidHeaderNeverCrashes) {
-  // Force the header checks to pass so the body parsers get exercised.
+  // Force the header checks to pass so the body parsers get exercised:
+  // every live type, with any combination of the sparse and content-id
+  // flag bits.
+  constexpr MessageType kLiveTypes[] = {
+      MessageType::kCodedPacket, MessageType::kAbort,
+      MessageType::kAck,         MessageType::kCcArray,
+      MessageType::kAdvertise,   MessageType::kProceed};
   Rng rng(7005);
   for (int rep = 0; rep < 400; ++rep) {
     Frame frame;
@@ -153,9 +153,9 @@ TEST(WireFuzz, GarbageWithValidHeaderNeverCrashes) {
       frame.mutable_bytes()[i] = static_cast<std::uint8_t>(rng.next());
     }
     frame.mutable_bytes()[0] = kProtocolVersion;
-    frame.mutable_bytes()[1] =
-        static_cast<std::uint8_t>(1 + rng.uniform(5));  // every known type
-    frame.mutable_bytes()[2] = static_cast<std::uint8_t>(rng.uniform(2));
+    frame.mutable_bytes()[1] = static_cast<std::uint8_t>(
+        kLiveTypes[rng.uniform(std::size(kLiveTypes))]);
+    frame.mutable_bytes()[2] = static_cast<std::uint8_t>(rng.uniform(4));
     decode_any(frame.bytes());
   }
 }
