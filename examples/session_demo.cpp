@@ -62,14 +62,14 @@ int main(int argc, char** argv) {
 
   const auto make_store = [&] {
     auto contents = std::make_unique<store::ContentStore>();
-    store::ContentConfig cfg;
-    cfg.k = k;  // the plain file's blocks, and each generation's
-    cfg.payload_bytes = payload;
-    cfg.id = kPlainContent;
-    contents->register_content(cfg);
+    store::ContentConfig content;
+    content.k = k;  // the plain file's blocks, and each generation's
+    content.payload_bytes = payload;
+    content.id = kPlainContent;
+    contents->register_content(content);
     for (std::size_t g = 0; g < kGenerations; ++g) {
-      cfg.id = gen_content(g);
-      contents->register_content(cfg);
+      content.id = gen_content(g);
+      contents->register_content(content);
     }
     return contents;
   };
