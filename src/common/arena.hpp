@@ -2,27 +2,44 @@
 //
 // Every BitVector and Payload leases its 64-bit limb array from an arena
 // instead of owning a heap allocation. Freed arrays go onto per-size-class
-// free lists and are handed back on the next lease, so the encode / recode
-// / decode loops — which create and destroy packets at a furious rate but
-// over a tiny set of distinct sizes (k-bit code vectors, m-byte payloads)
-// — run allocation-free at steady state. Blocks are 64-byte aligned for
-// the SIMD kernels and zero-filled on lease.
+// LIFO free lists and are handed back on the next lease, so the encode /
+// recode / decode loops — which create and destroy packets at a furious
+// rate but over a tiny set of distinct sizes (k-bit code vectors, m-byte
+// payloads) — run allocation-free at steady state. Blocks are zero-filled
+// on lease.
 //
-// The default arena is thread-local; the main thread's instance is
-// intentionally leaked at process exit (static-destruction-order safety:
-// a static-duration BitVector may release after the arena's natural
-// destruction point). The library is single-threaded per *node*: one
-// endpoint's coding state always lives on one thread. Buffers may still
-// cross threads by ownership transfer (the SPSC frame rings swap whole
-// WordBuf leases between an I/O thread and a shard worker); a buffer
-// released on a thread other than the one that leased it simply lands in
-// that thread's free lists — the block memory is plain aligned operator
-// new, so recycling and freeing it anywhere is safe. Only the per-arena
-// Stats become a *local* view then: lease/release balance holds summed
-// across the participating threads, not per thread (the threaded tests
-// assert exactly that). Worker threads that touched the arena should call
-// WordArena::reclaim_local() before exiting so their cached blocks (and
-// the arena object itself) are freed rather than leaked.
+// Fresh blocks are carved side by side from 64 KiB slabs rather than each
+// being its own heap allocation; a size class above a quarter slab gets a
+// slab of its own. Each block is aligned to its size class up to 64 bytes:
+// blocks of 8 or more words are cache-line aligned for the SIMD kernels,
+// and smaller ones never straddle a cache line.
+//
+// Lifetime contract. Slabs are never freed. They belong to one
+// process-wide owner that is leaked at exit, like the main thread's arena,
+// so a block stays valid for as long as anything can lease, hold or list
+// it. The default arena is thread-local; the main thread's instance is
+// intentionally leaked (static-destruction-order safety: a static-duration
+// BitVector may release after the arena's natural destruction point). The
+// library is single-threaded per *node*: one endpoint's coding state
+// always lives on one thread. Buffers may still cross threads by ownership
+// transfer (the SPSC frame rings swap whole WordBuf leases between an I/O
+// thread and a shard worker); a buffer released on a thread other than the
+// one that leased it simply lands in that thread's free lists. Only the
+// per-arena Stats become a *local* view then: lease/release balance holds
+// summed across the participating threads, not per thread (the threaded
+// tests assert exactly that). An arena that is destroyed — a worker's
+// through WordArena::reclaim_local(), which worker threads should call
+// before exiting, or a local one — hands its cached blocks and the uncarved
+// rest of its slab to the owner, and any arena that later finds its own
+// free list of a class empty takes the owner's list of that class before
+// carving. So a thread that comes and goes strands no blocks, and the
+// slab footprint does not grow with the number of such threads.
+//
+// Under AddressSanitizer the blocks keep their overrun checks although
+// they sit side by side without redzones: a slab's uncarved part, every
+// listed block and the slack between a lease's words and its size class
+// are poisoned, and a lease unpoisons exactly the words it hands out, so a
+// write past a lease or a read after release reports use-after-poison.
 #pragma once
 
 #include <cstddef>
@@ -34,22 +51,29 @@ namespace ltnc {
 
 class WordArena {
  public:
+  /// Bytes of one slab that fresh blocks are carved from.
+  static constexpr std::size_t kSlabBytes = 64 * 1024;
+
   struct Stats {
     std::uint64_t leases = 0;        ///< total lease calls
     std::uint64_t releases = 0;      ///< total release calls
-    std::uint64_t fresh_blocks = 0;  ///< leases served by a new heap block
-    std::uint64_t recycled_blocks = 0;  ///< leases served from a free list
+    std::uint64_t fresh_blocks = 0;  ///< leases served by a newly carved block
+    /// Leases served from a free list: this arena's, or one a destroyed
+    /// arena handed to the slab owner.
+    std::uint64_t recycled_blocks = 0;
     std::uint64_t live_words = 0;    ///< words currently leased out
   };
 
   WordArena() = default;
+  /// Hands the cached blocks and the uncarved slab tail to the slab owner
+  /// for later arenas. Outstanding leases stay valid.
   ~WordArena();
 
   WordArena(const WordArena&) = delete;
   WordArena& operator=(const WordArena&) = delete;
 
-  /// Leases a zero-filled array of at least `words` limbs (64-byte
-  /// aligned). Returns nullptr for words == 0.
+  /// Leases a zero-filled array of at least `words` limbs, aligned to its
+  /// size class up to 64 bytes. Returns nullptr for words == 0.
   std::uint64_t* lease(std::size_t words);
 
   /// Leases without the zero-fill — for callers that overwrite the whole
@@ -60,9 +84,6 @@ class WordArena {
   /// same `words` it was leased with.
   void release(std::uint64_t* ptr, std::size_t words);
 
-  /// Frees every cached block. Outstanding leases stay valid.
-  void trim();
-
   const Stats& stats() const { return stats_; }
 
   /// The calling thread's default arena (the main thread's is never
@@ -70,15 +91,18 @@ class WordArena {
   /// through this.
   static WordArena& local();
 
-  /// Destroys the calling thread's default arena, freeing every cached
-  /// block — worker-thread exit hygiene, so short-lived shard threads do
-  /// not leak their recycling caches (the leak checker would flag them
-  /// once the thread's TLS is gone). Every object holding a lease from
-  /// this thread must be gone or already transferred to another thread;
-  /// a later local() call on this thread starts a fresh arena. The main
-  /// thread must not call this (its arena outlives static destructors on
-  /// purpose).
+  /// Destroys the calling thread's default arena, handing its cached
+  /// blocks to the slab owner — worker-thread exit hygiene, so short-lived
+  /// shard threads neither leak their arena nor strand their recycling
+  /// caches. Every object holding a lease from this thread must be gone
+  /// or already transferred to another thread; a later local() call on
+  /// this thread starts a fresh arena. The main thread must not call this
+  /// (its arena outlives static destructors on purpose).
   static void reclaim_local();
+
+  /// Bytes of slab memory the process has allocated so far. Slabs are
+  /// never freed, so this only grows.
+  static std::size_t slab_footprint_bytes();
 
  private:
   /// Free-list index: words are rounded up to the next power of two so a
@@ -88,7 +112,13 @@ class WordArena {
     return std::size_t{1} << cls;
   }
 
+  /// A block of `bytes` (a class size) from the current slab, moving to a
+  /// new one when it does not fit.
+  std::uint64_t* carve(std::size_t bytes);
+
   std::vector<std::vector<std::uint64_t*>> free_lists_;
+  std::uintptr_t cursor_ = 0;  ///< uncarved part of the current slab:
+  std::uintptr_t end_ = 0;     ///< [cursor_, end_)
   Stats stats_;
 };
 

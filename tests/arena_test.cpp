@@ -1,12 +1,18 @@
 // WordArena lease/recycle invariants: blocks are zero-filled on lease even
 // after a dirty release, outstanding leases never alias, freed blocks are
-// recycled rather than re-allocated, and WordBuf value semantics hold.
+// recycled rather than re-allocated, blocks align to their size class,
+// blocks outlive the thread that leased them, the slab footprint stays
+// flat over worker lifetimes, ASan still catches overruns and reads after
+// release, and WordBuf value semantics hold.
 #include "common/arena.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <set>
+#include <thread>
 #include <vector>
 
 namespace ltnc {
@@ -91,6 +97,95 @@ TEST(WordArena, StatsTrackLiveWords) {
   arena.release(b, 20);
   EXPECT_EQ(arena.stats().live_words, 0u);
 }
+
+TEST(WordArena, BlocksAlignToTheirSizeClassUpToACacheLine) {
+  WordArena arena;
+  for (std::size_t words : {1, 2, 3, 4, 5, 8, 33, 100}) {
+    std::vector<std::uint64_t*> leases;
+    for (int i = 0; i < 9; ++i) leases.push_back(arena.lease(words));
+    const std::size_t class_bytes = std::bit_ceil(words) * 8;
+    const std::size_t align = std::min<std::size_t>(class_bytes, 64);
+    for (std::uint64_t* p : leases) {
+      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % align, 0u)
+          << words << " words";
+      arena.release(p, words);
+    }
+  }
+}
+
+TEST(WordArena, BlockOutlivesTheWorkerThatLeasedIt) {
+  WordBuf moved;
+  std::thread worker([&] {
+    {
+      WordBuf buf(33);
+      for (std::size_t i = 0; i < 33; ++i) buf[i] = i + 1;
+      moved = std::move(buf);
+    }
+    WordArena::reclaim_local();
+  });
+  worker.join();
+  // The worker's arena is gone; the block it leased is still good here.
+  ASSERT_EQ(moved.size(), 33u);
+  for (std::size_t i = 0; i < 33; ++i) EXPECT_EQ(moved[i], i + 1);
+  for (std::size_t i = 0; i < 33; ++i) moved[i] = ~i;
+  for (std::size_t i = 0; i < 33; ++i) EXPECT_EQ(moved[i], ~i);
+  const std::uint64_t* block = moved.data();
+  moved = WordBuf();  // released into the main thread's arena
+  WordBuf again(33);
+  EXPECT_EQ(again.data(), block) << "the released block should be reused";
+  for (std::size_t i = 0; i < 33; ++i) EXPECT_EQ(again[i], 0u);
+}
+
+TEST(WordArena, WorkerLifetimesReuseRetiredBlocks) {
+  // Each short-lived worker leases and releases 1,000 blocks of two size
+  // classes and reclaims its arena. Later workers take the blocks earlier
+  // ones handed over, so the slab footprint stays flat.
+  constexpr std::size_t kBlocks = 1000;
+  constexpr std::size_t kSmall = 3;   // 4-word class
+  constexpr std::size_t kLarge = 70;  // 128-word class
+  auto lifetime = [] {
+    std::thread worker([] {
+      WordArena& arena = WordArena::local();
+      std::vector<std::uint64_t*> small;
+      std::vector<std::uint64_t*> large;
+      for (std::size_t i = 0; i < kBlocks; ++i) {
+        small.push_back(arena.lease(kSmall));
+        large.push_back(arena.lease(kLarge));
+        small.back()[kSmall - 1] = i;
+        large.back()[kLarge - 1] = i;
+      }
+      for (std::uint64_t* p : small) arena.release(p, kSmall);
+      for (std::uint64_t* p : large) arena.release(p, kLarge);
+      WordArena::reclaim_local();
+    });
+    worker.join();
+  };
+  lifetime();
+  const std::size_t after_first = WordArena::slab_footprint_bytes();
+  for (int i = 1; i < 50; ++i) lifetime();
+  EXPECT_LE(WordArena::slab_footprint_bytes(),
+            after_first + 2 * WordArena::kSlabBytes);
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+// Blocks carved side by side have no redzones between them; the arena's
+// own poisoning must still catch what a per-block heap allocation did.
+TEST(WordArenaDeathTest, WritePastALeaseIsUseAfterPoison) {
+  WordArena arena;
+  std::uint64_t* p = arena.lease(33);  // a 64-word class block
+  volatile std::uint64_t* v = p;
+  EXPECT_DEATH(v[33] = 1, "use-after-poison");
+  arena.release(p, 33);
+}
+
+TEST(WordArenaDeathTest, ReadAfterReleaseIsUseAfterPoison) {
+  WordArena arena;
+  std::uint64_t* p = arena.lease(8);
+  arena.release(p, 8);
+  volatile std::uint64_t* v = p;
+  EXPECT_DEATH(static_cast<void>(v[0]), "use-after-poison");
+}
+#endif
 
 TEST(WordBuf, ValueSemantics) {
   WordBuf a(8);
