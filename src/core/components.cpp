@@ -14,12 +14,15 @@ ComponentTracker::ComponentTracker(std::size_t k, std::size_t payload_bytes,
       decoded_value_(std::move(decoded_value)),
       leader_(k),
       size_(k, 1),
+      undecoded_(k, 1),
+      next_member_(k),
       parent_(k, -1),
       edge_payload_(k, Payload(0)),
       heaps_(k) {
   LTNC_CHECK_MSG(k > 0, "code length must be positive");
   for (std::size_t x = 0; x < k; ++x) {
     leader_[x] = static_cast<std::uint32_t>(x) + 1;  // singleton components
+    next_member_[x] = static_cast<NativeIndex>(x);
     heaps_[x].push_back(HeapEntry{0, static_cast<NativeIndex>(x)});
   }
 }
@@ -94,6 +97,8 @@ void ComponentTracker::add_edge(NativeIndex a, NativeIndex b,
   parent_[rb] = static_cast<std::int32_t>(ra);
   edge_payload_[rb] = std::move(edge);
   size_[ra] += size_[rb];
+  undecoded_[ra] += undecoded_[rb];
+  std::swap(next_member_[ra], next_member_[rb]);  // splice the two cycles
 
   // Relabel the absorbed component and merge its heap (small-to-large).
   const std::uint32_t old_leader = rb + 1;
@@ -116,10 +121,24 @@ void ComponentTracker::mark_decoded(NativeIndex x,
                                     std::uint64_t current_occurrences) {
   LTNC_CHECK_MSG(x < k_, "native index out of range");
   LTNC_CHECK_MSG(leader_[x] != 0, "native decoded twice");
+  const NativeIndex root = leader_[x] - 1;
+  LTNC_DCHECK(parent_[root] < 0);
   leader_[x] = 0;
   ++decoded_size_;
   heap_push(decoded_heap_, HeapEntry{current_occurrences, x});
-  // The stale entry in the old component's heap is discarded lazily.
+  // The stale entry in the old component's heap is discarded lazily, or
+  // with the whole heap once the component's last member decodes.
+  if (--undecoded_[root] == 0) release_component(root);
+}
+
+void ComponentTracker::release_component(NativeIndex root) {
+  NativeIndex m = root;
+  do {
+    edge_payload_[m] = Payload(0);
+    m = next_member_[m];
+  } while (m != root);
+  heaps_[root].clear();
+  heaps_[root].shrink_to_fit();
 }
 
 Payload ComponentTracker::materialize(NativeIndex a, NativeIndex b,

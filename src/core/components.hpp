@@ -12,6 +12,9 @@
 //     "least frequent equivalent native" query is O(log k) amortised
 //     (occurrence counts only grow, so stale heap entries are simply
 //     re-inserted with their current count when popped).
+// Once every member of a component is decoded, nothing reads its forest
+// or its heap again (decoded natives materialise from decoded values and
+// are picked from the decoded component's heap), so both are freed.
 #pragma once
 
 #include <cstddef>
@@ -95,12 +98,18 @@ class ComponentTracker {
 
   Heap& heap_for_leader(std::uint32_t leader) const;
 
+  /// Frees the forest payloads and the heap of the component rooted at
+  /// `root`, whose members are all decoded.
+  void release_component(NativeIndex root);
+
   std::size_t k_;
   std::size_t payload_bytes_;
   DecodedLookup decoded_value_;
 
   std::vector<std::uint32_t> leader_;  ///< 0 = decoded, else root + 1
   std::vector<std::uint32_t> size_;    ///< live member count, valid at roots
+  std::vector<std::uint32_t> undecoded_;  ///< undecoded members, at roots
+  std::vector<NativeIndex> next_member_;  ///< circular list of each component
   // The spanning forest and the per-component heaps are amortisation
   // caches: queries reorganise them (path compression, lazy heap refresh)
   // without changing any observable state, hence mutable.

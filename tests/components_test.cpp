@@ -5,6 +5,7 @@
 #include <map>
 #include <vector>
 
+#include "common/arena.hpp"
 #include "common/rng.hpp"
 
 namespace ltnc::core {
@@ -109,6 +110,26 @@ TEST(ComponentTracker, DecodedComponentMaterialises) {
   EXPECT_EQ(f.tracker.cc(4), 0u);
   EXPECT_TRUE(f.tracker.connected(1, 4));
   EXPECT_EQ(f.tracker.materialize(1, 4, f.ops), f.xor_of(1, 4));
+}
+
+TEST(ComponentTracker, DecodingTheLastMemberFreesTheForest) {
+  // Four natives joined by three edges hold three forest payloads, which
+  // undecoded members route through until the last of them decodes.
+  Fixture f(6);
+  f.edge(0, 1);
+  f.edge(2, 3);
+  f.edge(1, 2);
+  for (NativeIndex x = 0; x < 4; ++x) f.decoded.emplace(x, f.natives[x]);
+  const std::uint64_t payload_words = (kM + 7) / 8;
+  const WordArena::Stats& stats = WordArena::local().stats();
+  const std::uint64_t before = stats.live_words;
+  f.tracker.mark_decoded(0, 0);
+  f.tracker.mark_decoded(3, 0);
+  f.tracker.mark_decoded(2, 0);
+  EXPECT_EQ(stats.live_words, before);
+  f.tracker.mark_decoded(1, 0);
+  EXPECT_EQ(stats.live_words, before - 3 * payload_words);
+  EXPECT_EQ(f.tracker.materialize(3, 0, f.ops), f.xor_of(3, 0));
 }
 
 TEST(ComponentTracker, PaperFigure5Merge) {
