@@ -274,7 +274,7 @@ int run_udp_dir_sender(net::UdpTransport& transport,
   while (!sender.peer_completed_all(0) && sent.frames < max_frames) {
     offer_unacked(sender, files, encoders, rng);
     flush(sender, transport, frame, sent);
-    if (sent.frames % 16 == 0 && transport.recv(feedback)) {
+    while (transport.recv(feedback)) {
       sender.handle_frame(0, feedback.bytes());
     }
   }
