@@ -149,7 +149,17 @@ TEST(EventEngineScale, ChurnFlowsThroughTheWheel) {
       run_event_simulation(session::Scheme::kLtnc, cfg, EngineMode::kScale);
   EXPECT_TRUE(res.all_complete);
   EXPECT_TRUE(res.payloads_verified);
-  EXPECT_GT(res.nodes_churned, 0u);
+
+  // Whether that run churns at all depends on the draw. At churn_rate 1
+  // every round's coin flip succeeds, so each round churns exactly one
+  // node whatever the seed.
+  cfg.churn_rate = 1.0;
+  cfg.stop_when_complete = false;
+  cfg.max_rounds = 20;
+  const SimResult every_round =
+      run_event_simulation(session::Scheme::kLtnc, cfg, EngineMode::kScale);
+  EXPECT_EQ(every_round.rounds_run, 20u);
+  EXPECT_EQ(every_round.nodes_churned, every_round.rounds_run);
 }
 
 TEST(EventEngineScale, OverhearsFlowThroughTheWheel) {
