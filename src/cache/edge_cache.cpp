@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/check.hpp"
+#include "wire/codec.hpp"
 
 namespace ltnc::cache {
 
@@ -180,7 +181,7 @@ bool EdgeCache::admit(ContentId id, const CodedPacket& symbol) {
     ++stats_.rejected_full;
     return false;
   }
-  const std::size_t cost = symbol.wire_bytes();
+  const std::size_t cost = wire::serialized_size(id, symbol);
   if (bytes_used_ + cost > cfg_.capacity_bytes &&
       !make_room(cost, id)) {
     ++stats_.rejected_capacity;
@@ -211,7 +212,7 @@ void EdgeCache::canonicalize(Entry& entry) {
   for (std::size_t i = 0; i < entry.k; ++i) {
     natives.push_back(
         CodedPacket::native(entry.k, i, entry.shadow->native_payload(i)));
-    bytes += natives.back().wire_bytes();
+    bytes += wire::serialized_size(entry.id, natives.back());
   }
   LTNC_DCHECK(bytes <= entry.bytes);
   bytes_used_ -= entry.bytes;

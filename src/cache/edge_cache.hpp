@@ -50,9 +50,9 @@ const char* policy_name(Policy policy);
 std::optional<Policy> policy_from_string(std::string_view name);
 
 struct EdgeCacheConfig {
-  /// Byte budget over stored symbols, measured in exact wire bytes
-  /// (CodedPacket::wire_bytes) so the budget and the backhaul accounting
-  /// can never drift.
+  /// Byte budget over stored symbols, each charged the exact size of the
+  /// frame that serves it (wire::serialized_size with the entry's content
+  /// id), so the budget and the backhaul accounting can never drift.
   std::size_t capacity_bytes = 1 << 20;
   Policy policy = Policy::kLru;
   /// Cap on stored symbols per content as a fraction over k: an entry
@@ -136,7 +136,7 @@ class EdgeCache {
   /// Per-content stored-symbol cap: ceil(k·(1+full_overhead)).
   std::size_t full_symbol_cap(std::size_t k) const;
   /// Planning estimate of one symbol's wire cost (header + dense code
-  /// vector + payload). Accounting always uses the exact wire_bytes().
+  /// vector + payload). Accounting always uses the exact frame size.
   static std::size_t symbol_cost_estimate(std::size_t k,
                                           std::size_t payload_bytes);
 

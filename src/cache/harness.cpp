@@ -18,6 +18,7 @@
 #include "session/endpoint.hpp"
 #include "store/content_store.hpp"
 #include "stream/stream_source.hpp"
+#include "wire/codec.hpp"
 #include "wire/frame.hpp"
 
 namespace ltnc::cache {
@@ -132,7 +133,7 @@ void fill_one(EdgeCache& cache, ContentId id, std::size_t k,
               CacheRunStats* out, const Instruments* inst) {
   if (!cache.wants_symbols(id)) return;
   const auto account = [&](const CodedPacket& packet) {
-    const std::uint64_t bytes = packet.wire_bytes();
+    const std::uint64_t bytes = wire::serialized_size(id, packet);
     if (out != nullptr) {
       ++out->fill_symbols;
       out->fill_bytes += bytes;
@@ -301,7 +302,7 @@ CacheRunStats run_event_cache(const EventCacheConfig& config) {
            ++i) {
         const CodedPacket& pkt = stored[i % held];
         ++sent_edge;
-        out.edge_bytes += pkt.wire_bytes();
+        out.edge_bytes += wire::serialized_size(id, pkt);
         if (req_rng.chance(sc.loss_rate)) continue;
         ++oc.symbols_from_edge;
         if (decoder.receive(pkt) != lt::ReceiveResult::kDuplicate) ++distinct;
@@ -320,9 +321,9 @@ CacheRunStats run_event_cache(const EventCacheConfig& config) {
       while (!decoder.complete() && sent_source < cap) {
         const CodedPacket pkt = encoders[slot]->encode(req_rng);
         ++sent_source;
-        const std::uint64_t wire = pkt.wire_bytes();
-        out.backhaul_bytes += wire;
-        inst.backhaul_bytes->add(wire);
+        const std::uint64_t frame_bytes = wire::serialized_size(id, pkt);
+        out.backhaul_bytes += frame_bytes;
+        inst.backhaul_bytes->add(frame_bytes);
         if (!proactive) cache.admit(id, pkt);
         if (req_rng.chance(sc.loss_rate)) continue;
         ++oc.symbols_from_source;

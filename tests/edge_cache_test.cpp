@@ -11,6 +11,7 @@
 #include "common/payload.hpp"
 #include "common/rng.hpp"
 #include "lt/lt_encoder.hpp"
+#include "wire/codec.hpp"
 
 namespace ltnc::cache {
 namespace {
@@ -75,14 +76,18 @@ TEST(EdgeCache, SealsWhenStoredSetDecodes) {
 }
 
 TEST(EdgeCache, ByteAccountingIsExactWireBytes) {
+  // Each symbol costs the frame that serves it, content id included: a
+  // unit symbol of content 1 here is a 40-byte frame, one byte more
+  // than the same symbol as content 0.
   EdgeCache cache(EdgeCacheConfig{});
   cache.announce(1, kK, kBytes, 1.0);
   std::size_t expect = 0;
   for (std::size_t i = 0; i < 4; ++i) {
     const CodedPacket p = unit(i);
     ASSERT_TRUE(cache.admit(1, p));
-    expect += p.wire_bytes();
+    expect += wire::serialized_size(1, p);
   }
+  EXPECT_EQ(expect, 160u);
   EXPECT_EQ(cache.bytes_used(), expect);
   EXPECT_TRUE(cache.forget(1));
   EXPECT_EQ(cache.bytes_used(), 0u);
