@@ -97,12 +97,8 @@ void flush(session::Endpoint& endpoint, net::Transport& transport,
   }
 }
 
-session::EndpointConfig receiver_config(std::size_t blocks,
-                                        std::size_t block_bytes,
-                                        session::FeedbackMode feedback) {
+session::EndpointConfig receiver_config(session::FeedbackMode feedback) {
   session::EndpointConfig cfg;
-  cfg.k = blocks;
-  cfg.payload_bytes = block_bytes;
   // With kNone the sender streams rateless frames without a per-packet
   // handshake; the session closes with the completion kAck (re-announced
   // on tick so a lost ack cannot wedge the sender). With kBinary the
@@ -114,12 +110,8 @@ session::EndpointConfig receiver_config(std::size_t blocks,
   return cfg;
 }
 
-session::EndpointConfig sender_config(std::size_t blocks,
-                                      std::size_t block_bytes,
-                                      session::FeedbackMode feedback) {
+session::EndpointConfig sender_config(session::FeedbackMode feedback) {
   session::EndpointConfig cfg;
-  cfg.k = blocks;
-  cfg.payload_bytes = block_bytes;
   cfg.feedback = feedback;
   if (feedback == session::FeedbackMode::kBinary) {
     // Advertises await the peer's abort/proceed; over a real (if
@@ -434,8 +426,10 @@ class SwarmSeederApp final : public session::ShardApp {
       std::uint32_t shard) override {
     auto st = std::make_unique<ShardState>(blocks_, block_bytes_, shard);
     state_[shard] = std::move(st);  // distinct slots: no cross-shard writes
+    // The seeder offers encoder output over an empty store: it tracks
+    // conversations and acks, and never decodes.
     return std::make_unique<session::Endpoint>(
-        sender_config(blocks_, block_bytes_, feedback_), nullptr);
+        sender_config(feedback_), std::make_unique<store::ContentStore>());
   }
 
   bool pump(std::uint32_t shard, session::Endpoint& endpoint) override {
@@ -451,7 +445,7 @@ class SwarmSeederApp final : public session::ShardApp {
       // again would supersede the in-flight handshake (and distort the
       // latency histogram); the retransmit timer owns the slow path.
       if (endpoint.awaiting_feedback(peer, 0)) continue;
-      endpoint.offer_packet(peer, st.encoder.encode(st.rng));
+      endpoint.offer_packet(peer, 0, st.encoder.encode(st.rng));
       offered = true;
     }
     done_[shard].store(done, std::memory_order_relaxed);
@@ -580,10 +574,16 @@ int run_udp_swarm_loopback(std::size_t peers, std::size_t blocks,
     {
       std::vector<session::Endpoint> endpoints;
       endpoints.reserve(peers);
+      store::ContentConfig content;  // id 0: the swarm's one content
+      content.k = blocks;
+      content.payload_bytes = block_bytes;
       for (std::size_t p = 0; p < peers; ++p) {
-        endpoints.emplace_back(
-            receiver_config(blocks, block_bytes, opts.feedback),
+        auto contents = std::make_unique<store::ContentStore>();
+        contents->register_content(
+            content,
             std::make_unique<session::LtSinkProtocol>(blocks, block_bytes));
+        endpoints.emplace_back(receiver_config(opts.feedback),
+                               std::move(contents));
       }
       std::vector<bool> locked(peers, false);  // feedback channel acquired
       std::vector<bool> counted(peers, false);
@@ -615,7 +615,7 @@ int run_udp_swarm_loopback(std::size_t peers, std::size_t blocks,
       }
       for (std::size_t p = 0; p < peers; ++p) {
         if (!endpoints[p].complete() ||
-            !endpoints[p].protocol()->finish_and_verify(kContentSeed)) {
+            !endpoints[p].contents().at(0).finish_and_verify(kContentSeed)) {
           std::cerr << "swarm: receiver " << p << " failed verification\n";
           rx_failed.store(true, std::memory_order_relaxed);
         }

@@ -37,12 +37,6 @@ struct CodedPacket {
     const std::size_t data = payload.xor_with(other.payload);
     return {control, data};
   }
-
-  /// Wire size in bytes: the exact serialized frame size of this packet
-  /// under the versioned codec (wire/codec.hpp), including the frame
-  /// header and the adaptive dense/sparse code-vector encoding — computed
-  /// by the codec itself so the estimate and the wire can never drift.
-  std::size_t wire_bytes() const;
 };
 
 }  // namespace ltnc

@@ -38,21 +38,8 @@ double SimResult::overhead() const {
   return n == 0 ? 0.0 : extra / static_cast<double>(n);
 }
 
-session::ProtocolParams SimCore::protocol_params() const {
-  session::ProtocolParams params;
-  params.k = cfg_.k;
-  params.payload_bytes = cfg_.payload_bytes;
-  params.aggressiveness = cfg_.aggressiveness;
-  params.ltnc = cfg_.ltnc;
-  params.rlnc = cfg_.rlnc;
-  params.wc = cfg_.wc;
-  return params;
-}
-
 session::EndpointConfig SimCore::endpoint_config() const {
   session::EndpointConfig ec;
-  ec.k = cfg_.k;
-  ec.payload_bytes = cfg_.payload_bytes;
   ec.feedback = cfg_.feedback;
   // The harness shuttles every conversation to completion synchronously
   // and never calls tick(), so the endpoint timers are idle here — the
@@ -61,12 +48,9 @@ session::EndpointConfig SimCore::endpoint_config() const {
 }
 
 std::unique_ptr<Endpoint> SimCore::make_endpoint() const {
-  if (cfg_.num_contents == 1) {
-    return std::make_unique<Endpoint>(
-        endpoint_config(), session::make_node(scheme_, protocol_params()));
-  }
-  // Multi-content mode: one protocol instance per content, multiplexed
-  // over a single endpoint via its ContentStore + SwarmScheduler.
+  // One protocol instance per content, multiplexed over a single endpoint
+  // via its ContentStore + SwarmScheduler (one content in the paper's
+  // setting).
   auto contents = std::make_unique<store::ContentStore>();
   for (std::size_t c = 0; c < cfg_.num_contents; ++c) {
     store::ContentConfig cc;
@@ -100,7 +84,8 @@ SimCore::SimCore(session::Scheme scheme, const SimConfig& config)
                                    cfg_.content_seed + c, cfg_.ltnc.soliton));
   }
   traffic_per_content_.resize(cfg_.num_contents);
-  source_endpoint_ = std::make_unique<Endpoint>(endpoint_config(), nullptr);
+  source_endpoint_ = std::make_unique<Endpoint>(
+      endpoint_config(), std::make_unique<store::ContentStore>());
 
   // The fleet starts as pure flyweights; a probe endpoint answers the one
   // question a driver may ask about a blank node without touching it.

@@ -240,7 +240,6 @@ class SimCore {
   void deliver_overhears(NodeId target);
   void reclaim_after_transfer(session::Endpoint& sender, NodeId sender_peer,
                               NodeId target, ContentId content);
-  session::ProtocolParams protocol_params() const;
   session::EndpointConfig endpoint_config() const;
   std::unique_ptr<session::Endpoint> make_endpoint() const;
 
@@ -249,8 +248,9 @@ class SimCore {
   Rng rng_;
   /// One textbook encoder per content (index = content id).
   std::vector<std::unique_ptr<Source>> sources_;
-  /// The source's session endpoint: protocol-less, it offers the packets
-  /// the sources encode and runs the same handshake as everyone else.
+  /// The source's session endpoint: over an empty store, it offers the
+  /// packets the sources encode and runs the same handshake as everyone
+  /// else.
   std::unique_ptr<session::Endpoint> source_endpoint_;
   /// Flyweight fleet: null until first touch.
   std::vector<std::unique_ptr<session::Endpoint>> endpoints_;

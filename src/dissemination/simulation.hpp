@@ -69,14 +69,6 @@ class EpidemicSimulation {
   }
   SimCore& core() { return core_; }
   const SimCore& core() const { return core_; }
-  /// Accessors materialize flyweight nodes on demand — logically const
-  /// (a blank endpoint is indistinguishable from a never-built one).
-  const session::NodeProtocol& node(NodeId id) const {
-    return *const_cast<SimCore&>(core_).endpoint(id).protocol();
-  }
-  const session::Endpoint& endpoint(NodeId id) const {
-    return const_cast<SimCore&>(core_).endpoint(id);
-  }
 
  private:
   SimCore core_;

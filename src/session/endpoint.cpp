@@ -26,24 +26,7 @@ void trace_event(const telemetry::SessionInstruments* t,
 }
 #endif
 
-std::unique_ptr<store::ContentStore> single_content_store(
-    const EndpointConfig& config, std::unique_ptr<NodeProtocol> protocol) {
-  LTNC_CHECK_MSG(config.k > 0, "endpoint needs content dimensions");
-  LTNC_CHECK_MSG(config.payload_bytes > 0, "endpoint needs a payload size");
-  auto contents = std::make_unique<store::ContentStore>();
-  store::ContentConfig cc;
-  cc.id = 0;
-  cc.k = config.k;
-  cc.payload_bytes = config.payload_bytes;
-  contents->register_content(cc, std::move(protocol));
-  return contents;
-}
-
 }  // namespace
-
-Endpoint::Endpoint(const EndpointConfig& config,
-                   std::unique_ptr<NodeProtocol> protocol)
-    : Endpoint(config, single_content_store(config, std::move(protocol))) {}
 
 Endpoint::Endpoint(const EndpointConfig& config,
                    std::unique_ptr<store::ContentStore> contents)
@@ -51,15 +34,6 @@ Endpoint::Endpoint(const EndpointConfig& config,
       store_(std::move(contents)),
       pace_tokens_(config.pace_burst) {
   LTNC_CHECK_MSG(store_ != nullptr, "endpoint needs a content store");
-}
-
-NodeProtocol* Endpoint::protocol() {
-  store::Content* c = store_->find(0);
-  return c == nullptr ? nullptr : c->protocol();
-}
-
-const NodeProtocol* Endpoint::protocol() const {
-  return const_cast<Endpoint*>(this)->protocol();
 }
 
 bool Endpoint::can_push() const {
@@ -348,10 +322,6 @@ void Endpoint::queue_cc(PeerId peer, ContentId content,
 
 // --- application surface ---------------------------------------------------
 
-bool Endpoint::start_transfer(PeerId peer, Rng& rng) {
-  return start_transfer(peer, ContentId{0}, rng);
-}
-
 bool Endpoint::start_transfer(PeerId peer, ContentId content, Rng& rng) {
   store::Content* c = store_->find(content);
   NodeProtocol* protocol = c == nullptr ? nullptr : c->protocol();
@@ -400,10 +370,6 @@ const store::Content* Endpoint::next_push(PeerId peer) {
   return &store_->at(pick);
 }
 
-void Endpoint::offer_packet(PeerId peer, const CodedPacket& packet) {
-  begin_offer(peer, ContentId{0}, packet);
-}
-
 void Endpoint::offer_packet(PeerId peer, ContentId content,
                             const CodedPacket& packet) {
   begin_offer(peer, content, packet);
@@ -447,10 +413,6 @@ void Endpoint::begin_offer(PeerId peer, ContentId content,
                              now_, content));
 }
 
-bool Endpoint::announce_cc(PeerId peer) {
-  return announce_cc(peer, ContentId{0});
-}
-
 bool Endpoint::announce_cc(PeerId peer, ContentId content) {
   store::Content* c = store_->find(content);
   if (c == nullptr || c->protocol() == nullptr) return false;
@@ -460,10 +422,6 @@ bool Endpoint::announce_cc(PeerId peer, ContentId content) {
   queue_cc(peer, content, *leaders);
   ++stats_.cc_sent;
   return true;
-}
-
-bool Endpoint::overhear(const CodedPacket& packet) {
-  return overhear(ContentId{0}, packet);
 }
 
 bool Endpoint::overhear(ContentId content, const CodedPacket& packet) {
@@ -533,7 +491,7 @@ Endpoint::Event Endpoint::handle_frame(PeerId peer,
         ++stats_.malformed_frames;
         return Event::kMalformed;
       }
-      return on_feedback(peer, content, type, token);
+      return on_feedback(peer, content, type);
     }
     case wire::MessageType::kCcArray:
       return on_cc(peer, bytes);
@@ -654,8 +612,7 @@ Endpoint::Event Endpoint::on_data(PeerId peer,
 }
 
 Endpoint::Event Endpoint::on_feedback(PeerId peer, ContentId content,
-                                      wire::MessageType type,
-                                      std::uint64_t token) {
+                                      wire::MessageType type) {
   // Feedback binds only to conversations this endpoint opened (every
   // offer creates the slot). Never allocate convo state off an inbound
   // content id: a stray or forged frame sweeping the 2^64 id space must
@@ -724,10 +681,6 @@ Endpoint::Event Endpoint::on_feedback(PeerId peer, ContentId content,
             telemetry_->completion_ticks->record(now_ - cv->first_offer_at);
           });
       cv->peer_done = true;
-      if (!peer_completed_) {
-        peer_completed_ = true;
-        completion_token_ = token;
-      }
       return Event::kAckReceived;
     default:
       break;

@@ -81,13 +81,6 @@ using PeerId = std::uint32_t;
 using Instant = std::uint64_t;
 
 struct EndpointConfig {
-  /// Expected dimensions of the default content (id 0) when the endpoint
-  /// is built over a single protocol; ignored (may stay 0) when a
-  /// ContentStore supplies per-content dimensions. Frames addressing a
-  /// known content with any other k/m are dropped as foreign traffic (a
-  /// stray datagram on an open port must never poison the protocol).
-  std::size_t k = 0;
-  std::size_t payload_bytes = 0;
   FeedbackMode feedback = FeedbackMode::kBinary;
   /// Ticks an advertise waits for abort/proceed before retransmitting,
   /// and an accepted advertise waits for its data before resetting.
@@ -217,29 +210,19 @@ class Endpoint {
     kExpired,          ///< late frame for a recently expired content
   };
 
-  /// Single-content endpoint: `protocol` becomes the default content
-  /// (id 0) with the config's dimensions. May be null: a protocol-less
-  /// endpoint is a pure sender (offer_packet) that still runs the
-  /// handshake and understands abort/proceed/ack — the shape of a
-  /// fountain-code file seeder.
-  Endpoint(const EndpointConfig& config,
-           std::unique_ptr<NodeProtocol> protocol);
-
-  /// Disambiguates Endpoint(cfg, nullptr) — the protocol-less seeder.
-  Endpoint(const EndpointConfig& config, std::nullptr_t)
-      : Endpoint(config, std::unique_ptr<NodeProtocol>()) {}
-
-  /// Multi-content endpoint over a caller-assembled store.
+  /// An endpoint over a caller-assembled store. The endpoint has no
+  /// dimensions of its own: every content carries its k and payload size,
+  /// and frames addressing a known content with any other k/m are dropped
+  /// as foreign traffic (a stray datagram on an open port must never
+  /// poison a protocol). An empty store is a pure sender (offer_packet)
+  /// that still runs the handshake and understands abort/proceed/ack —
+  /// the shape of a fountain-code seeder.
   Endpoint(const EndpointConfig& config,
            std::unique_ptr<store::ContentStore> contents);
 
   const EndpointConfig& config() const { return cfg_; }
   store::ContentStore& contents() { return *store_; }
   const store::ContentStore& contents() const { return *store_; }
-  /// The default content's protocol (legacy single-content surface);
-  /// null when content 0 is unregistered or protocol-less.
-  NodeProtocol* protocol();
-  const NodeProtocol* protocol() const;
   const SessionStats& stats() const { return stats_; }
 
   /// Every content with decode state has fully decoded (false when none
@@ -250,13 +233,12 @@ class Endpoint {
 
   // --- application surface -------------------------------------------------
 
-  /// Starts a transfer of the default content toward `peer` with a packet
-  /// emitted by its protocol (emit_for when a fresh cc array from that
-  /// peer is cached — the cache is consumed either way). Returns false
-  /// when the protocol has nothing to say. Supersedes any transfer of the
-  /// same content to `peer` still awaiting feedback.
-  bool start_transfer(PeerId peer, Rng& rng);
-  /// Multi-content variant.
+  /// Starts a transfer of `content` toward `peer` with a packet emitted by
+  /// its protocol (emit_for when a fresh cc array from that peer is cached
+  /// — the cache is consumed either way). Returns false when the content
+  /// is unknown or protocol-less, or its protocol has nothing to say.
+  /// Supersedes any transfer of the same content to `peer` still awaiting
+  /// feedback.
   bool start_transfer(PeerId peer, ContentId content, Rng& rng);
 
   /// Scheduler surface: picks which content the next push slot toward
@@ -275,26 +257,20 @@ class Endpoint {
   /// (e.g. one pick per push slot, as the simulator does).
   const store::Content* next_push(PeerId peer);
 
-  /// Starts a transfer toward `peer` with an externally built packet (a
-  /// source encoder, a replayed store). Always succeeds.
-  void offer_packet(PeerId peer, const CodedPacket& packet);
+  /// Starts a transfer of `content` toward `peer` with an externally built
+  /// packet (a source encoder, a replayed store). Always succeeds; the
+  /// content need not be registered here.
   void offer_packet(PeerId peer, ContentId content, const CodedPacket& packet);
 
   /// Queues this node's cc array for a content toward `peer` (smart
   /// feedback §III-C.2). False when the content has none to ship.
-  bool announce_cc(PeerId peer);
   bool announce_cc(PeerId peer, ContentId content);
 
-  /// Wireless snoop (§VI): consume a packet overheard off someone else's
-  /// transfer — no frames, no handshake. Returns true if the protocol
-  /// kept it.
-  bool overhear(const CodedPacket& packet);
+  /// Wireless snoop (§VI): consume a packet of `content` overheard off
+  /// someone else's transfer — no frames, no handshake. Returns true if
+  /// the protocol kept it.
   bool overhear(ContentId content, const CodedPacket& packet);
 
-  /// True once a kAck arrived from any peer for any content; token() is
-  /// its payload (the receiver's delivered-frame count).
-  bool peer_completed() const { return peer_completed_; }
-  std::uint64_t peer_completion_token() const { return completion_token_; }
   /// Per-(peer, content) completion knowledge from kAck frames.
   bool peer_completed(PeerId peer, ContentId content) const;
   /// Has `peer` acked every registered content? (The multi-file sender's
@@ -456,8 +432,7 @@ class Endpoint {
 
   Event on_advertise(PeerId peer, std::span<const std::uint8_t> bytes);
   Event on_data(PeerId peer, std::span<const std::uint8_t> bytes);
-  Event on_feedback(PeerId peer, ContentId content, wire::MessageType type,
-                    std::uint64_t token);
+  Event on_feedback(PeerId peer, ContentId content, wire::MessageType type);
   Event on_cc(PeerId peer, std::span<const std::uint8_t> bytes);
   bool recently_expired(ContentId content) const;
   void note_expired(ContentId content);
@@ -507,8 +482,6 @@ class Endpoint {
   std::vector<std::uint8_t> completion_recorded_;
   std::uint64_t conversation_counter_ = 0;  ///< default feedback tokens
   std::optional<std::uint64_t> pending_token_;  ///< set_feedback_token
-  bool peer_completed_ = false;
-  std::uint64_t completion_token_ = 0;
 
   // Decode scratch, reused across frames (no steady-state leases).
   CodedPacket rx_packet_;

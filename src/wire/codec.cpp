@@ -395,42 +395,25 @@ std::size_t content_id_size(ContentId content) {
   return content == 0 ? 0 : varint_size(content);
 }
 
-std::size_t serialized_size(const CodedPacket& packet) {
-  return serialized_size(ContentId{0}, packet);
-}
-
 std::size_t serialized_size(ContentId content, const CodedPacket& packet) {
   return packet_frame_size(content, packet, coeff_layout(packet.coeffs));
-}
-
-std::size_t serialized_size_feedback(std::uint64_t token) {
-  return header_size() + varint_size(token);
 }
 
 std::size_t serialized_size_feedback(ContentId content, std::uint64_t token) {
   return header_size() + content_id_size(content) + varint_size(token);
 }
 
-std::size_t serialized_size_cc(std::span<const std::uint32_t> leaders) {
-  std::size_t size = header_size() + varint_size(leaders.size());
+std::size_t serialized_size_cc(ContentId content,
+                               std::span<const std::uint32_t> leaders) {
+  std::size_t size =
+      header_size() + content_id_size(content) + varint_size(leaders.size());
   for (const std::uint32_t leader : leaders) size += varint_size(leader);
   return size;
-}
-
-std::size_t serialized_size_advertise(const BitVector& coeffs,
-                                      std::size_t payload_bytes) {
-  AdvertiseInfo info;
-  info.payload_bytes = payload_bytes;
-  return serialized_size_advertise(info, coeffs);
 }
 
 std::size_t serialized_size_advertise(const AdvertiseInfo& info,
                                       const BitVector& coeffs) {
   return advertise_frame_size(info, coeffs, coeff_layout(coeffs));
-}
-
-void serialize(const CodedPacket& packet, Frame& out) {
-  serialize(ContentId{0}, packet, out);
 }
 
 void serialize(ContentId content, const CodedPacket& packet, Frame& out) {
@@ -442,10 +425,6 @@ void serialize(ContentId content, const CodedPacket& packet, Frame& out) {
              content);
   write_packet_body(w, packet, layout.enc);
   LTNC_DCHECK(w.p == out.data() + out.size());
-}
-
-void serialize_feedback(MessageType type, std::uint64_t token, Frame& out) {
-  serialize_feedback(ContentId{0}, type, token, out);
 }
 
 void serialize_feedback(ContentId content, MessageType type,
@@ -460,25 +439,14 @@ void serialize_feedback(ContentId content, MessageType type,
   LTNC_DCHECK(w.p == out.data() + out.size());
 }
 
-void serialize_cc(std::span<const std::uint32_t> leaders, Frame& out) {
-  serialize_cc(ContentId{0}, leaders, out);
-}
-
 void serialize_cc(ContentId content, std::span<const std::uint32_t> leaders,
                   Frame& out) {
-  out.resize(serialized_size_cc(leaders) + content_id_size(content));
+  out.resize(serialized_size_cc(content, leaders));
   Writer w{out.data()};
   write_head(w, MessageType::kCcArray, frame_flags(0, content), content);
   w.put_varint(leaders.size());
   for (const std::uint32_t leader : leaders) w.put_varint(leader);
   LTNC_DCHECK(w.p == out.data() + out.size());
-}
-
-void serialize_advertise(const BitVector& coeffs, std::size_t payload_bytes,
-                         Frame& out) {
-  AdvertiseInfo info;
-  info.payload_bytes = payload_bytes;
-  serialize_advertise(info, coeffs, out);
 }
 
 void serialize_advertise(const AdvertiseInfo& info, const BitVector& coeffs,
@@ -512,12 +480,6 @@ DecodeStatus peek_content(std::span<const std::uint8_t> frame,
 }
 
 DecodeStatus deserialize(std::span<const std::uint8_t> frame,
-                         CodedPacket& packet) {
-  ContentId content = 0;
-  return deserialize(frame, content, packet);
-}
-
-DecodeStatus deserialize(std::span<const std::uint8_t> frame,
                          ContentId& content, CodedPacket& packet) {
   Reader r{frame.data(), frame.data() + frame.size()};
   MessageType type{};
@@ -526,12 +488,6 @@ DecodeStatus deserialize(std::span<const std::uint8_t> frame,
   if (type != MessageType::kCodedPacket) return DecodeStatus::kBadType;
   WIRE_TRY(read_packet_body(r, flags, packet));
   return finish(r);
-}
-
-DecodeStatus deserialize_feedback(std::span<const std::uint8_t> frame,
-                                  MessageType& type, std::uint64_t& token) {
-  ContentId content = 0;
-  return deserialize_feedback(frame, type, token, content);
 }
 
 DecodeStatus deserialize_feedback(std::span<const std::uint8_t> frame,
@@ -549,15 +505,6 @@ DecodeStatus deserialize_feedback(std::span<const std::uint8_t> frame,
 }
 
 DecodeStatus deserialize_advertise(std::span<const std::uint8_t> frame,
-                                   BitVector& coeffs,
-                                   std::size_t& payload_bytes) {
-  AdvertiseInfo info;
-  WIRE_TRY(deserialize_advertise(frame, coeffs, info));
-  payload_bytes = info.payload_bytes;
-  return DecodeStatus::kOk;
-}
-
-DecodeStatus deserialize_advertise(std::span<const std::uint8_t> frame,
                                    BitVector& coeffs, AdvertiseInfo& info) {
   Reader r{frame.data(), frame.data() + frame.size()};
   MessageType type{};
@@ -570,12 +517,6 @@ DecodeStatus deserialize_advertise(std::span<const std::uint8_t> frame,
   WIRE_TRY(finish(r));
   info.payload_bytes = static_cast<std::size_t>(m);
   return DecodeStatus::kOk;
-}
-
-DecodeStatus deserialize_cc(std::span<const std::uint8_t> frame,
-                            std::vector<std::uint32_t>& leaders) {
-  ContentId content = 0;
-  return deserialize_cc(frame, content, leaders);
 }
 
 DecodeStatus deserialize_cc(std::span<const std::uint8_t> frame,

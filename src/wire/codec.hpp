@@ -14,9 +14,9 @@
 //                  its payload, byte for byte: the header a transfer
 //                  ships ahead so the receiver can veto the payload
 //                  (§III-C). The size identity
-//                  serialized_size_advertise(p) ==
-//                  serialized_size(p) − p.payload.size_bytes() is
-//                  load-bearing for the simulator's traffic ledger.
+//                  serialized_size_advertise({id, m}, p.coeffs) ==
+//                  serialized_size(id, p) − m is load-bearing for the
+//                  simulator's traffic ledger.
 //   kProceed       varint token — the go-ahead answer to an advertise
 //                  (the explicit form of "silence means proceed" that
 //                  unreliable transports need)
@@ -120,15 +120,6 @@ CoeffEncoding choose_coeff_encoding(const BitVector& coeffs);
 /// the range derive_content_id stays in).
 std::size_t content_id_size(ContentId content);
 
-std::size_t serialized_size(const CodedPacket& packet);
-std::size_t serialized_size(ContentId content, const CodedPacket& packet);
-std::size_t serialized_size_feedback(std::uint64_t token);
-std::size_t serialized_size_feedback(ContentId content, std::uint64_t token);
-std::size_t serialized_size_cc(std::span<const std::uint32_t> leaders);
-/// Always equals serialized_size({coeffs, payload}) − payload_bytes.
-std::size_t serialized_size_advertise(const BitVector& coeffs,
-                                      std::size_t payload_bytes);
-
 /// The v2 advertise companion fields: which content the transfer targets
 /// and the length of the payload to come. Also the decode result of
 /// deserialize_advertise.
@@ -137,36 +128,33 @@ struct AdvertiseInfo {
   std::size_t payload_bytes = 0;
 };
 
+// Every size, serialize and deserialize call names its content (directly
+// or through an AdvertiseInfo); content 0 is the one that costs no
+// id bytes on the wire.
+
+std::size_t serialized_size(ContentId content, const CodedPacket& packet);
+std::size_t serialized_size_feedback(ContentId content, std::uint64_t token);
+std::size_t serialized_size_cc(ContentId content,
+                               std::span<const std::uint32_t> leaders);
+/// Always equals serialized_size(info.content, {coeffs, payload}) −
+/// info.payload_bytes.
 std::size_t serialized_size_advertise(const AdvertiseInfo& info,
                                       const BitVector& coeffs);
 
 // -- serialization (overwrites `out`; word-span zero-copy fast paths) ------
-//
-// The ContentId-less overloads serialize the default content (id 0) and
-// stay byte-identical to the v1 codec.
 
-void serialize(const CodedPacket& packet, Frame& out);
 void serialize(ContentId content, const CodedPacket& packet, Frame& out);
 /// `type` must be kAbort, kAck or kProceed.
-void serialize_feedback(MessageType type, std::uint64_t token, Frame& out);
 void serialize_feedback(ContentId content, MessageType type,
                         std::uint64_t token, Frame& out);
-void serialize_cc(std::span<const std::uint32_t> leaders, Frame& out);
 void serialize_cc(ContentId content, std::span<const std::uint32_t> leaders,
                   Frame& out);
-/// Serializes the advertise for a transfer of `payload_bytes` behind
+/// Serializes the advertise for a transfer of info.payload_bytes behind
 /// `coeffs` — the kCodedPacket frame with the payload span left out.
-void serialize_advertise(const BitVector& coeffs, std::size_t payload_bytes,
-                         Frame& out);
-/// Multi-content advertise (info.payload_bytes is the payload to come).
 void serialize_advertise(const AdvertiseInfo& info, const BitVector& coeffs,
                          Frame& out);
 
 // -- deserialization (hardened; never reads past `frame`) ------------------
-//
-// The ContentId-less overloads accept any frame and discard the content
-// id — the single-content call sites (simulator overhears, tests) that
-// never multiplex.
 
 /// Message type of a frame without decoding the body (kOk ⇒ `type` set and
 /// the version byte checked).
@@ -182,25 +170,17 @@ DecodeStatus peek_content(std::span<const std::uint8_t> frame,
                           ContentId& content);
 
 DecodeStatus deserialize(std::span<const std::uint8_t> frame,
-                         CodedPacket& packet);
-DecodeStatus deserialize(std::span<const std::uint8_t> frame,
                          ContentId& content, CodedPacket& packet);
 /// Accepts kAbort, kAck or kProceed; reports which via `type`.
-DecodeStatus deserialize_feedback(std::span<const std::uint8_t> frame,
-                                  MessageType& type, std::uint64_t& token);
 DecodeStatus deserialize_feedback(std::span<const std::uint8_t> frame,
                                   MessageType& type, std::uint64_t& token,
                                   ContentId& content);
 DecodeStatus deserialize_cc(std::span<const std::uint8_t> frame,
-                            std::vector<std::uint32_t>& leaders);
-DecodeStatus deserialize_cc(std::span<const std::uint8_t> frame,
                             ContentId& content,
                             std::vector<std::uint32_t>& leaders);
 /// kOk ⇒ `coeffs` holds the advertised vector (lease reused when the
-/// width matches) and `payload_bytes` the length of the payload to come.
-DecodeStatus deserialize_advertise(std::span<const std::uint8_t> frame,
-                                   BitVector& coeffs,
-                                   std::size_t& payload_bytes);
+/// width matches) and `info` its content and the length of the payload
+/// to come.
 DecodeStatus deserialize_advertise(std::span<const std::uint8_t> frame,
                                    BitVector& coeffs, AdvertiseInfo& info);
 

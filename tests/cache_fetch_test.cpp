@@ -17,6 +17,7 @@
 #include "session/protocols.hpp"
 #include "store/content_store.hpp"
 #include "stream/stream_source.hpp"
+#include "test_store.hpp"
 #include "wire/frame.hpp"
 
 namespace ltnc::cache {
@@ -37,26 +38,20 @@ session::EndpointConfig push_config() {
 
 /// Edge endpoint whose single content is a cache entry.
 Endpoint make_edge(EdgeCache& cache, ContentId id) {
-  auto store = std::make_unique<store::ContentStore>();
-  store::ContentConfig cc;
-  cc.id = id;
-  cc.k = kK;
-  cc.payload_bytes = kBytes;
-  store->register_content(cc,
-                          std::make_unique<CacheEntryProtocol>(cache, id));
-  return Endpoint(push_config(), std::move(store));
+  return Endpoint(push_config(),
+                  test::one_content_store(
+                      kK, kBytes,
+                      std::make_unique<CacheEntryProtocol>(cache, id), id));
 }
 
 /// Source endpoint encoding the canonical content for `id`.
 Endpoint make_source(ContentId id) {
-  auto store = std::make_unique<store::ContentStore>();
-  store::ContentConfig cc;
-  cc.id = id;
-  cc.k = kK;
-  cc.payload_bytes = kBytes;
-  store->register_content(cc, std::make_unique<stream::LtSourceProtocol>(
-                                  kK, kBytes, kSeed));
-  return Endpoint(push_config(), std::move(store));
+  return Endpoint(push_config(),
+                  test::one_content_store(
+                      kK, kBytes,
+                      std::make_unique<stream::LtSourceProtocol>(kK, kBytes,
+                                                                 kSeed),
+                      id));
 }
 
 /// Admits up to `want` innovative symbols from the canonical encoder.

@@ -24,6 +24,7 @@
 #include "net/sim_channel.hpp"
 #include "session/endpoint.hpp"
 #include "store/content_store.hpp"
+#include "test_store.hpp"
 #include "wire/codec.hpp"
 
 namespace ltnc::session {
@@ -202,20 +203,19 @@ TEST(MultiContentSession, RemovedGenerationFramesCountAsMalformed) {
   // peer would send it — is malformed: never delivered, never foreign,
   // never a crash.
   EndpointConfig cfg;
-  cfg.k = 8;
-  cfg.payload_bytes = 16;
   cfg.feedback = FeedbackMode::kNone;
   ProtocolParams params;
   params.k = 8;
   params.payload_bytes = 16;
-  Endpoint endpoint(cfg, make_node(Scheme::kLtnc, params));
+  Endpoint endpoint(
+      cfg, test::one_content_store(8, 16, make_node(Scheme::kLtnc, params)));
   const CodedPacket native =
       CodedPacket::native(8, 0, Payload::deterministic(16, 1, 0));
   constexpr std::uint8_t kGeneration = 1;
 
   // Data frame: type byte 2, the generation varint ahead of the body.
   wire::Frame frame;
-  wire::serialize(native, frame);
+  wire::serialize(0, native, frame);
   std::vector<std::uint8_t> bytes(frame.bytes().begin(), frame.bytes().end());
   bytes[1] = 2;
   bytes.insert(bytes.begin() + 3, kGeneration);
@@ -224,7 +224,7 @@ TEST(MultiContentSession, RemovedGenerationFramesCountAsMalformed) {
 
   // Advertise: version 2, flags bit 2, the generation varint after the
   // header (content 0 carries no id field).
-  wire::serialize_advertise(native.coeffs, 16, frame);
+  wire::serialize_advertise({0, 16}, native.coeffs, frame);
   bytes.assign(frame.bytes().begin(), frame.bytes().end());
   bytes[0] = 2;
   bytes[2] |= 0x04;
@@ -243,10 +243,9 @@ TEST(MultiContentSession, ForgedFeedbackNeverBindsOrCompletes) {
   // completion flag — they bind only to conversations this endpoint
   // opened itself.
   EndpointConfig cfg;
-  cfg.k = 8;
-  cfg.payload_bytes = 16;
   cfg.feedback = FeedbackMode::kNone;
-  Endpoint endpoint(cfg, nullptr);  // pure seeder, no offers made yet
+  // A pure seeder of content 0, no offers made yet.
+  Endpoint endpoint(cfg, test::one_content_store(8, 16, nullptr));
   wire::Frame frame;
   for (std::uint64_t i = 0; i < 64; ++i) {
     wire::serialize_feedback(ContentId{1000 + i}, wire::MessageType::kAck,
@@ -258,7 +257,11 @@ TEST(MultiContentSession, ForgedFeedbackNeverBindsOrCompletes) {
     EXPECT_EQ(endpoint.handle_frame(0, frame.bytes()),
               Endpoint::Event::kNone);
   }
-  EXPECT_FALSE(endpoint.peer_completed());
+  for (std::uint64_t i = 0; i < 64; ++i) {
+    EXPECT_FALSE(endpoint.peer_completed(0, ContentId{1000 + i}));
+    EXPECT_FALSE(endpoint.peer_completed(0, ContentId{2000 + i}));
+  }
+  EXPECT_EQ(endpoint.contacted_peers(), 0u);  // no state was allocated
   EXPECT_EQ(endpoint.stats().foreign_frames, 64u);  // the forged acks
   // A legitimate ack still lands once a conversation exists.
   endpoint.offer_packet(0, ContentId{5},
@@ -360,7 +363,6 @@ TEST(MultiContentSession, PerContentCompletionAcks) {
   EXPECT_TRUE(sender.peer_completed(0, 1));
   EXPECT_FALSE(sender.peer_completed(0, 2));
   EXPECT_FALSE(sender.peer_completed_all(0));
-  EXPECT_TRUE(sender.peer_completed());  // legacy any-ack view
 
   send_natives(2);
   EXPECT_TRUE(sender.peer_completed(0, 2));

@@ -16,6 +16,7 @@
 #include "lt/lt_encoder.hpp"
 #include "net/sim_channel.hpp"
 #include "session/protocols.hpp"
+#include "test_store.hpp"
 #include "wire/codec.hpp"
 
 namespace ltnc::session {
@@ -29,8 +30,6 @@ constexpr std::uint64_t kContentSeed = 42;
 
 EndpointConfig config(FeedbackMode feedback = FeedbackMode::kBinary) {
   EndpointConfig cfg;
-  cfg.k = kK;
-  cfg.payload_bytes = kM;
   cfg.feedback = feedback;
   cfg.response_timeout = 4;
   cfg.max_retries = 3;
@@ -46,8 +45,9 @@ ProtocolParams params() {
 
 std::unique_ptr<Endpoint> make_ltnc_endpoint(
     FeedbackMode feedback = FeedbackMode::kBinary) {
-  return std::make_unique<Endpoint>(config(feedback),
-                                    make_node(Scheme::kLtnc, params()));
+  return std::make_unique<Endpoint>(
+      config(feedback),
+      test::one_content_store(kK, kM, make_node(Scheme::kLtnc, params())));
 }
 
 /// Shuttles every pending frame of `from` straight into `to` (reliable,
@@ -66,11 +66,11 @@ void shuttle(Endpoint& from, PeerId from_id, Endpoint& to,
 
 TEST(SessionEndpoint, BinaryHandshakeDeliversPayload) {
   lt::LtEncoder source(lt::make_native_payloads(kK, kM, kContentSeed));
-  Endpoint sender(config(), nullptr);
+  Endpoint sender(config(), test::one_content_store(kK, kM, nullptr));
   auto receiver = make_ltnc_endpoint();
   Rng rng(1);
 
-  sender.offer_packet(7, source.encode(rng));
+  sender.offer_packet(7, 0, source.encode(rng));
   EXPECT_EQ(sender.stats().offers, 1u);
   EXPECT_EQ(sender.stats().advertises_sent, 1u);
 
@@ -92,7 +92,7 @@ TEST(SessionEndpoint, BinaryHandshakeDeliversPayload) {
   shuttle(sender, 3, *receiver, &receiver_events);
   ASSERT_EQ(receiver_events, std::vector<Event>{Event::kDelivered});
   EXPECT_EQ(receiver->stats().data_delivered, 1u);
-  EXPECT_EQ(receiver->protocol()->useful_packets(), 1u);
+  EXPECT_EQ(receiver->contents().at(0).protocol()->useful_packets(), 1u);
   EXPECT_FALSE(sender.has_pending_transmit());
   EXPECT_FALSE(receiver->has_pending_transmit());
 }
@@ -105,13 +105,12 @@ TEST(SessionEndpoint, AdvertiseIsByteIdenticalToDataFrameMinusPayload) {
   wire::Frame data;
   for (int i = 0; i < 50; ++i) {
     const CodedPacket packet = source.encode(rng);
-    wire::serialize_advertise(packet.coeffs, packet.payload.size_bytes(),
-                              advertise);
-    wire::serialize(packet, data);
+    const wire::AdvertiseInfo info{0, packet.payload.size_bytes()};
+    wire::serialize_advertise(info, packet.coeffs, advertise);
+    wire::serialize(0, packet, data);
     EXPECT_EQ(advertise.size(), data.size() - packet.payload.size_bytes());
     EXPECT_EQ(advertise.size(),
-              wire::serialized_size_advertise(packet.coeffs,
-                                              packet.payload.size_bytes()));
+              wire::serialized_size_advertise(info, packet.coeffs));
   }
 }
 
@@ -124,13 +123,13 @@ TEST(SessionEndpoint, RedundantAdvertiseIsVetoed) {
   wire::Frame frame;
   for (int i = 0; i < 10000 && !receiver->complete(); ++i) {
     last = source.encode(rng);
-    wire::serialize(last, frame);
+    wire::serialize(0, last, frame);
     receiver->handle_frame(0, frame.bytes());
   }
   ASSERT_TRUE(receiver->complete());
 
-  Endpoint sender(config(), nullptr);
-  sender.offer_packet(0, last);
+  Endpoint sender(config(), test::one_content_store(kK, kM, nullptr));
+  sender.offer_packet(0, 0, last);
   std::vector<Event> receiver_events;
   shuttle(sender, 1, *receiver, &receiver_events);
   ASSERT_EQ(receiver_events, std::vector<Event>{Event::kAborted});
@@ -145,10 +144,11 @@ TEST(SessionEndpoint, RedundantAdvertiseIsVetoed) {
 
 TEST(SessionEndpoint, FeedbackNoneSkipsHandshake) {
   lt::LtEncoder source(lt::make_native_payloads(kK, kM, kContentSeed));
-  Endpoint sender(config(FeedbackMode::kNone), nullptr);
+  Endpoint sender(config(FeedbackMode::kNone),
+                  test::one_content_store(kK, kM, nullptr));
   auto receiver = make_ltnc_endpoint(FeedbackMode::kNone);
   Rng rng(4);
-  sender.offer_packet(0, source.encode(rng));
+  sender.offer_packet(0, 0, source.encode(rng));
   std::vector<Event> events;
   shuttle(sender, 0, *receiver, &events);
   ASSERT_EQ(events, std::vector<Event>{Event::kDelivered});
@@ -163,18 +163,18 @@ TEST(SessionEndpoint, SmartFeedbackShipsAndConsumesCcArray) {
   wire::Frame frame;
   // Seed alice until she can recode.
   for (int i = 0; i < 10000 && !alice->can_push(); ++i) {
-    wire::serialize(source.encode(rng), frame);
+    wire::serialize(0, source.encode(rng), frame);
     alice->handle_frame(2, frame.bytes());
   }
   ASSERT_TRUE(alice->can_push());
 
   // Bob ships his cc array; alice caches it and constructs for him.
-  ASSERT_TRUE(bob->announce_cc(0));
+  ASSERT_TRUE(bob->announce_cc(0, 0));
   std::vector<Event> alice_events;
   shuttle(*bob, 1, *alice, &alice_events);
   ASSERT_EQ(alice_events, std::vector<Event>{Event::kCcReceived});
 
-  ASSERT_TRUE(alice->start_transfer(1, rng));
+  ASSERT_TRUE(alice->start_transfer(1, 0, rng));
   EXPECT_EQ(alice->stats().cc_received, 1u);
   EXPECT_EQ(bob->stats().cc_sent, 1u);
 }
@@ -183,10 +183,10 @@ TEST(SessionEndpoint, SmartFeedbackShipsAndConsumesCcArray) {
 
 TEST(SessionEndpoint, ReplayedAdvertiseIsReansweredNotReopened) {
   lt::LtEncoder source(lt::make_native_payloads(kK, kM, kContentSeed));
-  Endpoint sender(config(), nullptr);
+  Endpoint sender(config(), test::one_content_store(kK, kM, nullptr));
   auto receiver = make_ltnc_endpoint();
   Rng rng(6);
-  sender.offer_packet(0, source.encode(rng));
+  sender.offer_packet(0, 0, source.encode(rng));
   PeerId dst = 0;
   wire::Frame advertise;
   ASSERT_TRUE(sender.poll_transmit(dst, advertise));
@@ -213,15 +213,15 @@ TEST(SessionEndpoint, ReplayedAdvertiseIsReansweredNotReopened) {
 
 TEST(SessionEndpoint, DuplicateProceedSendsDataExactlyOnce) {
   lt::LtEncoder source(lt::make_native_payloads(kK, kM, kContentSeed));
-  Endpoint sender(config(), nullptr);
+  Endpoint sender(config(), test::one_content_store(kK, kM, nullptr));
   Rng rng(7);
-  sender.offer_packet(0, source.encode(rng));
+  sender.offer_packet(0, 0, source.encode(rng));
   PeerId dst = 0;
   wire::Frame frame;
   ASSERT_TRUE(sender.poll_transmit(dst, frame));  // drop the advertise
 
   wire::Frame proceed;
-  wire::serialize_feedback(wire::MessageType::kProceed, 0, proceed);
+  wire::serialize_feedback(0, wire::MessageType::kProceed, 0, proceed);
   EXPECT_EQ(sender.handle_frame(0, proceed.bytes()), Event::kProceedReceived);
   EXPECT_EQ(sender.handle_frame(0, proceed.bytes()), Event::kNone);
   EXPECT_EQ(sender.stats().data_sent, 1u);
@@ -229,9 +229,9 @@ TEST(SessionEndpoint, DuplicateProceedSendsDataExactlyOnce) {
 }
 
 TEST(SessionEndpoint, StaleAbortIsIgnored) {
-  Endpoint sender(config(), nullptr);
+  Endpoint sender(config(), test::one_content_store(kK, kM, nullptr));
   wire::Frame abort_frame;
-  wire::serialize_feedback(wire::MessageType::kAbort, 9, abort_frame);
+  wire::serialize_feedback(0, wire::MessageType::kAbort, 9, abort_frame);
   EXPECT_EQ(sender.handle_frame(0, abort_frame.bytes()), Event::kNone);
   EXPECT_EQ(sender.stats().duplicates_suppressed, 1u);
   EXPECT_EQ(sender.stats().aborts_received, 0u);
@@ -241,9 +241,9 @@ TEST(SessionEndpoint, StaleAbortIsIgnored) {
 
 TEST(SessionEndpoint, AdvertiseRetransmitsOnTimeoutThenGivesUp) {
   lt::LtEncoder source(lt::make_native_payloads(kK, kM, kContentSeed));
-  Endpoint sender(config(), nullptr);
+  Endpoint sender(config(), test::one_content_store(kK, kM, nullptr));
   Rng rng(8);
-  sender.offer_packet(0, source.encode(rng));
+  sender.offer_packet(0, 0, source.encode(rng));
   PeerId dst = 0;
   wire::Frame frame;
   ASSERT_TRUE(sender.poll_transmit(dst, frame));  // lost in flight
@@ -269,10 +269,10 @@ TEST(SessionEndpoint, AdvertiseRetransmitsOnTimeoutThenGivesUp) {
 
 TEST(SessionEndpoint, InboundConversationTimesOutWhenDataNeverArrives) {
   lt::LtEncoder source(lt::make_native_payloads(kK, kM, kContentSeed));
-  Endpoint sender(config(), nullptr);
+  Endpoint sender(config(), test::one_content_store(kK, kM, nullptr));
   auto receiver = make_ltnc_endpoint();
   Rng rng(9);
-  sender.offer_packet(0, source.encode(rng));
+  sender.offer_packet(0, 0, source.encode(rng));
   PeerId dst = 0;
   wire::Frame frame;
   ASSERT_TRUE(sender.poll_transmit(dst, frame));
@@ -295,7 +295,7 @@ TEST(SessionEndpoint, MalformedAndForeignFramesAreAbsorbed) {
   lt::LtEncoder other(lt::make_native_payloads(2 * kK, kM, kContentSeed));
   Rng rng(10);
   wire::Frame frame;
-  wire::serialize(other.encode(rng), frame);
+  wire::serialize(0, other.encode(rng), frame);
   EXPECT_EQ(receiver->handle_frame(0, frame.bytes()), Event::kNone);
   EXPECT_EQ(receiver->stats().malformed_frames, 1u);
   EXPECT_EQ(receiver->stats().foreign_frames, 1u);
@@ -307,18 +307,30 @@ TEST(SessionEndpoint, CompletionAnnounceReachesTheSender) {
   EndpointConfig rx_cfg = config(FeedbackMode::kNone);
   rx_cfg.announce_completion = true;
   Endpoint receiver(rx_cfg,
-                    std::make_unique<LtSinkProtocol>(kK, kM));
-  Endpoint sender(config(FeedbackMode::kNone), nullptr);
+                    test::one_content_store(
+                        kK, kM, std::make_unique<LtSinkProtocol>(kK, kM)));
+  Endpoint sender(config(FeedbackMode::kNone),
+                  test::one_content_store(kK, kM, nullptr));
   Rng rng(11);
   while (!receiver.complete()) {
-    sender.offer_packet(0, source.encode(rng));
+    sender.offer_packet(0, 0, source.encode(rng));
     shuttle(sender, 0, receiver);
   }
-  ASSERT_TRUE(receiver.protocol()->finish_and_verify(kContentSeed));
-  shuttle(receiver, 0, sender);
-  EXPECT_TRUE(sender.peer_completed());
-  EXPECT_EQ(sender.peer_completion_token(),
-            receiver.stats().data_delivered);
+  ASSERT_TRUE(receiver.contents().at(0).finish_and_verify(kContentSeed));
+  // The ack carries the receiver's delivered-frame count as its token.
+  PeerId dst = 0;
+  wire::Frame ack;
+  ASSERT_TRUE(receiver.poll_transmit(dst, ack));
+  wire::MessageType type{};
+  std::uint64_t token = 0;
+  ContentId content = 1;
+  ASSERT_EQ(wire::deserialize_feedback(ack.bytes(), type, token, content),
+            wire::DecodeStatus::kOk);
+  EXPECT_EQ(type, wire::MessageType::kAck);
+  EXPECT_EQ(content, 0u);
+  EXPECT_EQ(token, receiver.stats().data_delivered);
+  EXPECT_EQ(sender.handle_frame(0, ack.bytes()), Event::kAckReceived);
+  EXPECT_TRUE(sender.peer_completed(0, 0));
 }
 
 // --- fault injection over SimChannel ---------------------------------------
@@ -333,7 +345,7 @@ class EndpointFaultInjection : public ::testing::TestWithParam<FaultCase> {};
 TEST_P(EndpointFaultInjection, TwoEndpointsAlwaysConvergeAndNeverLeak) {
   const FaultCase fault = GetParam();
   lt::LtEncoder source(lt::make_native_payloads(kK, kM, kContentSeed));
-  Endpoint seeder(config(), nullptr);
+  Endpoint seeder(config(), test::one_content_store(kK, kM, nullptr));
   auto alice = make_ltnc_endpoint();
   auto bob = make_ltnc_endpoint();
   Endpoint* endpoints[] = {alice.get(), bob.get(), &seeder};
@@ -372,9 +384,9 @@ TEST_P(EndpointFaultInjection, TwoEndpointsAlwaysConvergeAndNeverLeak) {
   while ((!alice->complete() || !bob->complete()) && now < deadline) {
     ++now;
     if (now % 6 == 1) {  // slower than the retransmit timer
-      seeder.offer_packet(0, source.encode(rng));
-      if (alice->can_push()) alice->start_transfer(1, rng);
-      if (bob->can_push()) bob->start_transfer(0, rng);
+      seeder.offer_packet(0, 0, source.encode(rng));
+      if (alice->can_push()) alice->start_transfer(1, 0, rng);
+      if (bob->can_push()) bob->start_transfer(0, 0, rng);
     }
     pump();
     for (Endpoint* ep : endpoints) ep->tick(now);
@@ -383,8 +395,8 @@ TEST_P(EndpointFaultInjection, TwoEndpointsAlwaysConvergeAndNeverLeak) {
 
   ASSERT_TRUE(alice->complete() && bob->complete())
       << fault.name << ": not complete after " << now << " ticks";
-  EXPECT_TRUE(alice->protocol()->finish_and_verify(kContentSeed));
-  EXPECT_TRUE(bob->protocol()->finish_and_verify(kContentSeed));
+  EXPECT_TRUE(alice->contents().at(0).finish_and_verify(kContentSeed));
+  EXPECT_TRUE(bob->contents().at(0).finish_and_verify(kContentSeed));
 
   // No frame lease leaks: every queue drained, nothing parked in flight.
   for (Endpoint* ep : endpoints) {
@@ -415,15 +427,11 @@ TEST(SessionEndpoint, MtuOverflowNeverWedgesTheEndpoint) {
   // handshake flows, every payload dies. The endpoint must stay bounded
   // (abandon, not accumulate) and the application loop must terminate.
   lt::LtEncoder source(lt::make_native_payloads(kK, 1024, kContentSeed));
-  EndpointConfig cfg = config();
-  cfg.payload_bytes = 1024;
-  Endpoint sender(cfg, nullptr);
-  Endpoint receiver(cfg, make_node(Scheme::kLtnc, [] {
-                      ProtocolParams p;
-                      p.k = kK;
-                      p.payload_bytes = 1024;
-                      return p;
-                    }()));
+  Endpoint sender(config(), test::one_content_store(kK, 1024, nullptr));
+  ProtocolParams wide = params();
+  wide.payload_bytes = 1024;
+  Endpoint receiver(config(), test::one_content_store(
+                                  kK, 1024, make_node(Scheme::kLtnc, wide)));
 
   net::SimChannelConfig ch;
   ch.mtu = 64;  // advertise ≈ 10 bytes, data ≈ 1 KB
@@ -435,7 +443,7 @@ TEST(SessionEndpoint, MtuOverflowNeverWedgesTheEndpoint) {
   PeerId dst = 0;
   std::uint64_t mtu_drops = 0;
   for (Instant now = 1; now <= 600; ++now) {
-    if (now % 6 == 1) sender.offer_packet(0, source.encode(rng));
+    if (now % 6 == 1) sender.offer_packet(0, 0, source.encode(rng));
     while (sender.poll_transmit(dst, frame)) {
       if (!forward.send(frame.bytes())) ++mtu_drops;
     }
@@ -461,12 +469,12 @@ TEST(SessionEndpoint, PeerTableIsSparseInThePeerIdSpace) {
   // the source as peer id = num_nodes, so a dense table would be O(n)
   // per node and O(n²) fleet-wide.
   lt::LtEncoder source(lt::make_native_payloads(kK, kM, kContentSeed));
-  Endpoint sender(config(), nullptr);
+  Endpoint sender(config(), test::one_content_store(kK, kM, nullptr));
   Rng rng(5);
   EXPECT_EQ(sender.contacted_peers(), 0u);
-  sender.offer_packet(1'000'000'000u, source.encode(rng));
-  sender.offer_packet(3u, source.encode(rng));
-  sender.offer_packet(1'000'000'000u, source.encode(rng));
+  sender.offer_packet(1'000'000'000u, 0, source.encode(rng));
+  sender.offer_packet(3u, 0, source.encode(rng));
+  sender.offer_packet(1'000'000'000u, 0, source.encode(rng));
   EXPECT_EQ(sender.contacted_peers(), 2u);
 }
 
@@ -475,27 +483,27 @@ TEST(SessionEndpoint, PeerTableSurvivesGrowthAcrossManyPeers) {
   // still found (a feedback token binds only via find_convo).
   lt::LtEncoder source(lt::make_native_payloads(kK, kM, kContentSeed));
   EndpointConfig cfg = config(FeedbackMode::kNone);
-  Endpoint sender(cfg, nullptr);
+  Endpoint sender(cfg, test::one_content_store(kK, kM, nullptr));
   Rng rng(6);
   constexpr std::uint32_t kFleet = 300;
   for (std::uint32_t i = 0; i < kFleet; ++i) {
-    sender.offer_packet(i * 7919u, source.encode(rng));  // scattered ids
+    sender.offer_packet(i * 7919u, 0, source.encode(rng));  // scattered ids
   }
   EXPECT_EQ(sender.contacted_peers(), static_cast<std::size_t>(kFleet));
   // Re-offering to every peer reuses the existing slots.
   for (std::uint32_t i = 0; i < kFleet; ++i) {
-    sender.offer_packet(i * 7919u, source.encode(rng));
+    sender.offer_packet(i * 7919u, 0, source.encode(rng));
   }
   EXPECT_EQ(sender.contacted_peers(), static_cast<std::size_t>(kFleet));
 }
 
 TEST(SessionEndpoint, ReclaimDropsIdleConversationsOnly) {
   lt::LtEncoder source(lt::make_native_payloads(kK, kM, kContentSeed));
-  Endpoint sender(config(), nullptr);
+  Endpoint sender(config(), test::one_content_store(kK, kM, nullptr));
   Rng rng(7);
 
   // An offer awaiting feedback is live state — reclaim must refuse.
-  sender.offer_packet(9, source.encode(rng));
+  sender.offer_packet(9, 0, source.encode(rng));
   EXPECT_FALSE(sender.reclaim_idle_convo(9, 0));
   EXPECT_EQ(sender.contacted_peers(), 1u);
 
@@ -513,7 +521,7 @@ TEST(SessionEndpoint, ReclaimDropsIdleConversationsOnly) {
   EXPECT_FALSE(sender.reclaim_idle_convo(9, 0));  // nothing left
 
   // The peer can come back after a reclaim — a fresh slot is minted.
-  sender.offer_packet(9, source.encode(rng));
+  sender.offer_packet(9, 0, source.encode(rng));
   EXPECT_EQ(sender.contacted_peers(), 1u);
 }
 
@@ -522,9 +530,9 @@ TEST(SessionEndpoint, ReclaimKeepsCompletionKnowledge) {
   // signal); a reclaim sweep must never forget it.
   lt::LtEncoder source(lt::make_native_payloads(kK, kM, kContentSeed));
   EndpointConfig cfg = config(FeedbackMode::kNone);
-  Endpoint sender(cfg, nullptr);
+  Endpoint sender(cfg, test::one_content_store(kK, kM, nullptr));
   Rng rng(8);
-  sender.offer_packet(4, source.encode(rng));
+  sender.offer_packet(4, 0, source.encode(rng));
   wire::Frame ack;
   wire::serialize_feedback(0, wire::MessageType::kAck, 31, ack);
   EXPECT_EQ(sender.handle_frame(4, ack.bytes()), Event::kAckReceived);
@@ -539,14 +547,14 @@ TEST(SessionEndpoint, ReclaimChurnKeepsTableConsistent) {
   // every reclaimed one gone.
   lt::LtEncoder source(lt::make_native_payloads(kK, kM, kContentSeed));
   EndpointConfig cfg = config(FeedbackMode::kNone);
-  Endpoint sender(cfg, nullptr);
+  Endpoint sender(cfg, test::one_content_store(kK, kM, nullptr));
   Rng rng(9);
   std::vector<PeerId> live;
   Rng chaos(0xabcdULL);
   for (int op = 0; op < 2000; ++op) {
     if (chaos.uniform(2) == 0 || live.empty()) {
       const PeerId peer = chaos.uniform(1u << 30);
-      sender.offer_packet(peer, source.encode(rng));
+      sender.offer_packet(peer, 0, source.encode(rng));
       if (std::find(live.begin(), live.end(), peer) == live.end()) {
         live.push_back(peer);
       }

@@ -125,7 +125,7 @@ TEST(ShardHash, PeekContentHandlesV1AndGarbage) {
   coeffs.set(1);
   const CodedPacket packet(coeffs, Payload::deterministic(64, 3, 0));
   wire::Frame v1;
-  wire::serialize(packet, v1);  // content 0 ⇒ exact v1 byte image
+  wire::serialize(0, packet, v1);  // content 0 ⇒ exact v1 byte image
   ContentId content = 99;
   ASSERT_EQ(wire::peek_content(v1.bytes(), content), wire::DecodeStatus::kOk);
   EXPECT_EQ(content, 0u);

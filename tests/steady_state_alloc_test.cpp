@@ -21,6 +21,7 @@
 #include "rlnc/rlnc_codec.hpp"
 #include "session/endpoint.hpp"
 #include "store/content_store.hpp"
+#include "test_store.hpp"
 #include "wire/codec.hpp"
 #include "wire/frame.hpp"
 
@@ -186,13 +187,14 @@ TEST(SteadyStateAllocation, WireRoundTripIsAllocationFree) {
   Rng rng(61);
   wire::Frame tx;
   wire::Frame rx_frame;
+  ContentId content = 0;
   CodedPacket rx;
   const auto pump = [&] {
     const CodedPacket pkt = enc.encode(rng);
-    wire::serialize(pkt, tx);
+    wire::serialize(0, pkt, tx);
     ASSERT_TRUE(channel.send(tx.bytes()));
     ASSERT_TRUE(channel.recv(rx_frame));
-    ASSERT_EQ(wire::deserialize(rx_frame.bytes(), rx),
+    ASSERT_EQ(wire::deserialize(rx_frame.bytes(), content, rx),
               wire::DecodeStatus::kOk);
     g_sink = g_sink ^ rx.coeffs.words()[0] ^ rx.payload.words()[0];
   };
@@ -214,12 +216,13 @@ TEST(SteadyStateAllocation, FeedbackAndCcFramesAreAllocationFree) {
   std::vector<std::uint32_t> decoded;
   wire::MessageType type{};
   std::uint64_t token = 0;
+  ContentId content = 0;
   const auto pump = [&](std::uint64_t seq) {
-    wire::serialize_feedback(wire::MessageType::kAbort, seq, frame);
-    ASSERT_EQ(wire::deserialize_feedback(frame.bytes(), type, token),
+    wire::serialize_feedback(0, wire::MessageType::kAbort, seq, frame);
+    ASSERT_EQ(wire::deserialize_feedback(frame.bytes(), type, token, content),
               wire::DecodeStatus::kOk);
-    wire::serialize_cc(leaders, frame);
-    ASSERT_EQ(wire::deserialize_cc(frame.bytes(), decoded),
+    wire::serialize_cc(0, leaders, frame);
+    ASSERT_EQ(wire::deserialize_cc(frame.bytes(), content, decoded),
               wire::DecodeStatus::kOk);
     g_sink = g_sink ^ token ^ decoded.back();
   };
@@ -239,8 +242,6 @@ TEST(SteadyStateAllocation, EndpointHandshakeLoopIsAllocationFree) {
   const std::size_t k = 32;
   const std::size_t m = 512;
   session::EndpointConfig cfg;
-  cfg.k = k;
-  cfg.payload_bytes = m;
   cfg.feedback = session::FeedbackMode::kBinary;
   session::ProtocolParams params;
   params.k = k;
@@ -248,13 +249,17 @@ TEST(SteadyStateAllocation, EndpointHandshakeLoopIsAllocationFree) {
   // Two full-rank RLNC endpoints: every exchange runs the whole
   // handshake and (for the accepted direction) a redundant delivery —
   // the steady state of a saturated node.
-  session::Endpoint a(cfg, session::make_node(session::Scheme::kRlnc, params));
-  session::Endpoint b(cfg, session::make_node(session::Scheme::kRlnc, params));
+  session::Endpoint a(cfg, test::one_content_store(
+                              k, m, session::make_node(session::Scheme::kRlnc,
+                                                       params)));
+  session::Endpoint b(cfg, test::one_content_store(
+                              k, m, session::make_node(session::Scheme::kRlnc,
+                                                       params)));
   for (std::size_t i = 0; i < k; ++i) {
     const CodedPacket native = CodedPacket::native(
         k, i, Payload::deterministic(m, 5, i));
-    a.protocol()->deliver(native);
-    b.protocol()->deliver(native);
+    a.contents().at(0).deliver(native);
+    b.contents().at(0).deliver(native);
   }
   net::SimChannel channel(net::SimChannelConfig{});
   Rng rng(71);
@@ -282,8 +287,8 @@ TEST(SteadyStateAllocation, EndpointHandshakeLoopIsAllocationFree) {
     }
   };
   const auto exchange = [&] {
-    if (a.start_transfer(0, rng)) pump(a, b);
-    if (b.start_transfer(0, rng)) pump(b, a);
+    if (a.start_transfer(0, 0, rng)) pump(a, b);
+    if (b.start_transfer(0, 0, rng)) pump(b, a);
     g_sink = g_sink ^ a.stats().frames_sent ^ b.stats().aborts_sent;
   };
   for (int i = 0; i < 300; ++i) exchange();  // warm rings + scratch
@@ -300,22 +305,21 @@ TEST(SteadyStateAllocation, EndpointDataPathIsAllocationFree) {
   const std::size_t k = 64;
   const std::size_t m = 1024;
   session::EndpointConfig cfg;
-  cfg.k = k;
-  cfg.payload_bytes = m;
   cfg.feedback = session::FeedbackMode::kNone;
   session::ProtocolParams params;
   params.k = k;
   params.payload_bytes = m;
-  session::Endpoint sender(cfg, nullptr);
+  session::Endpoint sender(cfg, test::one_content_store(k, m, nullptr));
   session::Endpoint receiver(
-      cfg, session::make_node(session::Scheme::kRlnc, params));
+      cfg, test::one_content_store(
+               k, m, session::make_node(session::Scheme::kRlnc, params)));
   lt::LtEncoder enc(lt::make_native_payloads(k, m, 17));
   net::SimChannel channel(net::SimChannelConfig{});
   Rng rng(81);
   wire::Frame frame;
   session::PeerId dst = 0;
   const auto pump = [&] {
-    sender.offer_packet(0, enc.encode(rng));
+    sender.offer_packet(0, 0, enc.encode(rng));
     ASSERT_TRUE(sender.poll_transmit(dst, frame));
     ASSERT_TRUE(channel.send(frame.bytes()));
     ASSERT_TRUE(channel.recv(frame));

@@ -125,14 +125,15 @@ TEST(SimChannel, CodedPacketsSurviveTheChannel) {
     for (int d = 0; d < 5; ++d) coeffs.set(rng.uniform(128));
     sent.emplace_back(std::move(coeffs),
                       Payload::deterministic(48, 9, i));
-    wire::serialize(sent.back(), frame);
+    wire::serialize(0, sent.back(), frame);
     ASSERT_TRUE(channel.send(frame.bytes()));
   }
   wire::Frame rx;
+  ContentId content = 0;
   CodedPacket decoded;
   for (const CodedPacket& original : sent) {
     ASSERT_TRUE(channel.recv(rx));
-    ASSERT_EQ(wire::deserialize(rx.bytes(), decoded),
+    ASSERT_EQ(wire::deserialize(rx.bytes(), content, decoded),
               wire::DecodeStatus::kOk);
     EXPECT_EQ(decoded.coeffs, original.coeffs);
     EXPECT_EQ(decoded.payload, original.payload);
@@ -178,14 +179,16 @@ TEST(UdpTransport, LoopbackRoundTripsFrames) {
   const CodedPacket original(BitVector::unit(256, 17),
                              Payload::deterministic(128, 3, 0));
   wire::Frame frame;
-  wire::serialize(original, frame);
+  wire::serialize(0, original, frame);
   ASSERT_TRUE(sender->send(frame.bytes()));
 
   wire::Frame rx;
   ASSERT_TRUE(recv_with_retry(*receiver, rx));
   EXPECT_EQ(rx.size(), frame.size());
+  ContentId content = 0;
   CodedPacket decoded;
-  ASSERT_EQ(wire::deserialize(rx.bytes(), decoded), wire::DecodeStatus::kOk);
+  ASSERT_EQ(wire::deserialize(rx.bytes(), content, decoded),
+            wire::DecodeStatus::kOk);
   EXPECT_EQ(decoded.coeffs, original.coeffs);
   EXPECT_EQ(decoded.payload, original.payload);
 }
@@ -198,20 +201,21 @@ TEST(UdpTransport, FeedbackFlowsBackToLastSender) {
   }
 
   wire::Frame frame;
-  wire::serialize_feedback(wire::MessageType::kAck, 42, frame);
+  wire::serialize_feedback(0, wire::MessageType::kAck, 42, frame);
   ASSERT_TRUE(sender->send(frame.bytes()));
   wire::Frame rx;
   ASSERT_TRUE(recv_with_retry(*receiver, rx));
 
   // The receiver locks onto whoever spoke and replies with an abort.
   ASSERT_TRUE(receiver->set_peer_to_last_sender());
-  wire::serialize_feedback(wire::MessageType::kAbort, 43, frame);
+  wire::serialize_feedback(0, wire::MessageType::kAbort, 43, frame);
   ASSERT_TRUE(receiver->send(frame.bytes()));
 
   ASSERT_TRUE(recv_with_retry(*sender, rx));
   wire::MessageType type{};
   std::uint64_t token = 0;
-  ASSERT_EQ(wire::deserialize_feedback(rx.bytes(), type, token),
+  ContentId content = 0;
+  ASSERT_EQ(wire::deserialize_feedback(rx.bytes(), type, token, content),
             wire::DecodeStatus::kOk);
   EXPECT_EQ(type, wire::MessageType::kAbort);
   EXPECT_EQ(token, 43u);
@@ -253,7 +257,7 @@ TEST(UdpTransport, BatchRoundTripsAcrossTheLoopback) {
   std::vector<wire::Frame> frames(kFrames);
   std::vector<UdpTransport::TxItem> items(kFrames);
   for (std::size_t i = 0; i < kFrames; ++i) {
-    wire::serialize_feedback(wire::MessageType::kAck, i, frames[i]);
+    wire::serialize_feedback(0, wire::MessageType::kAck, i, frames[i]);
     items[i] = {0, frames[i].bytes()};
   }
   ASSERT_EQ(sender->send_batch(items), kFrames);
@@ -275,8 +279,10 @@ TEST(UdpTransport, BatchRoundTripsAcrossTheLoopback) {
     for (std::size_t i = 0; i < n; ++i) {
       wire::MessageType type{};
       std::uint64_t token = 0;
-      ASSERT_EQ(wire::deserialize_feedback(rx[i].bytes(), type, token),
-                wire::DecodeStatus::kOk);
+      ContentId content = 0;
+      ASSERT_EQ(
+          wire::deserialize_feedback(rx[i].bytes(), type, token, content),
+          wire::DecodeStatus::kOk);
       ASSERT_LT(token, kFrames);
       EXPECT_FALSE(seen[token]) << "duplicate datagram " << token;
       seen[token] = true;

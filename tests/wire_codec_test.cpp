@@ -48,13 +48,15 @@ TEST(WireCodec, CodedPacketRoundTripsAcrossDimensions) {
         const CodedPacket original(random_coeffs(k, degree, rng),
                                    random_payload(m, rng));
         Frame frame;
-        serialize(original, frame);
-        EXPECT_EQ(frame.size(), serialized_size(original));
-        EXPECT_EQ(frame.size(), original.wire_bytes());
+        serialize(0, original, frame);
+        EXPECT_EQ(frame.size(), serialized_size(0, original));
 
+        ContentId content = 1;
         CodedPacket decoded;
-        ASSERT_EQ(deserialize(frame.bytes(), decoded), DecodeStatus::kOk)
+        ASSERT_EQ(deserialize(frame.bytes(), content, decoded),
+                  DecodeStatus::kOk)
             << "k=" << k << " m=" << m << " degree=" << degree;
+        EXPECT_EQ(content, 0u);
         EXPECT_EQ(decoded.coeffs, original.coeffs);
         EXPECT_EQ(decoded.payload, original.payload);
       }
@@ -71,9 +73,11 @@ TEST(WireCodec, ZeroDegreeAndFullDegreeRoundTrip) {
     for (const BitVector& coeffs : {none, all}) {
       const CodedPacket original(coeffs, random_payload(16, rng));
       Frame frame;
-      serialize(original, frame);
+      serialize(0, original, frame);
+      ContentId content = 0;
       CodedPacket decoded;
-      ASSERT_EQ(deserialize(frame.bytes(), decoded), DecodeStatus::kOk);
+      ASSERT_EQ(deserialize(frame.bytes(), content, decoded),
+                DecodeStatus::kOk);
       EXPECT_EQ(decoded.coeffs, original.coeffs);
     }
   }
@@ -104,22 +108,24 @@ TEST(WireCodec, AdvertiseRoundTrips) {
     const std::size_t m = rng.uniform(300);
     const BitVector coeffs = random_coeffs(k, rng.uniform(k + 1), rng);
     Frame frame;
-    serialize_advertise(coeffs, m, frame);
-    EXPECT_EQ(frame.size(), serialized_size_advertise(coeffs, m));
+    const AdvertiseInfo plain{0, m};
+    serialize_advertise(plain, coeffs, frame);
+    EXPECT_EQ(frame.size(), serialized_size_advertise(plain, coeffs));
 
     BitVector decoded;
-    std::size_t decoded_m = 0;
-    ASSERT_EQ(deserialize_advertise(frame.bytes(), decoded, decoded_m),
+    AdvertiseInfo decoded_info{1, 0};
+    ASSERT_EQ(deserialize_advertise(frame.bytes(), decoded, decoded_info),
               DecodeStatus::kOk);
     EXPECT_EQ(decoded, coeffs);
-    EXPECT_EQ(decoded_m, m);
+    EXPECT_EQ(decoded_info.content, 0u);
+    EXPECT_EQ(decoded_info.payload_bytes, m);
 
     // The identity the session layer's traffic accounting rests on: an
     // advertise is the coded-packet frame minus its payload span, byte
     // for byte — with the default content and with a content id, the
     // case the simulator's multi-content byte counts rely on.
     const CodedPacket packet(coeffs, Payload(m));
-    EXPECT_EQ(frame.size(), serialized_size(packet) - m);
+    EXPECT_EQ(frame.size(), serialized_size(0, packet) - m);
     expect_advertise_is_packet_minus_payload(frame, ContentId{0}, packet);
 
     AdvertiseInfo info;
@@ -134,12 +140,12 @@ TEST(WireCodec, AdvertiseRoundTrips) {
 
 TEST(WireCodec, AdvertiseRejectsTrailingBytes) {
   Frame frame;
-  serialize_advertise(BitVector::unit(16, 3), 8, frame);
+  serialize_advertise({0, 8}, BitVector::unit(16, 3), frame);
   const std::uint8_t junk = 0;
   frame.append(&junk, 1);
   BitVector decoded;
-  std::size_t m = 0;
-  EXPECT_EQ(deserialize_advertise(frame.bytes(), decoded, m),
+  AdvertiseInfo info;
+  EXPECT_EQ(deserialize_advertise(frame.bytes(), decoded, info),
             DecodeStatus::kTrailingBytes);
 }
 
@@ -150,16 +156,18 @@ TEST(WireCodec, FeedbackRoundTrips) {
          {std::uint64_t{0}, std::uint64_t{127}, std::uint64_t{128},
           std::uint64_t{1} << 40, ~std::uint64_t{0}}) {
       Frame frame;
-      serialize_feedback(type, token, frame);
-      EXPECT_EQ(frame.size(), serialized_size_feedback(token));
+      serialize_feedback(0, type, token, frame);
+      EXPECT_EQ(frame.size(), serialized_size_feedback(0, token));
 
       MessageType decoded_type{};
       std::uint64_t decoded_token = 0;
+      ContentId content = 1;
       ASSERT_EQ(deserialize_feedback(frame.bytes(), decoded_type,
-                                     decoded_token),
+                                     decoded_token, content),
                 DecodeStatus::kOk);
       EXPECT_EQ(decoded_type, type);
       EXPECT_EQ(decoded_token, token);
+      EXPECT_EQ(content, 0u);
     }
   }
 }
@@ -172,11 +180,14 @@ TEST(WireCodec, CcArrayRoundTrips) {
       leader = static_cast<std::uint32_t>(rng.next());
     }
     Frame frame;
-    serialize_cc(leaders, frame);
-    EXPECT_EQ(frame.size(), serialized_size_cc(leaders));
+    serialize_cc(0, leaders, frame);
+    EXPECT_EQ(frame.size(), serialized_size_cc(0, leaders));
 
+    ContentId content = 1;
     std::vector<std::uint32_t> decoded;
-    ASSERT_EQ(deserialize_cc(frame.bytes(), decoded), DecodeStatus::kOk);
+    ASSERT_EQ(deserialize_cc(frame.bytes(), content, decoded),
+              DecodeStatus::kOk);
+    EXPECT_EQ(content, 0u);
     EXPECT_EQ(decoded, leaders);
   }
 }
@@ -185,22 +196,22 @@ TEST(WireCodec, PeekTypeSeesEveryMessage) {
   Frame frame;
   MessageType type{};
 
-  serialize(CodedPacket(BitVector(8), Payload(4)), frame);
+  serialize(0, CodedPacket(BitVector(8), Payload(4)), frame);
   ASSERT_EQ(peek_type(frame.bytes(), type), DecodeStatus::kOk);
   EXPECT_EQ(type, MessageType::kCodedPacket);
 
   for (const MessageType feedback : {MessageType::kAbort, MessageType::kAck,
                                      MessageType::kProceed}) {
-    serialize_feedback(feedback, 9, frame);
+    serialize_feedback(0, feedback, 9, frame);
     ASSERT_EQ(peek_type(frame.bytes(), type), DecodeStatus::kOk);
     EXPECT_EQ(type, feedback);
   }
 
-  serialize_cc({}, frame);
+  serialize_cc(0, {}, frame);
   ASSERT_EQ(peek_type(frame.bytes(), type), DecodeStatus::kOk);
   EXPECT_EQ(type, MessageType::kCcArray);
 
-  serialize_advertise(BitVector::unit(8, 2), 4, frame);
+  serialize_advertise({0, 4}, BitVector::unit(8, 2), frame);
   ASSERT_EQ(peek_type(frame.bytes(), type), DecodeStatus::kOk);
   EXPECT_EQ(type, MessageType::kAdvertise);
 }
@@ -234,6 +245,7 @@ TEST(WireCodec, ContentIdRoundTripsOnEveryType) {
 
     std::vector<std::uint32_t> leaders = {1, 2, 3};
     serialize_cc(cid, leaders, frame);
+    EXPECT_EQ(frame.size(), serialized_size_cc(cid, leaders));
     std::vector<std::uint32_t> decoded_leaders;
     ASSERT_EQ(deserialize_cc(frame.bytes(), decoded_cid, decoded_leaders),
               DecodeStatus::kOk);
@@ -264,17 +276,22 @@ TEST(WireCodec, AdvertiseCarriesContent) {
 TEST(WireCodec, DefaultContentFramesAreByteIdenticalToV1) {
   // The content-id field costs zero bytes for id 0 and the version byte
   // stays 1, so a single-content fleet never pays for multiplexing and
-  // old decoders keep reading new senders.
+  // old decoders keep reading new senders: content 0's frame is content
+  // 1's with the id varint and its flag bit cut out.
   Rng rng(110);
   const CodedPacket packet(random_coeffs(64, 4, rng), random_payload(16, rng));
   Frame plain;
   Frame with_id;
-  serialize(packet, plain);
-  serialize(ContentId{0}, packet, with_id);
-  ASSERT_EQ(plain.size(), with_id.size());
+  serialize(0, packet, plain);
+  serialize(1, packet, with_id);
+  ASSERT_EQ(plain.size() + 1, with_id.size());
   EXPECT_EQ(plain.bytes()[0], 1u);  // v1 version byte
-  EXPECT_TRUE(std::equal(plain.bytes().begin(), plain.bytes().end(),
-                         with_id.bytes().begin()));
+  EXPECT_EQ(with_id.bytes()[0], 2u);
+  EXPECT_EQ(plain.bytes()[1], with_id.bytes()[1]);
+  EXPECT_EQ(plain.bytes()[2], with_id.bytes()[2] & ~kFlagContentId);
+  EXPECT_EQ(with_id.bytes()[3], 1u);  // the id varint
+  EXPECT_TRUE(std::equal(plain.bytes().begin() + 3, plain.bytes().end(),
+                         with_id.bytes().begin() + 4));
 }
 
 TEST(WireCodec, V2FramesDecodeAsV2AndV1FlagPolicyHolds) {
@@ -306,7 +323,7 @@ TEST(WireCodec, ContentIdCostIsAtMostTwoBytesForDerivedIds) {
   Rng rng(112);
   const CodedPacket packet(random_coeffs(1024, 8, rng),
                            random_payload(64, rng));
-  const std::size_t base = serialized_size(packet);
+  const std::size_t base = serialized_size(0, packet);
   for (const ContentId cid : {ContentId{1}, ContentId{200},
                               ContentId{0x3FFF}}) {
     EXPECT_LE(serialized_size(cid, packet) - base, 2u);
@@ -352,53 +369,62 @@ TEST(WireCodec, ChosenEncodingNeverLoses) {
 }
 
 TEST(WireCodec, WireBytesTracksDegree) {
-  // Satellite check: wire_bytes() is the codec size, so a low-degree
-  // packet over a large k reports far less than the old bitmap formula.
+  // The frame size follows the adaptive code-vector encoding, so a
+  // low-degree packet over a large k costs far less than a bitmap.
   const std::size_t k = 1024;
   const CodedPacket low(BitVector::unit(k, 3), Payload(64));
-  EXPECT_LT(low.wire_bytes(), (k + 7) / 8 + 64);
+  EXPECT_LT(serialized_size(0, low), (k + 7) / 8 + 64);
   Frame frame;
-  serialize(low, frame);
-  EXPECT_EQ(low.wire_bytes(), frame.size());
+  serialize(0, low, frame);
+  EXPECT_EQ(serialized_size(0, low), frame.size());
 }
 
 // -- strict rejection policy -----------------------------------------------
 
 TEST(WireCodec, RejectsWrongVersion) {
   Frame frame;
-  serialize(CodedPacket(BitVector(16), Payload(8)), frame);
+  serialize(0, CodedPacket(BitVector(16), Payload(8)), frame);
   frame.mutable_bytes()[0] = kProtocolVersion + 1;
+  ContentId content = 0;
   CodedPacket decoded;
-  EXPECT_EQ(deserialize(frame.bytes(), decoded), DecodeStatus::kBadVersion);
+  EXPECT_EQ(deserialize(frame.bytes(), content, decoded),
+            DecodeStatus::kBadVersion);
 }
 
 TEST(WireCodec, RejectsUnknownType) {
   Frame frame;
-  serialize(CodedPacket(BitVector(16), Payload(8)), frame);
+  serialize(0, CodedPacket(BitVector(16), Payload(8)), frame);
   frame.mutable_bytes()[1] = 0x7F;
+  ContentId content = 0;
   CodedPacket decoded;
-  EXPECT_EQ(deserialize(frame.bytes(), decoded), DecodeStatus::kBadType);
+  EXPECT_EQ(deserialize(frame.bytes(), content, decoded),
+            DecodeStatus::kBadType);
   // Type 2 lies inside the live 1–7 range but is retired (it carried a
   // generation number): the header check itself refuses it.
   frame.mutable_bytes()[1] = 2;
   MessageType type{};
   EXPECT_EQ(peek_type(frame.bytes(), type), DecodeStatus::kBadType);
-  EXPECT_EQ(deserialize(frame.bytes(), decoded), DecodeStatus::kBadType);
+  EXPECT_EQ(deserialize(frame.bytes(), content, decoded),
+            DecodeStatus::kBadType);
 }
 
 TEST(WireCodec, RejectsMismatchedType) {
   Frame frame;
-  serialize_feedback(MessageType::kAck, 1, frame);
+  serialize_feedback(0, MessageType::kAck, 1, frame);
+  ContentId content = 0;
   CodedPacket decoded;
-  EXPECT_EQ(deserialize(frame.bytes(), decoded), DecodeStatus::kBadType);
+  EXPECT_EQ(deserialize(frame.bytes(), content, decoded),
+            DecodeStatus::kBadType);
 }
 
 TEST(WireCodec, RejectsReservedFlagBits) {
   Frame frame;
-  serialize(CodedPacket(BitVector(16), Payload(8)), frame);
+  serialize(0, CodedPacket(BitVector(16), Payload(8)), frame);
   frame.mutable_bytes()[2] |= 0x80;
+  ContentId content = 0;
   CodedPacket decoded;
-  EXPECT_EQ(deserialize(frame.bytes(), decoded), DecodeStatus::kMalformed);
+  EXPECT_EQ(deserialize(frame.bytes(), content, decoded),
+            DecodeStatus::kMalformed);
 
   // Bit 2 is retired: it announced a generation varint right after the
   // content id. An advertise carrying both, laid out exactly as that
@@ -423,20 +449,24 @@ TEST(WireCodec, RejectsDirtyTailBitsInDenseBitmap) {
   BitVector coeffs(12);
   coeffs.set(0);
   Frame frame;
-  serialize(CodedPacket(coeffs, Payload(0)), frame);
+  serialize(0, CodedPacket(coeffs, Payload(0)), frame);
   ASSERT_EQ(frame.size(), 3u + 1 + 1 + 2);
   frame.mutable_bytes()[frame.size() - 1] |= 0xF0;
+  ContentId content = 0;
   CodedPacket decoded;
-  EXPECT_EQ(deserialize(frame.bytes(), decoded), DecodeStatus::kMalformed);
+  EXPECT_EQ(deserialize(frame.bytes(), content, decoded),
+            DecodeStatus::kMalformed);
 }
 
 TEST(WireCodec, RejectsTrailingBytes) {
   Frame frame;
-  serialize(CodedPacket(BitVector(16), Payload(8)), frame);
+  serialize(0, CodedPacket(BitVector(16), Payload(8)), frame);
   const std::uint8_t junk = 0;
   frame.append(&junk, 1);
+  ContentId content = 0;
   CodedPacket decoded;
-  EXPECT_EQ(deserialize(frame.bytes(), decoded), DecodeStatus::kTrailingBytes);
+  EXPECT_EQ(deserialize(frame.bytes(), content, decoded),
+            DecodeStatus::kTrailingBytes);
 }
 
 TEST(WireCodec, RejectsOversizedDimensions) {
@@ -448,8 +478,9 @@ TEST(WireCodec, RejectsOversizedDimensions) {
                                  0,
                                  0x80, 0x80, 0x80, 0x80, 0x10,  // k = 2^32
                                  0x00};                         // m = 0
+  ContentId content = 0;
   CodedPacket decoded;
-  EXPECT_EQ(deserialize({huge_k, sizeof(huge_k)}, decoded),
+  EXPECT_EQ(deserialize({huge_k, sizeof(huge_k)}, content, decoded),
             DecodeStatus::kMalformed);
 }
 
@@ -460,8 +491,9 @@ TEST(WireCodec, RejectsOverlongVarint) {
                                    static_cast<std::uint8_t>(
                                        MessageType::kCodedPacket),
                                    0, 0x80, 0x00, 0x00};
+  ContentId content = 0;
   CodedPacket decoded;
-  EXPECT_EQ(deserialize({overlong, sizeof(overlong)}, decoded),
+  EXPECT_EQ(deserialize({overlong, sizeof(overlong)}, content, decoded),
             DecodeStatus::kMalformed);
 }
 
@@ -476,8 +508,9 @@ TEST(WireCodec, RejectsUnorderedSparseIndices) {
                               0x02,  // degree 2
                               0x07,  // index 7 (the last valid one)
                               0x00};  // next = 7 + 0 + 1 = 8 ≥ k
+  ContentId content = 0;
   CodedPacket decoded;
-  EXPECT_EQ(deserialize({bad, sizeof(bad)}, decoded),
+  EXPECT_EQ(deserialize({bad, sizeof(bad)}, content, decoded),
             DecodeStatus::kMalformed);
 }
 
@@ -489,15 +522,18 @@ TEST(WireCodec, RejectsSparseDegreeAboveK) {
                               0x04,  // k = 4
                               0x00,  // m = 0
                               0x05};  // degree 5 > k
+  ContentId content = 0;
   CodedPacket decoded;
-  EXPECT_EQ(deserialize({bad, sizeof(bad)}, decoded),
+  EXPECT_EQ(deserialize({bad, sizeof(bad)}, content, decoded),
             DecodeStatus::kMalformed);
 }
 
 TEST(WireCodec, RejectsEmptyFrame) {
+  ContentId content = 0;
   CodedPacket decoded;
   MessageType type{};
-  EXPECT_EQ(deserialize({}, decoded), DecodeStatus::kTruncated);
+  EXPECT_EQ(deserialize({}, content, decoded),
+            DecodeStatus::kTruncated);
   EXPECT_EQ(peek_type({}, type), DecodeStatus::kTruncated);
 }
 

@@ -28,8 +28,9 @@ BitVector random_coeffs(std::size_t k, std::size_t degree, Rng& rng) {
 bool decode_any(std::span<const std::uint8_t> frame) {
   bool accepted = false;
 
+  ContentId content = 0;
   CodedPacket packet;
-  if (deserialize(frame, packet) == DecodeStatus::kOk) {
+  if (deserialize(frame, content, packet) == DecodeStatus::kOk) {
     accepted = true;
     // The zero-tail invariant must survive hostile input, or degree
     // bookkeeping (popcount) is poisoned downstream.
@@ -38,17 +39,18 @@ bool decode_any(std::span<const std::uint8_t> frame) {
 
   MessageType type{};
   std::uint64_t token = 0;
-  if (deserialize_feedback(frame, type, token) == DecodeStatus::kOk) {
+  if (deserialize_feedback(frame, type, token, content) == DecodeStatus::kOk) {
     accepted = true;
   }
 
   std::vector<std::uint32_t> leaders;
-  if (deserialize_cc(frame, leaders) == DecodeStatus::kOk) accepted = true;
+  if (deserialize_cc(frame, content, leaders) == DecodeStatus::kOk) {
+    accepted = true;
+  }
 
   BitVector advertised;
-  std::size_t payload_bytes = 0;
-  if (deserialize_advertise(frame, advertised, payload_bytes) ==
-      DecodeStatus::kOk) {
+  AdvertiseInfo info;
+  if (deserialize_advertise(frame, advertised, info) == DecodeStatus::kOk) {
     accepted = true;
     EXPECT_EQ(advertised.popcount(), advertised.indices().size());
   }
@@ -64,18 +66,20 @@ std::vector<Frame> sample_frames(Rng& rng) {
   const std::size_t m = rng.uniform(100);
   const CodedPacket packet(random_coeffs(k, rng.uniform(k + 1), rng),
                            Payload::deterministic(m, rng.next(), 0));
-  serialize(packet, frames[0]);
+  serialize(0, packet, frames[0]);
   serialize(static_cast<ContentId>(1 + rng.uniform(0x3FFF)), packet,
             frames[1]);
-  serialize_feedback(rng.chance(0.5) ? MessageType::kAbort : MessageType::kAck,
+  serialize_feedback(0,
+                     rng.chance(0.5) ? MessageType::kAbort : MessageType::kAck,
                      rng.next(), frames[2]);
   std::vector<std::uint32_t> leaders(rng.uniform(50));
   for (auto& leader : leaders) {
     leader = static_cast<std::uint32_t>(rng.uniform(k));
   }
-  serialize_cc(leaders, frames[3]);
-  serialize_advertise(packet.coeffs, packet.payload.size_bytes(), frames[4]);
-  serialize_feedback(MessageType::kProceed, rng.next(), frames[5]);
+  serialize_cc(0, leaders, frames[3]);
+  serialize_advertise({0, packet.payload.size_bytes()}, packet.coeffs,
+                      frames[4]);
+  serialize_feedback(0, MessageType::kProceed, rng.next(), frames[5]);
   return frames;
 }
 
@@ -87,9 +91,10 @@ TEST(WireFuzz, EveryTruncationIsRejected) {
         // A strict prefix can never decode as the same message; at most a
         // shorter message of another type could coincidentally parse, and
         // decode_any verifies invariants in that case.
+        ContentId content = 0;
         CodedPacket packet;
         const DecodeStatus status =
-            deserialize(frame.bytes().first(len), packet);
+            deserialize(frame.bytes().first(len), content, packet);
         EXPECT_NE(status, DecodeStatus::kOk);
         decode_any(frame.bytes().first(len));
       }
