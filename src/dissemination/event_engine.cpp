@@ -13,7 +13,6 @@ EventSimulation::EventSimulation(session::Scheme scheme,
   if (mode_ == EngineMode::kScale) {
     push_armed_.assign(config.num_nodes, false);
     core_.set_observer(this);
-    core_.set_reclaim_convos(true);
     if (core_.blank_can_push()) {
       // Zero-threshold configs: every blank node already passes the
       // aggressiveness gate, so the whole fleet starts armed.

@@ -38,8 +38,8 @@
 //
 // Flyweight fleet economics (see sim_core.hpp): nodes stay ~8-byte
 // flyweights until first contact, so peak RSS follows the contacted set,
-// not n. With convo reclaim on (kScale), the source endpoint's peer table
-// stays O(in-flight) too.
+// not n. SimCore reclaims each settled conversation's slots in every
+// mode, so the source endpoint's peer table stays O(in-flight) too.
 #pragma once
 
 #include <cstddef>

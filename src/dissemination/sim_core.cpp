@@ -199,12 +199,11 @@ bool SimCore::run_transfer(Endpoint& sender, NodeId sender_peer,
 
 void SimCore::reclaim_after_transfer(Endpoint& sender, NodeId sender_peer,
                                      NodeId target, ContentId content) {
-  // Scale-run hygiene: once a conversation settles, neither side needs
-  // its slot. Only slots with no live state are taken (an ack'd
-  // completion or an unconsumed cc cache survives), so behavior is
-  // unchanged — this bounds the source endpoint's table at O(in-flight)
-  // instead of O(every node ever pushed to).
-  if (!reclaim_convos_) return;
+  // Once a conversation settles, neither side needs its slot. Only slots
+  // with no live state are taken (an ack'd completion or an unconsumed cc
+  // cache survives), so behavior is unchanged — this bounds the source
+  // endpoint's table at O(in-flight) instead of O(every node ever pushed
+  // to).
   sender.reclaim_idle_convo(target, content);
   if (endpoints_[target] != nullptr) {
     endpoints_[target]->reclaim_idle_convo(sender_peer, content);

@@ -222,11 +222,6 @@ class SimCore {
     completion_rounds_ = completion_rounds;
     trace_recorder_ = recorder;
   }
-  /// Reclaim idle conversation slots after each completed transfer (both
-  /// directions). Off for the lockstep/compat paths (slot churn buys
-  /// nothing at small n); on for scale runs, where the source endpoint
-  /// would otherwise accrete one slot per node it ever pushed to.
-  void set_reclaim_convos(bool on) { reclaim_convos_ = on; }
 
   /// Aggregates the fleet into a SimResult (consumes nothing; callable
   /// once at the end of a run).
@@ -273,7 +268,6 @@ class SimCore {
   std::size_t churned_count_ = 0;
   std::size_t materialized_count_ = 0;
   bool blank_can_push_ = false;
-  bool reclaim_convos_ = false;
   SimObserver* observer_ = nullptr;
   telemetry::Histogram* completion_rounds_ = nullptr;
   telemetry::FlightRecorder* trace_recorder_ = nullptr;
