@@ -253,8 +253,20 @@ void offer_unacked(session::Endpoint& sender,
   }
 }
 
+/// Frames an unacked file of `blocks` blocks gets in one sender round:
+/// ⌈1.5·k⌉ in the first (enough for an LT decode most of the time), then
+/// max(8, ⌈k/4⌉), so a small file still advances several frames a round.
+std::size_t round_frames(std::size_t blocks, bool first_round) {
+  return first_round ? (3 * blocks + 1) / 2
+                     : std::max<std::size_t>(8, (blocks + 3) / 4);
+}
+
+/// The sender runs in rounds so it cannot run ahead of its receiver:
+/// every unacked file gets round_frames() frames, then the sender waits
+/// for acks before the next round.
 int run_udp_dir_sender(net::UdpTransport& transport,
                        const std::vector<LoadedFile>& files) {
+  constexpr int kAckWaitMs = 20;
   std::vector<lt::LtEncoder> encoders = make_dir_encoders(files);
   session::Endpoint sender = make_dir_sender(files);
   Rng rng(1);
@@ -263,9 +275,19 @@ int run_udp_dir_sender(net::UdpTransport& transport,
   const std::uint64_t max_frames = 400 * total_blocks(files) + 100000;
 
   UdpTally sent;
-  while (!sender.peer_completed_all(0) && sent.frames < max_frames) {
-    offer_unacked(sender, files, encoders, rng);
-    flush(sender, transport, frame, sent);
+  for (bool first = true;
+       !sender.peer_completed_all(0) && sent.frames < max_frames;
+       first = false) {
+    for (std::size_t i = 0; i < files.size(); ++i) {
+      const ContentId id = files[i].meta.id;
+      if (sender.peer_completed(0, id)) continue;
+      for (std::size_t n = round_frames(files[i].meta.blocks, first); n > 0;
+           --n) {
+        sender.offer_packet(0, id, encoders[i].encode(rng));
+      }
+      flush(sender, transport, frame, sent);
+    }
+    if (!transport.wait_readable(kAckWaitMs)) continue;
     while (transport.recv(feedback)) {
       sender.handle_frame(0, feedback.bytes());
     }
