@@ -13,7 +13,9 @@
 //   completion rounds how many gossip periods full dissemination took
 //
 // plus a lockstep-vs-engine wall-clock comparison at small n, where both
-// drivers produce statistically equivalent runs.
+// drivers produce statistically equivalent runs: the median of five runs
+// of each, alternating which goes first (every run's time goes to
+// stderr).
 //
 // Default sweep: n ∈ {10³, 10⁴, 10⁵}. --full adds the 10⁶-node point
 // (minutes, not hours, on one core). --nodes=N runs a single point — the
@@ -24,6 +26,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -139,22 +142,56 @@ std::string run_point_forked(std::size_t n, std::uint64_t seed) {
   return json;
 }
 
+/// Runs of each engine behind the lockstep-vs-event row: one run of each
+/// at n = 10³ takes under a second, and back-to-back single runs read
+/// speedups from 0.9 to 1.6 with equal rounds.
+constexpr int kSpeedupRuns = 5;
+
+double median_of(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
+
 /// Lockstep vs event engine at small n: both run the same config (the
 /// trajectories differ — kScale re-orders draws — but the work is the
-/// same dissemination).
+/// same dissemination). Each engine runs kSpeedupRuns times, alternating
+/// which goes first; the row keeps the median seconds of each.
 std::string run_speedup_point(std::size_t n, std::uint64_t seed) {
   const dissem::SimConfig cfg = scaling_config(n, seed);
+  dissem::SimResult lock;
+  dissem::SimResult event;
+  const auto run_lock = [&] {
+    lock = dissem::run_simulation(session::Scheme::kLtnc, cfg);
+  };
+  const auto run_event = [&] {
+    event = dissem::run_event_simulation(session::Scheme::kLtnc, cfg,
+                                         dissem::EngineMode::kScale);
+  };
+  const auto timed = [](const auto& run) {
+    const auto start = std::chrono::steady_clock::now();
+    run();
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start)
+        .count();
+  };
 
-  const auto t0 = std::chrono::steady_clock::now();
-  const dissem::SimResult lock =
-      dissem::run_simulation(session::Scheme::kLtnc, cfg);
-  const auto t1 = std::chrono::steady_clock::now();
-  const dissem::SimResult event = dissem::run_event_simulation(
-      session::Scheme::kLtnc, cfg, dissem::EngineMode::kScale);
-  const auto t2 = std::chrono::steady_clock::now();
-
-  const double lock_s = std::chrono::duration<double>(t1 - t0).count();
-  const double event_s = std::chrono::duration<double>(t2 - t1).count();
+  std::vector<double> lock_runs;
+  std::vector<double> event_runs;
+  bool both_complete = true;
+  for (int i = 0; i < kSpeedupRuns; ++i) {
+    if (i % 2 == 0) {
+      lock_runs.push_back(timed(run_lock));
+      event_runs.push_back(timed(run_event));
+    } else {
+      event_runs.push_back(timed(run_event));
+      lock_runs.push_back(timed(run_lock));
+    }
+    both_complete = both_complete && lock.all_complete && event.all_complete;
+    std::cerr << "  run " << i + 1 << ": lockstep " << lock_runs.back()
+              << " s, event " << event_runs.back() << " s\n";
+  }
+  const double lock_s = median_of(lock_runs);
+  const double event_s = median_of(event_runs);
 
   metrics::RunRecord record;
   record.set("engine", std::string("lockstep-vs-event"));
@@ -165,7 +202,7 @@ std::string run_speedup_point(std::size_t n, std::uint64_t seed) {
   record.set("event_seconds", event_s);
   record.set("event_rounds", static_cast<std::uint64_t>(event.rounds_run));
   record.set("speedup", lock_s / event_s);
-  record.set("both_complete", lock.all_complete && event.all_complete);
+  record.set("both_complete", both_complete);
   return record_as_json_object(record);
 }
 
