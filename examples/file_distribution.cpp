@@ -254,7 +254,7 @@ void offer_unacked(session::Endpoint& sender,
 }
 
 /// Frames an unacked file of `blocks` blocks gets in one sender round:
-/// ⌈1.5·k⌉ in the first (enough for an LT decode most of the time), then
+/// ⌈1.5·k⌉ in the first (a 64-block file decodes from about 1.4·k), then
 /// max(8, ⌈k/4⌉), so a small file still advances several frames a round.
 std::size_t round_frames(std::size_t blocks, bool first_round) {
   return first_round ? (3 * blocks + 1) / 2

@@ -41,7 +41,6 @@
 
 #include "common/types.hpp"
 #include "dissemination/sim_core.hpp"
-#include "session/endpoint.hpp"
 #include "session/protocols.hpp"
 
 namespace ltnc::dissem {
