@@ -170,13 +170,12 @@ int main(int argc, char** argv) {
   std::cerr << "edge_cache: event sweep (" << event_users << " users)\n";
   std::vector<CurvePoint> event_curve;
   for (const double frac : fracs) {
-    ltnc::cache::EventCacheConfig cfg;
-    cfg.scenario = base_scenario(seed);
-    cfg.scenario.users = event_users;
-    cfg.scenario.cache.capacity_bytes =
+    CacheScenario sc = base_scenario(seed);
+    sc.users = event_users;
+    sc.cache.capacity_bytes =
         static_cast<std::size_t>(static_cast<double>(ws) * frac);
     const auto start = std::chrono::steady_clock::now();
-    const CacheRunStats r = run_event_cache(cfg);
+    const CacheRunStats r = run_event_cache(sc);
     const double seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
@@ -186,7 +185,7 @@ int main(int argc, char** argv) {
     event_curve.push_back({frac, r.hit_rate(), r.offload(), r.backhaul_bytes});
     if (frac == 1.0) head_at_ws = r.head_hit_rate();
     records.push_back(
-        cache_record("event", "popularity", frac, cfg.scenario, r, seconds));
+        cache_record("event", "popularity", frac, sc, r, seconds));
   }
   curves_ok = check_monotone("event", event_curve) && curves_ok;
 
@@ -236,13 +235,12 @@ int main(int argc, char** argv) {
 
   // --- reactive policies at half the working set ---------------------------
   for (const Policy policy : {Policy::kLru, Policy::kLfu}) {
-    ltnc::cache::EventCacheConfig cfg;
-    cfg.scenario = base_scenario(seed);
-    cfg.scenario.users = full ? 10'000 : 2'000;
-    cfg.scenario.cache.policy = policy;
-    cfg.scenario.cache.capacity_bytes = ws / 2;
+    CacheScenario sc = base_scenario(seed);
+    sc.users = full ? 10'000 : 2'000;
+    sc.cache.policy = policy;
+    sc.cache.capacity_bytes = ws / 2;
     const auto start = std::chrono::steady_clock::now();
-    const CacheRunStats r = run_event_cache(cfg);
+    const CacheRunStats r = run_event_cache(sc);
     const double seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
@@ -250,7 +248,7 @@ int main(int argc, char** argv) {
               << ": hit=" << r.hit_rate() << " evicted=" << r.evicted_entries
               << " (" << seconds << "s)\n";
     records.push_back(cache_record("policy", ltnc::cache::policy_name(policy),
-                                   0.5, cfg.scenario, r, seconds));
+                                   0.5, sc, r, seconds));
   }
 
   std::ofstream out(out_path);

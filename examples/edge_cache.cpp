@@ -126,9 +126,7 @@ int main(int argc, char** argv) {
 
   ltnc::cache::CacheRunStats r;
   if (driver == "event") {
-    ltnc::cache::EventCacheConfig cfg;
-    cfg.scenario = sc;
-    r = run_event_cache(cfg);
+    r = run_event_cache(sc);
   } else if (driver == "sim" || driver == "udp") {
     ltnc::cache::SimCacheConfig cfg;
     cfg.scenario = sc;

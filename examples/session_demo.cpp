@@ -1,7 +1,7 @@
 // Session-layer demo: multi-content Endpoints driven over deliberately
 // hostile SimChannels — loss, duplication and reordering injected on
-// every link — with binary feedback, tick-driven retransmission and the
-// token-bucket pacer throttling each node's swarm pushes.
+// every link — with binary feedback, tick-driven retransmission and a
+// token bucket throttling each node's swarm pushes.
 //
 //     source ──▶ alice ◀──▶ bob        (every arrow: a lossy SimChannel)
 //
@@ -23,6 +23,7 @@
 // frames between poll_transmit() and handle_frame(), and call tick(now).
 //
 // Build & run:  ./build/examples/session_demo [k] [payload] [loss]
+#include <algorithm>
 #include <cstdlib>
 #include <iostream>
 #include <memory>
@@ -55,10 +56,6 @@ int main(int argc, char** argv) {
   cfg.feedback = session::FeedbackMode::kBinary;
   cfg.response_timeout = 4;  // ticks before an advertise retransmits
   cfg.max_retries = 3;
-  // Token-bucket pacer: at most one swarm push per tick on average, small
-  // burst — a node serving many contents must not flood the link.
-  cfg.pace_tokens_per_tick = 1.0;
-  cfg.pace_burst = 4.0;
 
   const auto make_store = [&] {
     auto contents = std::make_unique<store::ContentStore>();
@@ -124,12 +121,23 @@ int main(int argc, char** argv) {
     }
   };
 
-  // Each node drains its pacer bucket toward its gossip partner: the
-  // scheduler picks the rarest content per slot, the bucket caps the
-  // burst.
+  // Each node drains a token bucket toward its gossip partner — full at
+  // 4, refilled one token a tick — so a node serving many contents never
+  // floods the link: the scheduler picks the rarest content per slot, the
+  // bucket caps the burst, and an empty bucket counts a deferral.
+  constexpr std::size_t kBurst = 4;
+  std::size_t tokens[2] = {kBurst, kBurst};
+  std::uint64_t deferrals[3] = {0, 0, 0};
   auto swarm_push = [&](std::size_t self, session::PeerId peer) {
-    while (const store::Content* content = endpoints[self]->next_push(peer)) {
-      if (!endpoints[self]->start_transfer(peer, content->id(), rng)) break;
+    while (true) {
+      if (tokens[self] == 0) {
+        ++deferrals[self];
+        return;
+      }
+      const store::Content* content = endpoints[self]->next_push(peer);
+      if (content == nullptr) return;
+      --tokens[self];
+      if (!endpoints[self]->start_transfer(peer, content->id(), rng)) return;
     }
   };
 
@@ -151,6 +159,7 @@ int main(int argc, char** argv) {
     swarm_push(1, 0);
     pump();
     for (auto& ep : endpoints) ep->tick(now);
+    for (std::size_t& t : tokens) t = std::min(t + 1, kBurst);
     pump();  // deliver what the tick retransmitted
   }
 
@@ -192,7 +201,7 @@ int main(int argc, char** argv) {
         {names[i],
          TextTable::integer(static_cast<long long>(s.offers)),
          TextTable::integer(static_cast<long long>(s.swarm_pushes)),
-         TextTable::integer(static_cast<long long>(s.pacer_deferrals)),
+         TextTable::integer(static_cast<long long>(deferrals[i])),
          TextTable::integer(static_cast<long long>(s.advertise_retransmits)),
          TextTable::integer(static_cast<long long>(s.aborts_received)),
          TextTable::integer(static_cast<long long>(s.data_delivered)),

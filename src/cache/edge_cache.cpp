@@ -1,7 +1,6 @@
 #include "cache/edge_cache.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/check.hpp"
 #include "wire/codec.hpp"
@@ -27,14 +26,7 @@ std::optional<Policy> policy_from_string(std::string_view name) {
   return std::nullopt;
 }
 
-EdgeCache::EdgeCache(const EdgeCacheConfig& config) : cfg_(config) {
-  LTNC_CHECK_MSG(cfg_.full_overhead >= 0.0, "overhead cannot be negative");
-}
-
-std::size_t EdgeCache::full_symbol_cap(std::size_t k) const {
-  return static_cast<std::size_t>(
-      std::ceil(static_cast<double>(k) * (1.0 + cfg_.full_overhead)));
-}
+EdgeCache::EdgeCache(const EdgeCacheConfig& config) : cfg_(config) {}
 
 std::size_t EdgeCache::symbol_cost_estimate(std::size_t k,
                                             std::size_t payload_bytes) {
@@ -87,21 +79,20 @@ void EdgeCache::plan() {
     for (Entry& e : entries_) e.quota = full_symbol_cap(e.k);
     return;
   }
-  // Waterfill in descending weight^γ order: each content takes
+  // Waterfill in descending weight order: each content takes
   // min(full cap, its proportional share of what is still unallocated),
   // so bytes the head cannot use (its cap is k-bounded) flow to the tail
   // instead of being stranded.
   std::vector<std::size_t> order(entries_.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::vector<double> scaled(entries_.size());
+  std::vector<double> weights(entries_.size());
   double total = 0.0;
   for (std::size_t i = 0; i < entries_.size(); ++i) {
-    scaled[i] = std::pow(std::max(entries_[i].weight, 0.0),
-                         cfg_.popularity_exponent);
-    total += scaled[i];
+    weights[i] = std::max(entries_[i].weight, 0.0);
+    total += weights[i];
   }
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (scaled[a] != scaled[b]) return scaled[a] > scaled[b];
+    if (weights[a] != weights[b]) return weights[a] > weights[b];
     return entries_[a].id < entries_[b].id;  // deterministic tie-break
   });
   double remaining = static_cast<double>(cfg_.capacity_bytes);
@@ -115,7 +106,7 @@ void EdgeCache::plan() {
       // toward a fully used budget).
       e.quota = e.stored.size();
       remaining -= static_cast<double>(e.bytes);
-      remaining_weight -= scaled[i];
+      remaining_weight -= weights[i];
       continue;
     }
     const auto cost = static_cast<double>(
@@ -125,12 +116,12 @@ void EdgeCache::plan() {
     // the LT overhead slack of full_symbol_cap() is for reactive fills.
     std::size_t give = 0;
     if (remaining_weight > 0.0 && remaining > 0.0) {
-      const double share = remaining * (scaled[i] / remaining_weight);
+      const double share = remaining * (weights[i] / remaining_weight);
       give = std::min(e.k, static_cast<std::size_t>(share / cost));
     }
     e.quota = give;
     remaining -= static_cast<double>(give) * cost;
-    remaining_weight -= scaled[i];
+    remaining_weight -= weights[i];
   }
   // Residual sweep: proportional shares leave budget stranded whenever
   // the head hits its k-bounded cap (its share exceeds what it can use).

@@ -43,6 +43,17 @@ constexpr const char* kEvictionsName = "ltnc_cache_evicted_entries_total";
 /// what makes the hit-rate and offload curves monotone by construction.
 constexpr std::uint64_t kFillSalt = 0x5851f42d4c957f2dULL;
 
+// The event driver's latency model, in ticks.
+constexpr Instant kEdgeRtt = 2;     ///< request → first edge symbol
+constexpr Instant kSourceRtt = 16;  ///< extra once the backhaul is involved
+constexpr Instant kEventThinkTicks = 8;  ///< user idle between requests
+constexpr std::size_t kSymbolsPerTick = 8;  ///< serving rate
+
+// The sim driver's schedule, in ticks.
+constexpr std::size_t kPushesPerTick = 4;  ///< per-user symbols queued
+constexpr Instant kSimThinkTicks = 4;      ///< user idle between requests
+constexpr Instant kRequestTimeout = 20000;  ///< before a fetch is failed
+
 struct Instruments {
   telemetry::Histogram* latency = nullptr;
   telemetry::Counter* requests = nullptr;
@@ -222,12 +233,9 @@ std::size_t working_set_bytes(const CatalogConfig& catalog,
   return probe.bytes_used();
 }
 
-CacheRunStats run_event_cache(const EventCacheConfig& config) {
-  const CacheScenario& sc = config.scenario;
+CacheRunStats run_event_cache(const CacheScenario& sc) {
   LTNC_CHECK_MSG(sc.users > 0 && sc.requests_per_user > 0,
                  "event cache run needs users and requests");
-  LTNC_CHECK_MSG(config.symbols_per_tick > 0,
-                 "event cache run needs a serving rate");
   telemetry::Registry local_registry;
   telemetry::Registry& registry =
       sc.registry != nullptr ? *sc.registry : local_registry;
@@ -333,15 +341,13 @@ CacheRunStats run_event_cache(const EventCacheConfig& config) {
 
     oc.completed = decoder.complete();
     oc.verified = oc.completed && verify_decode(decoder, k, bytes, seed);
-    const Instant transfer = (sent_edge + sent_source +
-                              config.symbols_per_tick - 1) /
-                             config.symbols_per_tick;
-    oc.latency = config.edge_rtt +
-                 (sent_source > 0 ? config.source_rtt : 0) + transfer;
+    const Instant transfer =
+        (sent_edge + sent_source + kSymbolsPerTick - 1) / kSymbolsPerTick;
+    oc.latency = kEdgeRtt + (sent_source > 0 ? kSourceRtt : 0) + transfer;
     fold_outcome(out, inst, oc, head);
 
     if (--remaining[u] > 0) {
-      wheel.schedule(now + oc.latency + config.think_ticks, Ev{u});
+      wheel.schedule(now + oc.latency + kEventThinkTicks, Ev{u});
     }
   }
 
@@ -446,7 +452,7 @@ CacheRunStats run_sim_cache(const SimCacheConfig& config) {
   const std::size_t source_cap = 30 * k;
   const Instant horizon =
       static_cast<Instant>(sc.requests_per_user) *
-          (config.request_timeout + config.think_ticks + 16) +
+          (kRequestTimeout + kSimThinkTicks + 16) +
       4096;
   const auto t0 = std::chrono::steady_clock::now();
   const auto clock_us = [&t0]() -> Instant {
@@ -496,7 +502,7 @@ CacheRunStats run_sim_cache(const SimCacheConfig& config) {
         // the event driver does), so concurrent fetches of one content
         // never split its symbols between them.
         const std::vector<CodedPacket>* stored = cache.symbols(st.id);
-        for (std::size_t i = 0; i < config.pushes_per_tick &&
+        for (std::size_t i = 0; i < kPushesPerTick &&
                                 st.edge_budget > 0 && stored != nullptr &&
                                 !stored->empty();
              ++i) {
@@ -511,7 +517,7 @@ CacheRunStats run_sim_cache(const SimCacheConfig& config) {
           st.source_phase = true;
         }
       } else if (st.source_pushed < source_cap) {
-        for (std::size_t i = 0; i < config.pushes_per_tick; ++i) {
+        for (std::size_t i = 0; i < kPushesPerTick; ++i) {
           if (!source.start_transfer(static_cast<session::PeerId>(u), st.id,
                                      source_rng)) {
             break;
@@ -541,13 +547,13 @@ CacheRunStats run_sim_cache(const SimCacheConfig& config) {
       }
       UserState& st = users[u];
       if (!st.active) continue;
-      const bool timed_out = t - st.started >= config.request_timeout;
+      const bool timed_out = t - st.started >= kRequestTimeout;
       if (clients[u]->complete() || timed_out) {
         const FetchOutcome oc = clients[u]->finish(stamp);
         fold_outcome(out, inst, oc, st.head);
         st.active = false;
         --st.remaining;
-        st.idle_until = t + config.think_ticks;
+        st.idle_until = t + kSimThinkTicks;
       }
     }
   }

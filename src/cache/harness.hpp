@@ -54,22 +54,11 @@ struct CacheScenario {
   telemetry::Registry* registry = nullptr;
 };
 
-struct EventCacheConfig {
-  CacheScenario scenario;
-  Instant edge_rtt = 2;     ///< ticks, request → first edge symbol
-  Instant source_rtt = 16;  ///< extra ticks once the backhaul is involved
-  Instant think_ticks = 8;  ///< user idle time between requests
-  std::size_t symbols_per_tick = 8;  ///< serving rate (latency model)
-};
-
 struct SimCacheConfig {
   CacheScenario scenario;
   /// Fault profile for both links; loss_rate/seed are overridden from
   /// the scenario.
   net::SimChannelConfig channel;
-  std::size_t pushes_per_tick = 4;  ///< per-user symbols queued per tick
-  Instant think_ticks = 4;
-  Instant request_timeout = 20000;  ///< ticks before a fetch is failed
   /// kUdp keeps the tick schedule (so every count matches kSim's) and
   /// stamps fetch latency and run duration in wall-clock µs.
   net::Link link = net::Link::kSim;
@@ -136,7 +125,7 @@ struct CacheRunStats {
 std::size_t working_set_bytes(const CatalogConfig& catalog,
                               const EdgeCacheConfig& cache);
 
-CacheRunStats run_event_cache(const EventCacheConfig& config);
+CacheRunStats run_event_cache(const CacheScenario& scenario);
 CacheRunStats run_sim_cache(const SimCacheConfig& config);
 
 }  // namespace ltnc::cache

@@ -7,12 +7,11 @@ namespace ltnc::core {
 DegreePicker::DegreePicker(const lt::RobustSoliton& soliton,
                            const DegreeIndex& index,
                            const CoverageTracker& coverage,
-                           bool enforce_bounds, std::size_t max_retries)
+                           bool enforce_bounds)
     : soliton_(soliton),
       index_(index),
       coverage_(coverage),
-      enforce_bounds_(enforce_bounds),
-      max_retries_(max_retries) {}
+      enforce_bounds_(enforce_bounds) {}
 
 bool DegreePicker::reachable(std::size_t d) const {
   if (d == 0) return false;
@@ -46,7 +45,7 @@ std::optional<std::size_t> DegreePicker::pick(Rng& rng) {
     ++stats_.first_accepted;
     return draw;
   }
-  for (std::size_t attempt = 0; attempt < max_retries_; ++attempt) {
+  for (std::size_t attempt = 0; attempt < kMaxRetries; ++attempt) {
     ++stats_.retries_total;
     draw = soliton_.sample(rng);
     if (reachable(draw)) {

@@ -48,14 +48,13 @@ struct DegreePickStats {
 class DegreePicker {
  public:
   DegreePicker(const lt::RobustSoliton& soliton, const DegreeIndex& index,
-               const CoverageTracker& coverage, bool enforce_bounds = true,
-               std::size_t max_retries = 256);
+               const CoverageTracker& coverage, bool enforce_bounds = true);
 
   /// True when neither bound rules out degree d.
   bool reachable(std::size_t d) const;
 
-  /// Draws degrees until one passes the bounds (or the retry budget runs
-  /// out, in which case the largest degree both bounds admit is used).
+  /// Draws degrees until one passes the bounds (or kMaxRetries redraws
+  /// fail, in which case the largest degree both bounds admit is used).
   /// Returns nullopt when the node holds nothing at all.
   std::optional<std::size_t> pick(Rng& rng);
 
@@ -64,11 +63,13 @@ class DegreePicker {
  private:
   std::size_t max_reachable() const;
 
+  /// Redraws before falling back to max_reachable().
+  static constexpr std::size_t kMaxRetries = 256;
+
   const lt::RobustSoliton& soliton_;
   const DegreeIndex& index_;
   const CoverageTracker& coverage_;
   bool enforce_bounds_;
-  std::size_t max_retries_;
   DegreePickStats stats_;
 };
 

@@ -47,7 +47,6 @@ struct LtncConfig {
   bool enable_refinement = true;
   /// §III-B.1 reachability bounds (ablation switch).
   bool enable_reachability_bounds = true;
-  std::size_t max_degree_retries = 256;
 };
 
 struct LtncStats {

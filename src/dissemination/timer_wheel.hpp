@@ -8,8 +8,8 @@
 // waits in an overflow bucket that re-enters the wheels as the cursor
 // approaches. Advancing the cursor across a lap boundary cascades the
 // boundary slot of the next level down, re-bucketing by remaining delta —
-// so schedule, cancel and pop are all O(1) amortised regardless of how
-// many idle ticks separate events. That is the property the event engine
+// so schedule and pop are both O(1) amortised regardless of how many idle
+// ticks separate events. That is the property the event engine
 // buys: a million mostly-idle nodes cost nothing per tick; only scheduled
 // work pays.
 //
@@ -18,17 +18,13 @@
 //   * events with equal times come back in schedule() call order (FIFO) —
 //     the due slot is seq-sorted once per tick before draining, so
 //     same-tick ordering is a stable, documented property regardless of
-//     which cascade path an entry took;
-//   * cancel(seq) is exact: a cancelled event is never returned, and the
-//     cancel set shrinks as cancelled events are skipped, so lazy
-//     cancellation never accumulates garbage.
+//     which cascade path an entry took.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -39,43 +35,24 @@ namespace ltnc::dissem {
 template <typename Event>
 class TimerWheel {
  public:
-  static constexpr std::uint64_t kNoLimit = ~std::uint64_t{0};
-
   TimerWheel() = default;
 
   std::uint64_t now() const { return now_; }
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
-  std::uint64_t scheduled_total() const { return next_seq_; }
-  std::uint64_t cascaded_total() const { return cascaded_; }
 
-  /// Schedules `event` at absolute tick `time` (>= now()) and returns a
-  /// sequence token usable with cancel(). Same-time events fire in the
-  /// order they were scheduled.
-  std::uint64_t schedule(std::uint64_t time, Event event) {
+  /// Schedules `event` at absolute tick `time` (>= now()). Same-time
+  /// events fire in the order they were scheduled.
+  void schedule(std::uint64_t time, Event event) {
     LTNC_CHECK_MSG(time >= now_, "timer wheel cannot schedule in the past");
-    const std::uint64_t seq = next_seq_++;
-    place(Entry{time, seq, std::move(event)});
+    place(Entry{time, next_seq_++, std::move(event)});
     ++size_;
-    return seq;
   }
 
-  /// Cancels a scheduled event by its token; the entry is skipped (and
-  /// reclaimed) when the cursor reaches it. `seq` must name an event that
-  /// has not yet been popped — returns false on double-cancel or a token
-  /// never issued. size() reflects the cancellation immediately.
-  bool cancel(std::uint64_t seq) {
-    if (seq >= next_seq_) return false;
-    if (!cancelled_.insert(seq).second) return false;
-    --size_;
-    return true;
-  }
-
-  /// Pops the earliest live event with time <= `limit`, advancing the
-  /// cursor to its timestamp. Returns nullopt when none qualifies (the
-  /// cursor then rests at min(limit, first live event time)).
-  std::optional<Event> pop_next(std::uint64_t limit = kNoLimit) {
-    if (limit < now_) return std::nullopt;
+  /// Pops the earliest event, advancing the cursor to its timestamp.
+  /// Returns nullopt (and leaves the cursor alone) when the wheel is
+  /// empty.
+  std::optional<Event> pop_next() {
     while (size_ > 0) {
       // Drain the slot under the cursor first: level 0 holds exactly the
       // events due at times now_..now_+63 of the current lap. Entries can
@@ -94,25 +71,18 @@ class TimerWheel {
                     });
         }
       }
-      while (cursor_ < slot.size()) {
-        Entry& entry = slot[cursor_];
-        if (entry.time != now_) break;  // next lap's resident; stop here
-        Entry taken = std::move(entry);
-        ++cursor_;
-        if (cursor_ == slot.size()) {
+      // A resident stamped with a later lap ends this tick's events.
+      if (cursor_ < slot.size() && slot[cursor_].time == now_) {
+        Entry taken = std::move(slot[cursor_]);
+        if (++cursor_ == slot.size()) {
           slot.clear();
           cursor_ = 0;
         }
-        // Cancelled entries were already subtracted from size_; live ones
-        // leave the wheel here. taken.time <= limit always holds: limit
-        // >= now_ on entry and the cursor only advances while now_ < limit.
-        if (is_cancelled(taken.seq)) continue;
         --size_;
         return std::move(taken.event);
       }
       // Slot exhausted for this tick — step the cursor, cascading the
       // coarser wheels whenever a 64-tick lap boundary is crossed.
-      if (now_ >= limit) return std::nullopt;
       if (cursor_ != 0) {
         // Entries belonging to a future lap share this slot; compact the
         // consumed prefix before moving on.
@@ -122,7 +92,6 @@ class TimerWheel {
       }
       advance_one_tick();
     }
-    if (limit != kNoLimit && now_ < limit) now_ = limit;
     return std::nullopt;
   }
 
@@ -140,14 +109,6 @@ class TimerWheel {
     std::uint64_t seq = 0;
     Event event;
   };
-
-  bool is_cancelled(std::uint64_t seq) {
-    if (cancelled_.empty()) return false;
-    const auto it = cancelled_.find(seq);
-    if (it == cancelled_.end()) return false;
-    cancelled_.erase(it);  // each token is consumed exactly once
-    return true;
-  }
 
   /// Buckets an entry by its remaining delta. Level L slot index is the
   /// L-th 6-bit digit of the absolute time — the cascade invariant: when
@@ -180,7 +141,6 @@ class TimerWheel {
       if (slot.empty()) continue;
       std::vector<Entry> moving;
       moving.swap(slot);
-      cascaded_ += moving.size();
       for (Entry& entry : moving) place(std::move(entry));
     }
     // The overflow bucket re-enters once per full top-level lap.
@@ -189,7 +149,6 @@ class TimerWheel {
       moving.swap(overflow_);
       for (Entry& entry : moving) {
         if (entry.time - now_ < kHorizon) {
-          cascaded_ += 1;
           place(std::move(entry));
         } else {
           overflow_.push_back(std::move(entry));
@@ -201,12 +160,10 @@ class TimerWheel {
   std::uint64_t now_ = 0;
   std::size_t size_ = 0;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t cascaded_ = 0;
   std::uint64_t sorted_tick_ = ~std::uint64_t{0};
   std::size_t cursor_ = 0;  ///< consumed prefix of the slot under now_
   std::vector<Entry> levels_[kLevels][kSlots];
   std::vector<Entry> overflow_;
-  std::unordered_set<std::uint64_t> cancelled_;
 };
 
 }  // namespace ltnc::dissem

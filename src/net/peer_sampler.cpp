@@ -17,9 +17,8 @@ NodeId UniformSampler::sample(Rng& rng, NodeId self) {
 }
 
 GossipViewSampler::GossipViewSampler(std::size_t num_nodes,
-                                     std::size_t view_size,
-                                     std::size_t renewal, Rng& rng)
-    : num_nodes_(num_nodes), renewal_(renewal), views_(num_nodes) {
+                                     std::size_t view_size, Rng& rng)
+    : num_nodes_(num_nodes), views_(num_nodes) {
   LTNC_CHECK_MSG(num_nodes >= 2, "need at least two nodes to gossip");
   LTNC_CHECK_MSG(view_size >= 1, "view size must be positive");
   for (NodeId n = 0; n < num_nodes; ++n) {
@@ -42,12 +41,12 @@ NodeId GossipViewSampler::sample(Rng& rng, NodeId self) {
 }
 
 void GossipViewSampler::tick(Rng& rng) {
-  // Each period every node refreshes `renewal_` random slots — the overlay
+  // Each period every node refreshes kRenewal random slots — the overlay
   // stays connected while constantly churning, as in gossip-based peer
   // sampling.
   for (NodeId n = 0; n < num_nodes_; ++n) {
     auto& view = views_[n];
-    for (std::size_t i = 0; i < renewal_ && i < view.size(); ++i) {
+    for (std::size_t i = 0; i < kRenewal && i < view.size(); ++i) {
       view[rng.uniform(view.size())] = random_other(rng, n);
     }
   }
@@ -58,7 +57,7 @@ std::unique_ptr<PeerSampler> make_sampler(const PeerSamplerConfig& config,
   switch (config.kind) {
     case PeerSamplerConfig::Kind::kGossipView:
       return std::make_unique<GossipViewSampler>(num_nodes, config.view_size,
-                                                 config.renewal, rng);
+                                                 rng);
     case PeerSamplerConfig::Kind::kUniform:
     default:
       return std::make_unique<UniformSampler>(num_nodes);

@@ -42,12 +42,11 @@ class UniformSampler final : public PeerSampler {
 };
 
 /// Partial-view gossip sampling: each node holds `view_size` peers; every
-/// period each node replaces `renewal` random view slots with fresh
+/// period each node replaces kRenewal random view slots with fresh
 /// uniform peers (a compact stand-in for view shuffling à la [23]).
 class GossipViewSampler final : public PeerSampler {
  public:
-  GossipViewSampler(std::size_t num_nodes, std::size_t view_size,
-                    std::size_t renewal, Rng& rng);
+  GossipViewSampler(std::size_t num_nodes, std::size_t view_size, Rng& rng);
   NodeId sample(Rng& rng, NodeId self) override;
   void tick(Rng& rng) override;
 
@@ -58,8 +57,10 @@ class GossipViewSampler final : public PeerSampler {
  private:
   NodeId random_other(Rng& rng, NodeId self) const;
 
+  /// View slots each node refreshes per period.
+  static constexpr std::size_t kRenewal = 4;
+
   std::size_t num_nodes_;
-  std::size_t renewal_;
   std::vector<std::vector<NodeId>> views_;
 };
 
@@ -67,7 +68,6 @@ struct PeerSamplerConfig {
   enum class Kind { kUniform, kGossipView };
   Kind kind = Kind::kUniform;
   std::size_t view_size = 20;
-  std::size_t renewal = 4;
 };
 
 std::unique_ptr<PeerSampler> make_sampler(const PeerSamplerConfig& config,

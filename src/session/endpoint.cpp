@@ -30,9 +30,7 @@ void trace_event(const telemetry::SessionInstruments* t,
 
 Endpoint::Endpoint(const EndpointConfig& config,
                    std::unique_ptr<store::ContentStore> contents)
-    : cfg_(config),
-      store_(std::move(contents)),
-      pace_tokens_(config.pace_burst) {
+    : cfg_(config), store_(std::move(contents)) {
   LTNC_CHECK_MSG(store_ != nullptr, "endpoint needs a content store");
 }
 
@@ -343,10 +341,6 @@ bool Endpoint::start_transfer(PeerId peer, ContentId content, Rng& rng) {
 const store::Content* Endpoint::next_push(PeerId peer) {
   const std::size_t n = store_->size();
   if (n == 0) return nullptr;
-  if (cfg_.pace_tokens_per_tick > 0.0 && pace_tokens_ < 1.0) {
-    ++stats_.pacer_deferrals;
-    return nullptr;
-  }
   if (eligible_.size() < n) eligible_.resize(n);
   bool any = false;
   for (std::size_t i = 0; i < n; ++i) {
@@ -365,7 +359,6 @@ const store::Content* Endpoint::next_push(PeerId peer) {
   const std::size_t pick =
       scheduler_.pick(*store_, {eligible_.data(), eligible_.size()});
   if (pick == store::SwarmScheduler::kNone) return nullptr;
-  if (cfg_.pace_tokens_per_tick > 0.0) pace_tokens_ -= 1.0;
   ++stats_.swarm_pushes;
   return &store_->at(pick);
 }
@@ -738,12 +731,6 @@ void Endpoint::maybe_announce_completion(std::size_t content_index,
 }
 
 void Endpoint::tick(Instant now) {
-  if (cfg_.pace_tokens_per_tick > 0.0 && now > now_) {
-    pace_tokens_ = std::min(
-        cfg_.pace_burst,
-        pace_tokens_ + cfg_.pace_tokens_per_tick *
-                           static_cast<double>(now - now_));
-  }
   now_ = now;
   for (Peer& p : peers_) {
     for (Convo& cv : p.convos) {

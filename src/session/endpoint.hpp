@@ -26,9 +26,9 @@
 // byte-identical to the pre-store implementation); conversations,
 // completion acks and cc caches are per (peer, content); next_push() asks
 // the SwarmScheduler which content a push slot should carry
-// (rarest-first, round-robin fallback) under a token-bucket
-// pacer refilled by tick() — an endpoint serving hundreds of contents
-// must not burst-flood a real UDP link.
+// (rarest-first, round-robin fallback). How many push slots there are is
+// the application's choice: the endpoint never paces, so a node serving
+// hundreds of contents over a real UDP link meters its own pushes.
 //
 // FeedbackMode::kNone skips the handshake (data is pushed directly);
 // kSmart additionally lets R ship its cc array (announce_cc → kCcArray),
@@ -92,13 +92,6 @@ struct EndpointConfig {
   /// when a content completes, and re-queue it on tick() while the
   /// session stays alive — the stop signal of a file transfer.
   bool announce_completion = false;
-  /// Token-bucket pacer over next_push(): tokens added per tick-unit, 0 =
-  /// unpaced. Only scheduler-driven pushes pay tokens — handshake answers
-  /// and retransmissions always flow, so pacing can never deadlock a
-  /// conversation.
-  double pace_tokens_per_tick = 0.0;
-  /// Bucket capacity: the largest burst next_push() can emit after idling.
-  double pace_burst = 8.0;
   /// Capacity of the recently-expired content ring (see expire_content).
   /// The default covers a stream's in-flight window many times over;
   /// catalog workloads where hundreds of contents churn per window (an
@@ -136,7 +129,6 @@ struct SessionStats {
   std::uint64_t completions_received = 0;
   // -- swarm scheduling
   std::uint64_t swarm_pushes = 0;           ///< next_push() picks granted
-  std::uint64_t pacer_deferrals = 0;        ///< next_push() bucket empty
   // -- hygiene
   std::uint64_t duplicates_suppressed = 0;  ///< replayed frames absorbed
   std::uint64_t timeouts = 0;               ///< inbound conversations reset
@@ -177,7 +169,6 @@ struct SessionStats {
     completions_sent += o.completions_sent;
     completions_received += o.completions_received;
     swarm_pushes += o.swarm_pushes;
-    pacer_deferrals += o.pacer_deferrals;
     duplicates_suppressed += o.duplicates_suppressed;
     timeouts += o.timeouts;
     malformed_frames += o.malformed_frames;
@@ -219,6 +210,8 @@ class Endpoint {
   /// the shape of a fountain-code seeder.
   Endpoint(const EndpointConfig& config,
            std::unique_ptr<store::ContentStore> contents);
+  /// A bare null is a compile error: pass an empty store for a seeder.
+  Endpoint(const EndpointConfig& config, std::nullptr_t) = delete;
 
   const EndpointConfig& config() const { return cfg_; }
   store::ContentStore& contents() { return *store_; }
@@ -244,17 +237,15 @@ class Endpoint {
   /// Scheduler surface: picks which content the next push slot toward
   /// `peer` should carry — rarest-first over the store with a round-robin
   /// fallback, skipping contents that cannot emit, whose conversation to
-  /// `peer` is still awaiting feedback, or that `peer` has acked complete
-  /// — and charges the pacer one token. Returns nullptr when nothing is
-  /// eligible or the bucket is empty; follow up with
+  /// `peer` is still awaiting feedback, or that `peer` has acked complete.
+  /// Returns nullptr when nothing is eligible; follow up with
   /// start_transfer(peer, content->id(), rng).
   ///
-  /// Draining the bucket with `while (next_push(...)) start_transfer(...)`
-  /// terminates for handshake modes (every started transfer awaits
-  /// feedback) or paced endpoints (the bucket empties). Under
-  /// FeedbackMode::kNone with pacing disabled nothing ever becomes
-  /// ineligible, so every call grants a pick — bound the loop externally
-  /// (e.g. one pick per push slot, as the simulator does).
+  /// `while (next_push(...)) start_transfer(...)` terminates for handshake
+  /// modes (every started transfer awaits feedback). Under
+  /// FeedbackMode::kNone nothing ever becomes ineligible, so every call
+  /// grants a pick — bound the loop externally (e.g. one pick per push
+  /// slot, as the simulator does).
   const store::Content* next_push(PeerId peer);
 
   /// Starts a transfer of `content` toward `peer` with an externally built
@@ -349,10 +340,10 @@ class Endpoint {
   bool has_pending_transmit() const { return tx_size_ != 0; }
   std::size_t pending_transmit() const { return tx_size_; }
 
-  /// Advances session time: refills the pacer bucket, retransmits
-  /// advertises awaiting feedback, abandons them past max_retries, resets
-  /// inbound conversations whose data never arrived, re-announces
-  /// completions. `now` must not decrease.
+  /// Advances session time: retransmits advertises awaiting feedback,
+  /// abandons them past max_retries, resets inbound conversations whose
+  /// data never arrived, re-announces completions. `now` must not
+  /// decrease.
   void tick(Instant now);
 
  private:
@@ -473,7 +464,6 @@ class Endpoint {
   std::size_t tx_size_ = 0;
 
   Instant now_ = 0;
-  double pace_tokens_ = 0.0;
   // Observer-only instruments (may stay null forever). first_delivery_
   // is parallel to the store: the tick a content's first payload landed,
   // the anchor for its completion-latency sample (recorded once).

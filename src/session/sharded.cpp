@@ -32,7 +32,7 @@ ShardedEndpoint::ShardedEndpoint(const ShardedConfig& config, ShardApp& app)
                  "iterations_per_tick must be positive");
   shards_.reserve(config.num_shards);
   for (std::uint32_t s = 0; s < config.num_shards; ++s) {
-    shards_.push_back(std::make_unique<Shard>(config.ring_capacity));
+    shards_.push_back(std::make_unique<Shard>());
   }
   LTNC_TELEMETRY(
       if (cfg_.registry != nullptr) {
@@ -92,17 +92,6 @@ bool ShardedEndpoint::poll_transmit(std::uint32_t shard, PeerId& peer,
   return shards_[shard]->out.try_pop(peer, out);
 }
 
-void ShardedEndpoint::request_expire(ContentId content) {
-  if (stopped_) return;
-  for (auto& shard : shards_) {
-    {
-      std::lock_guard<std::mutex> lock(shard->expire_mu);
-      shard->pending_expire.push_back(content);
-    }
-    shard->has_expire.store(true, std::memory_order_release);
-  }
-}
-
 void ShardedEndpoint::worker(std::uint32_t shard_index) {
   Shard& shard = *shards_[shard_index];
   {
@@ -117,7 +106,6 @@ void ShardedEndpoint::worker(std::uint32_t shard_index) {
     wire::Frame pending;     // outbound frame awaiting ring space
     PeerId pending_peer = 0;
     bool has_pending = false;
-    std::vector<ContentId> expire_scratch;
     std::uint64_t iterations = 0;
     // Registry counters are flushed as deltas at tick boundaries, so the
     // per-frame path pays only the pre-existing shard atomics.
@@ -150,21 +138,11 @@ void ShardedEndpoint::worker(std::uint32_t shard_index) {
         }
       }
 
-      if (!has_pending && ep->pending_transmit() < cfg_.pump_gate) {
+      if (!has_pending && ep->pending_transmit() < kPumpGate) {
         worked = app_.pump(shard_index, *ep) || worked;
       }
 
       if (++iterations % cfg_.iterations_per_tick == 0) {
-        if (shard.has_expire.load(std::memory_order_acquire)) {
-          {
-            std::lock_guard<std::mutex> lock(shard.expire_mu);
-            std::swap(expire_scratch, shard.pending_expire);
-            shard.has_expire.store(false, std::memory_order_relaxed);
-          }
-          for (const ContentId id : expire_scratch) ep->expire_content(id);
-          expire_scratch.clear();
-          worked = true;
-        }
         ep->tick(iterations / cfg_.iterations_per_tick);
         LTNC_TELEMETRY(
             if (shard.frames_in_counter != nullptr) {

@@ -32,7 +32,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -55,14 +54,6 @@ std::uint32_t shard_of(PeerId peer, ContentId content,
 
 struct ShardedConfig {
   std::uint32_t num_shards = 1;
-  /// Frames per SPSC ring (per shard, per direction). Rounded up to a
-  /// power of two. A full inbound ring drops the datagram (counted); a
-  /// full outbound ring backpressures the shard.
-  std::size_t ring_capacity = 512;
-  /// Endpoint transmit backlog above which a shard stops pumping the
-  /// application for new pushes (bounds per-shard queue growth when the
-  /// outbound ring is the bottleneck).
-  std::size_t pump_gate = 32;
   /// Worker loop iterations per Endpoint::tick (shard session time is
   /// iteration-driven; retransmit budgets are per tick, so this sets how
   /// many drain/pump sweeps fit between timer checks).
@@ -139,15 +130,6 @@ class ShardedEndpoint {
   /// its destination peer. False when that shard has nothing pending.
   bool poll_transmit(std::uint32_t shard, PeerId& peer, wire::Frame& out);
 
-  /// Asks every shard to expire `content` at its next tick boundary (the
-  /// sliding-window drop path, fanned across cores). Expiry is cold-path
-  /// by construction — once per block per deadline — so the hand-off is a
-  /// small mutex-guarded queue per shard rather than a third ring; the
-  /// worker drains it between ticks, where it already owns the endpoint.
-  /// Shards that never registered the content ignore the request. Safe
-  /// from any thread. No-op after stop().
-  void request_expire(ContentId content);
-
   // --- lifecycle / stats ----------------------------------------------------
 
   /// Signals every worker and joins them. Frames still in flight in the
@@ -172,18 +154,20 @@ class ShardedEndpoint {
   const telemetry::FlightRecorder* flight_recorder(std::uint32_t shard) const;
 
  private:
+  /// Frames per SPSC ring (per shard, per direction). A full inbound ring
+  /// drops the datagram (counted); a full outbound ring backpressures the
+  /// shard.
+  static constexpr std::size_t kRingCapacity = 512;
+  /// Endpoint transmit backlog above which a shard stops pumping the
+  /// application for new pushes (bounds per-shard queue growth when the
+  /// outbound ring is the bottleneck).
+  static constexpr std::size_t kPumpGate = 32;
+
   struct Shard {
-    net::SpscFrameRing in;   ///< I/O thread → worker
-    net::SpscFrameRing out;  ///< worker → I/O thread
+    net::SpscFrameRing in{kRingCapacity};   ///< I/O thread → worker
+    net::SpscFrameRing out{kRingCapacity};  ///< worker → I/O thread
     std::atomic<std::uint64_t> frames_in{0};
     std::atomic<std::uint64_t> frames_out{0};
-
-    // Pending expire_content requests (any thread → worker, drained at
-    // tick boundaries). The flag lets the worker skip the lock on the
-    // overwhelmingly common empty case.
-    std::mutex expire_mu;
-    std::vector<ContentId> pending_expire;
-    std::atomic<bool> has_expire{false};
     ShardReport report;  ///< written by the worker, read after join
     std::thread thread;
 
@@ -195,9 +179,6 @@ class ShardedEndpoint {
     telemetry::Counter* frames_out_counter = nullptr;
     telemetry::Histogram* in_ring_occupancy = nullptr;
     std::unique_ptr<telemetry::FlightRecorder> recorder;
-
-    explicit Shard(std::size_t ring_capacity)
-        : in(ring_capacity), out(ring_capacity) {}
   };
 
   void worker(std::uint32_t shard_index);

@@ -99,30 +99,6 @@ Content& ContentStore::register_content(
   return *contents_.back();
 }
 
-Content* ContentStore::try_register(const ContentConfig& config) {
-  if (find(config.id) != nullptr) return nullptr;
-  return &register_content(config);
-}
-
-Content* ContentStore::try_register(
-    const ContentConfig& config,
-    std::unique_ptr<session::NodeProtocol> protocol) {
-  if (find(config.id) != nullptr) return nullptr;
-  return &register_content(config, std::move(protocol));
-}
-
-ContentId ContentStore::derive_free_id(std::size_t k,
-                                       std::size_t payload_bytes,
-                                       std::uint64_t content_seed) const {
-  LTNC_CHECK_MSG(contents_.size() < 8192,
-                 "content-id space over half full; assign ids explicitly");
-  for (std::uint32_t salt = 0;; ++salt) {
-    const ContentId id = derive_content_id(k, payload_bytes, content_seed,
-                                           salt);
-    if (find(id) == nullptr) return id;
-  }
-}
-
 bool ContentStore::remove(ContentId id) {
   const std::size_t index = index_of(id);
   if (index >= contents_.size()) return false;

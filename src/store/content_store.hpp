@@ -39,8 +39,8 @@ namespace ltnc::store {
 /// edge-cache catalog — so callers registering at catalog scale must go
 /// through a collision-detecting path: `salt` perturbs the hash image
 /// (salt 0 reproduces the historical id exactly, so existing transfers
-/// and golden fixtures are untouched), and ContentStore::derive_free_id /
-/// Catalog walk salts until the id is unused. Both ends of a transfer
+/// and golden fixtures are untouched), and cache::Catalog walks salts
+/// until the id is unused. Both ends of a transfer
 /// derive the same id from the same (k, bytes, seed, salt) metadata.
 ContentId derive_content_id(std::size_t k, std::size_t payload_bytes,
                             std::uint64_t content_seed,
@@ -114,23 +114,6 @@ class ContentStore {
   /// seeder-only entry that pins dimensions without decode state).
   Content& register_content(const ContentConfig& config,
                             std::unique_ptr<session::NodeProtocol> protocol);
-
-  /// Collision-detecting registration: returns nullptr (registering
-  /// nothing) when `config.id` is already taken, where register_content
-  /// would abort the process. The catalog-scale admission path — a cache
-  /// must refuse a colliding id rather than crash mid-serve.
-  Content* try_register(const ContentConfig& config);
-  Content* try_register(const ContentConfig& config,
-                        std::unique_ptr<session::NodeProtocol> protocol);
-
-  /// Derives an id for (k, payload_bytes, content_seed) that is free in
-  /// *this* store: walks derive_content_id salts from 0 until the id is
-  /// unregistered. Deterministic — both ends walking the same metadata
-  /// against stores with the same occupancy agree — and bounded: the id
-  /// space is 14 bits, so a store holding every id would loop forever;
-  /// checked against half-full (8192 contents) long before that.
-  ContentId derive_free_id(std::size_t k, std::size_t payload_bytes,
-                           std::uint64_t content_seed) const;
 
   /// Unregisters the content with wire id `id`, destroying its coding
   /// state (and releasing its arena-leased payload storage with it) —

@@ -43,7 +43,7 @@ ReceiverInstruments make_instruments(telemetry::Registry& registry,
 std::size_t derive_pushes(const StreamConfig& stream) {
   double budget = static_cast<double>(redundancy_budget(
       stream.k(), stream.base_overhead, stream.loss_estimate));
-  if (stream.slack_boost_ticks > 0) budget *= 1.0 + stream.slack_boost;
+  if (stream.slack_boost_ticks > 0) budget *= 1.0 + kSlackBoost;
   const auto per_tick = static_cast<std::size_t>(
       std::ceil(budget / static_cast<double>(stream.ticks_per_block)));
   return per_tick + 1;
@@ -112,9 +112,7 @@ StreamRunStats run_sim_stream(const SimStreamConfig& config) {
     for (auto& rx : fleet) rx->open_block(seq, birth);
   });
 
-  const std::size_t pushes = config.pushes_per_tick != 0
-                                 ? config.pushes_per_tick
-                                 : derive_pushes(stream);
+  const std::size_t pushes = derive_pushes(stream);
   Rng rng(config.seed);
   wire::Frame frame;
   const auto t0 = std::chrono::steady_clock::now();
@@ -213,9 +211,7 @@ StreamRunStats run_event_stream(const EventStreamConfig& config) {
     std::uint64_t seq = 0;
   };
   dissem::TimerWheel<Ev> wheel;
-  const std::size_t pushes = config.pushes_per_tick != 0
-                                 ? config.pushes_per_tick
-                                 : derive_pushes(stream);
+  const std::size_t pushes = derive_pushes(stream);
   Rng push_rng(config.seed);
   Rng loss_rng(config.seed ^ 0xda3e39cb94b95bdbULL);
   wire::Frame frame;

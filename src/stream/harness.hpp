@@ -64,9 +64,6 @@ struct SimStreamConfig {
   /// Fault schedule of every receiver's link (seeds derived per receiver).
   net::SimChannelConfig channel;
   std::size_t receivers = 4;
-  /// Push attempts per receiver per tick; 0 derives it from the block
-  /// budget and cadence (enough to spend a full boosted budget in time).
-  std::size_t pushes_per_tick = 0;
   /// Feed the channel's loss rate into the source's budget estimate (the
   /// perfect-estimator stand-in for measured feedback). Off, the budget
   /// does not see the loss — the fixed-budget miss-curve sweeps.
@@ -94,8 +91,6 @@ struct EventStreamConfig {
   /// estimate — the scale point is about holding 10^5 decoders, not
   /// about sweeping budget shortfall.
   double loss_rate = 0.0;
-  /// Broadcast symbols per tick; 0 derives it from budget and cadence.
-  std::size_t pushes_per_tick = 0;
   std::uint64_t seed = 1;
   telemetry::Registry* registry = nullptr;
 };

@@ -101,7 +101,7 @@ void StreamSource::advance(Instant now) {
     if (cfg_.slack_boost_ticks > 0 && deadline >= now &&
         deadline - now < cfg_.slack_boost_ticks) {
       budget = static_cast<std::uint32_t>(
-          std::ceil(static_cast<double>(budget) * (1.0 + cfg_.slack_boost)));
+          std::ceil(static_cast<double>(budget) * (1.0 + kSlackBoost)));
     }
     policy_.set_budget(id_of(block.seq), budget);
   }

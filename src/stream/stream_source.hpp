@@ -56,10 +56,9 @@ struct StreamConfig {
   /// set_loss_estimate — the harness's feedback path).
   double loss_estimate = 0.0;
   /// When a block's remaining slack drops below this many ticks, its
-  /// budget is boosted by `slack_boost` — spend extra redundancy only on
+  /// budget is boosted by kSlackBoost — spend extra redundancy only on
   /// blocks that are almost out of time. 0 disables the boost.
   Instant slack_boost_ticks = 0;
-  double slack_boost = 0.5;
   /// Receivers sharing one unicast source; budgets scale by this so each
   /// receiver still sees a full symbol budget.
   std::size_t fanout = 1;
@@ -67,6 +66,10 @@ struct StreamConfig {
 
   std::size_t k() const { return block_bytes / symbol_bytes; }
 };
+
+/// Share by which a block's budget grows once its slack drops below
+/// StreamConfig::slack_boost_ticks.
+inline constexpr double kSlackBoost = 0.5;
 
 /// Per-block symbol budget: k·(1+ε) padded by the loss estimate (clamped
 /// to 95 % — a fully dead channel must not demand infinity).

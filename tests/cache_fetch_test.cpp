@@ -280,9 +280,8 @@ TEST(CacheHarness, EventDriverAmpleCapacityServesEverythingFromTheEdge) {
   // 1.25× the working set absorbs the planning-estimate slack: every
   // entry is sealed, so every request is a full hit and the backhaul
   // stays dark.
-  EventCacheConfig cfg;
-  cfg.scenario = small_scenario(64, Policy::kPopularity, 1.25);
-  const CacheRunStats stats = run_event_cache(cfg);
+  const CacheRunStats stats =
+      run_event_cache(small_scenario(64, Policy::kPopularity, 1.25));
   EXPECT_EQ(stats.requests, 64u * 3u);
   EXPECT_EQ(stats.completed, stats.requests);
   EXPECT_EQ(stats.failed, 0u);
@@ -300,9 +299,8 @@ TEST(CacheHarness, EventDriverHeadStaysHotAtExactlyTheWorkingSet) {
   // working set → the head decile is served entirely by the edge. The
   // catalog tail may end as partial fractions (the estimate-vs-wire
   // slack lands there by design), but the head is always sealed first.
-  EventCacheConfig cfg;
-  cfg.scenario = small_scenario(64, Policy::kPopularity, 1.0);
-  const CacheRunStats stats = run_event_cache(cfg);
+  const CacheRunStats stats =
+      run_event_cache(small_scenario(64, Policy::kPopularity, 1.0));
   EXPECT_EQ(stats.completed, stats.requests);
   EXPECT_GE(stats.head_hit_rate(), 0.9);
   EXPECT_GE(stats.full_hit_rate(), 0.8);
@@ -315,9 +313,8 @@ TEST(CacheHarness, EventDriverCapacitySweepIsMonotone) {
   double prev_offload = -1.0;
   std::uint64_t prev_backhaul = ~std::uint64_t{0};
   for (const double frac : {0.25, 0.5, 1.0}) {
-    EventCacheConfig cfg;
-    cfg.scenario = small_scenario(48, Policy::kPopularity, frac);
-    const CacheRunStats stats = run_event_cache(cfg);
+    const CacheRunStats stats =
+        run_event_cache(small_scenario(48, Policy::kPopularity, frac));
     EXPECT_EQ(stats.completed, stats.requests);
     EXPECT_GE(stats.hit_rate(), prev_hit);
     EXPECT_GE(stats.offload(), prev_offload);
@@ -330,9 +327,8 @@ TEST(CacheHarness, EventDriverCapacitySweepIsMonotone) {
 }
 
 TEST(CacheHarness, EventDriverLruWarmsReactively) {
-  EventCacheConfig cfg;
-  cfg.scenario = small_scenario(48, Policy::kLru, 0.5);
-  const CacheRunStats stats = run_event_cache(cfg);
+  const CacheRunStats stats =
+      run_event_cache(small_scenario(48, Policy::kLru, 0.5));
   EXPECT_EQ(stats.completed, stats.requests);
   // Reactive warming: no proactive fill, yet repeat requests for the
   // head hit symbols the cache absorbed off the source path.
@@ -342,11 +338,10 @@ TEST(CacheHarness, EventDriverLruWarmsReactively) {
 }
 
 TEST(CacheHarness, EventDriverSurvivesChurn) {
-  EventCacheConfig cfg;
-  cfg.scenario = small_scenario(48, Policy::kPopularity, 1.0);
-  cfg.scenario.catalog.request_churn = 0.05;
-  cfg.scenario.catalog.content_churn = 0.02;
-  const CacheRunStats stats = run_event_cache(cfg);
+  CacheScenario sc = small_scenario(48, Policy::kPopularity, 1.0);
+  sc.catalog.request_churn = 0.05;
+  sc.catalog.content_churn = 0.02;
+  const CacheRunStats stats = run_event_cache(sc);
   EXPECT_EQ(stats.requests, 48u * 3u);
   EXPECT_EQ(stats.completed, stats.requests);  // source backstops churn
   EXPECT_GT(stats.replacements, 0u);

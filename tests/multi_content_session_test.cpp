@@ -9,7 +9,7 @@
 // zero foreign-frame drops between well-configured endpoints. Satellites:
 // data-frame routing (+ the foreign_frames counter for genuinely unknown
 // content ids and shapes), the retired generation frame forms counted as
-// malformed, per-content completion acks, the token-bucket pacer, and the
+// malformed, per-content completion acks, next_push's pick count, and the
 // simulator's multi-content mode.
 #include <gtest/gtest.h>
 
@@ -278,9 +278,10 @@ TEST(MultiContentSession, ForgedFeedbackNeverBindsOrCompletes) {
   EXPECT_TRUE(endpoint.peer_completed(0, 5));
 }
 
-TEST(MultiContentSession, PacerThrottlesSwarmPushes) {
-  // Token bucket: burst picks drain it, tick() refills at the configured
-  // rate, handshake traffic is never gated.
+TEST(MultiContentSession, NextPushCountsEveryGrantedPick) {
+  // swarm_pushes counts the picks next_push() grants and nothing else: a
+  // call with no eligible content (none can emit yet, or the peer acked
+  // them all) returns null and counts nothing.
   auto contents = std::make_unique<store::ContentStore>();
   for (ContentId id = 1; id <= 2; ++id) {
     store::ContentConfig cfg;
@@ -292,29 +293,32 @@ TEST(MultiContentSession, PacerThrottlesSwarmPushes) {
   EndpointConfig cfg;
   cfg.feedback = FeedbackMode::kNone;  // no conversation state: contents
                                        // stay eligible for every pick
-  cfg.pace_tokens_per_tick = 1.0;
-  cfg.pace_burst = 2.0;
   Endpoint endpoint(cfg, std::move(contents));
+  EXPECT_EQ(endpoint.next_push(0), nullptr);  // nothing to emit yet
+  EXPECT_EQ(endpoint.stats().swarm_pushes, 0u);
+
   for (std::size_t i = 0; i < 2; ++i) seed_full(endpoint.contents().at(i));
+  Rng rng(3);
+  for (std::uint64_t n = 1; n <= 5; ++n) {
+    const store::Content* pick = endpoint.next_push(0);
+    ASSERT_NE(pick, nullptr);
+    EXPECT_EQ(endpoint.stats().swarm_pushes, n);
+    ASSERT_TRUE(endpoint.start_transfer(0, pick->id(), rng));
+  }
 
-  // Full bucket: exactly two picks, then deferral.
-  EXPECT_NE(endpoint.next_push(0), nullptr);
-  EXPECT_NE(endpoint.next_push(0), nullptr);
+  // Peer 0 acks both contents: nothing is left to push to it, and the
+  // refused calls count nothing; another peer still gets picks.
+  wire::Frame frame;
+  for (ContentId id = 1; id <= 2; ++id) {
+    wire::serialize_feedback(id, wire::MessageType::kAck, 9, frame);
+    EXPECT_EQ(endpoint.handle_frame(0, frame.bytes()),
+              Endpoint::Event::kAckReceived);
+  }
   EXPECT_EQ(endpoint.next_push(0), nullptr);
-  EXPECT_EQ(endpoint.stats().swarm_pushes, 2u);
-  EXPECT_EQ(endpoint.stats().pacer_deferrals, 1u);
-
-  // One tick at rate 1 → one token → one pick.
-  endpoint.tick(1);
-  EXPECT_NE(endpoint.next_push(0), nullptr);
   EXPECT_EQ(endpoint.next_push(0), nullptr);
-  EXPECT_EQ(endpoint.stats().swarm_pushes, 3u);
-
-  // A long idle refills at most to the burst cap.
-  endpoint.tick(1000);
-  EXPECT_NE(endpoint.next_push(0), nullptr);
-  EXPECT_NE(endpoint.next_push(0), nullptr);
-  EXPECT_EQ(endpoint.next_push(0), nullptr);
+  EXPECT_EQ(endpoint.stats().swarm_pushes, 5u);
+  EXPECT_NE(endpoint.next_push(1), nullptr);
+  EXPECT_EQ(endpoint.stats().swarm_pushes, 6u);
 }
 
 TEST(MultiContentSession, PerContentCompletionAcks) {

@@ -48,7 +48,7 @@ TEST(UniformSampler, TwoNodes) {
 
 TEST(GossipViewSampler, ViewsHaveRightShape) {
   Rng rng(4);
-  GossipViewSampler s(20, 5, 2, rng);
+  GossipViewSampler s(20, 5, rng);
   for (NodeId n = 0; n < 20; ++n) {
     const auto& view = s.view_of(n);
     ASSERT_EQ(view.size(), 5u);
@@ -61,7 +61,7 @@ TEST(GossipViewSampler, ViewsHaveRightShape) {
 
 TEST(GossipViewSampler, SamplesFromOwnView) {
   Rng rng(5);
-  GossipViewSampler s(20, 5, 2, rng);
+  GossipViewSampler s(20, 5, rng);
   for (int i = 0; i < 100; ++i) {
     const NodeId peer = s.sample(rng, 3);
     const auto& view = s.view_of(3);
@@ -71,7 +71,7 @@ TEST(GossipViewSampler, SamplesFromOwnView) {
 
 TEST(GossipViewSampler, TickRenewsViews) {
   Rng rng(6);
-  GossipViewSampler s(50, 8, 4, rng);
+  GossipViewSampler s(50, 8, rng);
   const std::vector<NodeId> before = s.view_of(0);
   for (int i = 0; i < 10; ++i) s.tick(rng);
   const std::vector<NodeId>& after = s.view_of(0);

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "common/arena.hpp"
@@ -23,6 +25,11 @@ namespace ltnc::session {
 namespace {
 
 using Event = Endpoint::Event;
+
+// A bare null store is a compile error, not a run-time abort: a pure
+// seeder takes an empty ContentStore.
+static_assert(!std::is_constructible_v<Endpoint, const EndpointConfig&,
+                                       std::nullptr_t>);
 
 constexpr std::size_t kK = 32;
 constexpr std::size_t kM = 16;

@@ -73,8 +73,7 @@ TEST(ShardedEndpoint, DecodesAcrossShardsAndAcksFlowBack) {
   {
     SinkApp app(kPeers);
     ShardedConfig cfg;
-    cfg.num_shards = 4;
-    cfg.ring_capacity = 256;  // » total frames: the no-drop regime
+    cfg.num_shards = 4;  // each 512-frame ring » total frames: no drops
     ShardedEndpoint sharded(cfg, app);
 
     wire::Frame frame;

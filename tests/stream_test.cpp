@@ -1,6 +1,6 @@
 // The streaming subsystem end to end: sliding-window block lifecycle,
-// the ContentStore expire path through the session layer (single and
-// sharded), deadline-scored receivers, and the sim/event harnesses.
+// the ContentStore expire path through the session layer, deadline-scored
+// receivers, and the sim/event harnesses.
 //
 // Acceptance anchors living here:
 //   * expired-block frames land in SessionStats::expired_frames and
@@ -12,10 +12,8 @@
 //     loss misses deadlines instead of stalling.
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdint>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "common/bitvector.hpp"
@@ -26,7 +24,6 @@
 #include "common/rng.hpp"
 #include "session/endpoint.hpp"
 #include "session/protocols.hpp"
-#include "session/sharded.hpp"
 #include "store/content_store.hpp"
 #include "stream/harness.hpp"
 #include "stream/receiver.hpp"
@@ -282,67 +279,6 @@ TEST(StreamExpiry, ExpireUnknownContentIsFalse) {
   Endpoint ep(push_config(), std::make_unique<store::ContentStore>());
   EXPECT_FALSE(ep.expire_content(12));
   EXPECT_EQ(ep.stats().contents_expired, 0u);
-}
-
-// --- sharded expire --------------------------------------------------------
-
-namespace sharded_expiry {
-
-class SinkApp final : public session::ShardApp {
- public:
-  std::unique_ptr<Endpoint> make_endpoint(std::uint32_t /*shard*/) override {
-    auto contents = std::make_unique<store::ContentStore>();
-    contents->register_content(sink_config(1, 4, 16),
-                               std::make_unique<session::LtSinkProtocol>(4, 16));
-    return std::make_unique<Endpoint>(push_config(), std::move(contents));
-  }
-  bool pump(std::uint32_t /*shard*/, Endpoint& /*endpoint*/) override {
-    return false;
-  }
-};
-
-}  // namespace sharded_expiry
-
-TEST(StreamExpiry, ShardedRequestExpireReachesEveryShard) {
-  // Workers drain pending expiries at tick boundaries and stop() does not
-  // flush in-flight work, so on a starved machine a single pass with fixed
-  // sleeps can race. Retry the whole scenario with a growing grace period;
-  // the invariants themselves are checked on the final outcome.
-  session::SessionStats total;
-  for (int attempt = 0; attempt < 6; ++attempt) {
-    const auto grace = std::chrono::milliseconds(5LL << attempt);
-    sharded_expiry::SinkApp app;
-    session::ShardedConfig cfg;
-    cfg.num_shards = 2;
-    cfg.ring_capacity = 256;
-    // Expiries drain at tick boundaries; tick every iteration so the
-    // drain keeps pace with the frame pops even when workers are starved
-    // (idle loops yield, and yields are slow on a loaded machine).
-    cfg.iterations_per_tick = 1;
-    session::ShardedEndpoint sharded(cfg, app);
-
-    wire::Frame frame;
-    wire::serialize(ContentId{1},
-                    CodedPacket::native(4, 0, Payload::deterministic(16, 5, 0)),
-                    frame);
-    ASSERT_TRUE(sharded.route_frame(0, frame));
-    sharded.request_expire(1);
-    // Late frames after the expiry drains land as expired, never foreign.
-    for (int i = 0; i < 8; ++i) {
-      std::this_thread::sleep_for(grace);
-      wire::serialize(
-          ContentId{1},
-          CodedPacket::native(4, 1, Payload::deterministic(16, 5, 1)), frame);
-      ASSERT_TRUE(sharded.route_frame(0, frame));
-    }
-    std::this_thread::sleep_for(4 * grace);
-    sharded.stop();
-    total = sharded.aggregate_stats();
-    if (total.contents_expired == 2 && total.expired_frames >= 1) break;
-  }
-  EXPECT_EQ(total.contents_expired, 2u);
-  EXPECT_EQ(total.foreign_frames, 0u);
-  EXPECT_GE(total.expired_frames, 1u);
 }
 
 // --- expiry churn is arena-allocation-free at steady state -----------------
