@@ -24,8 +24,9 @@
 //       Bind a UDP socket, decode, hash-verify and ack every file; gives
 //       up after 10 s without a datagram.
 //   ./build/examples/file_distribution --udp-loopback-dir <dir> [bytes]
-//       Both ends in one process over 127.0.0.1 — the CI smoke tests: the
-//       files cross a real socket concurrently and every hash must match.
+//       Both ends in one process over 127.0.0.1 — the receiver on a second
+//       thread, the sender on the main one; the CI smoke tests: the files
+//       cross a real socket concurrently and every hash must match.
 //
 // Sharded swarm mode (the multi-core data plane):
 //   ./build/examples/file_distribution --udp-swarm-loopback
@@ -46,11 +47,13 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <iterator>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -243,16 +246,6 @@ std::uint64_t total_blocks(const std::vector<LoadedFile>& files) {
   return blocks;
 }
 
-/// One round-robin burst: offer a packet of every not-yet-acked content.
-void offer_unacked(session::Endpoint& sender,
-                   const std::vector<LoadedFile>& files,
-                   std::vector<lt::LtEncoder>& encoders, Rng& rng) {
-  for (std::size_t i = 0; i < files.size(); ++i) {
-    if (sender.peer_completed(0, files[i].meta.id)) continue;
-    sender.offer_packet(0, files[i].meta.id, encoders[i].encode(rng));
-  }
-}
-
 /// Frames an unacked file of `blocks` blocks gets in one sender round:
 /// ⌈1.5·k⌉ in the first (a 64-block file decodes from about 1.4·k), then
 /// max(8, ⌈k/4⌉), so a small file still advances several frames a round.
@@ -302,43 +295,50 @@ int run_udp_dir_sender(net::UdpTransport& transport,
   return 0;
 }
 
+/// Decodes every file, acking each one back to the sender as it
+/// completes (so the sender's next round skips it), then re-announces the
+/// acks for eight ticks. Writes its summary to `out` and failures to
+/// `err`.
 int run_udp_dir_receiver(net::UdpTransport& transport,
-                         const std::vector<LoadedFile>& files) {
+                         const std::vector<LoadedFile>& files,
+                         std::ostream& out, std::ostream& err) {
   session::Endpoint receiver = make_dir_receiver(files);
   wire::Frame frame;
   constexpr int kIdleTimeoutMs = 10'000;
+  bool has_peer = false;
+  UdpTally acks;
 
   while (!receiver.complete()) {
     if (!transport.recv(frame)) {
       if (!transport.wait_readable(kIdleTimeoutMs)) {
-        std::cerr << "receiver: no frame for 10 s, giving up\n";
+        err << "receiver: no frame for 10 s, giving up\n";
         return 1;
       }
       continue;
     }
     receiver.handle_frame(0, frame.bytes());
+    if (!has_peer) has_peer = transport.set_peer_to_last_sender();
+    if (has_peer) flush(receiver, transport, frame, acks);
   }
   for (const LoadedFile& file : files) {
     if (!verify_received_file(receiver, file)) {
-      std::cerr << "receiver: " << file.meta.name
-                << " failed hash verification\n";
+      err << "receiver: " << file.meta.name << " failed hash verification\n";
       return 1;
     }
   }
-  if (transport.set_peer_to_last_sender()) {
-    UdpTally acks;
-    for (session::Instant now = 1; now <= 8; ++now) {
-      flush(receiver, transport, frame, acks);
-      receiver.tick(now);
-    }
+  for (session::Instant now = 1; now <= 8; ++now) {
+    flush(receiver, transport, frame, acks);
+    receiver.tick(now);
   }
   const session::SessionStats& s = receiver.stats();
-  std::cout << "receiver: decoded and hash-verified " << files.size()
-            << " files from " << s.frames_received << " frames / "
-            << s.bytes_received << " wire bytes\n";
+  out << "receiver: decoded and hash-verified " << files.size()
+      << " files from " << s.frames_received << " frames / "
+      << s.bytes_received << " wire bytes\n";
   return 0;
 }
 
+/// Both ends of the directory transfer in one process: the receiver on a
+/// second thread, the sender on this one, over two loopback sockets.
 int run_udp_loopback_dir(const std::string& dir, std::size_t block_bytes) {
   std::vector<LoadedFile> files;
   if (!load_directory(dir, block_bytes, files)) return 1;
@@ -365,60 +365,25 @@ int run_udp_loopback_dir(const std::string& dir, std::size_t block_bytes) {
             << " bytes) over 127.0.0.1:" << rx_transport->local_port()
             << "\n";
 
-  std::vector<lt::LtEncoder> encoders = make_dir_encoders(files);
-  session::Endpoint sender = make_dir_sender(files);
-  session::Endpoint receiver = make_dir_receiver(files);
-  Rng rng(1);
-  wire::Frame tx_frame;
-  wire::Frame rx_frame;
-  UdpTally sent;
-  const std::uint64_t max_frames = 400 * total_blocks(files) + 100000;
-
-  while (!receiver.complete() && sent.frames < max_frames) {
-    // Interleaved burst: one packet per unfinished content, then drain —
-    // the contents genuinely share the socket instead of queueing up.
-    for (int burst = 0; burst < 4 && !receiver.complete(); ++burst) {
-      offer_unacked(sender, files, encoders, rng);
-      flush(sender, *tx_transport, tx_frame, sent);
+  // Both ends finish at about the same moment, so the receiver writes
+  // into buffers printed after the join: each summary line comes out
+  // whole.
+  std::ostringstream rx_out;
+  std::ostringstream rx_err;
+  int rx_result = 1;
+  std::jthread receiver([&] {
+    try {
+      rx_result = run_udp_dir_receiver(*rx_transport, files, rx_out, rx_err);
+    } catch (const std::exception& e) {
+      rx_err << "receiver: " << e.what() << "\n";
     }
-    while (rx_transport->recv(rx_frame)) {
-      receiver.handle_frame(0, rx_frame.bytes());
-    }
-  }
-
-  if (!receiver.complete()) {
-    std::cerr << "loopback: decode incomplete after " << sent.frames
-              << " frames\n";
-    return 1;
-  }
-  for (const LoadedFile& file : files) {
-    if (!verify_received_file(receiver, file)) {
-      std::cerr << "loopback: " << file.meta.name
-                << " failed hash verification\n";
-      return 1;
-    }
-  }
-
-  // Per-content completion acks flow back over the socket until the
-  // sender has marked every file done.
-  rx_transport->set_peer_to_last_sender();
-  UdpTally acks;
-  for (session::Instant now = 1;
-       now <= 8 && !sender.peer_completed_all(0); ++now) {
-    flush(receiver, *rx_transport, rx_frame, acks);
-    receiver.tick(now);
-    while (tx_transport->recv(tx_frame)) {
-      sender.handle_frame(0, tx_frame.bytes());
-    }
-  }
-
-  const session::SessionStats& rs = receiver.stats();
-  std::cout << "loopback: transferred and hash-verified " << files.size()
-            << " files in " << rs.data_delivered << " frames ("
-            << rs.bytes_received << " wire bytes), all acks "
-            << (sender.peer_completed_all(0) ? "received" : "NOT received")
-            << "\n";
-  return sender.peer_completed_all(0) ? 0 : 1;
+    WordArena::reclaim_local();  // worker-thread exit hygiene
+  });
+  const int tx_result = run_udp_dir_sender(*tx_transport, files);
+  receiver.join();
+  std::cout << rx_out.str();
+  std::cerr << rx_err.str();
+  return tx_result == 0 && rx_result == 0 ? 0 : 1;
 }
 
 // --- sharded swarm over loopback (the multi-core data plane) ----------------
@@ -977,7 +942,7 @@ int main(int argc, char** argv) {
     }
     std::cout << "receiver: listening on UDP port " << transport->local_port()
               << " for " << files.size() << " files\n";
-    return run_udp_dir_receiver(*transport, files);
+    return run_udp_dir_receiver(*transport, files, std::cout, std::cerr);
   }
   return run_swarm_comparison(arg_or(argc, argv, 1, 100),
                               arg_or(argc, argv, 2, 256),
