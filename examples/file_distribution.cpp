@@ -79,25 +79,37 @@ using namespace ltnc;
 
 constexpr std::uint64_t kContentSeed = 20100621;  // the file's identity
 
-/// What actually left through the socket (the endpoint's frames_sent
-/// counts frames *popped* for transmit; the kernel may still refuse one,
-/// so budgets and reports must count acceptances, as the pre-session
-/// loops did).
-struct UdpTally {
-  std::uint64_t frames = 0;
-  std::uint64_t bytes = 0;
-};
-
-/// Sends every frame the endpoint has queued, tallying accepted sends.
+/// Sends every frame the endpoint has queued, one datagram each. Budgets
+/// and reports count what the socket accepted (UdpStats), not what the
+/// endpoint popped for transmit.
 void flush(session::Endpoint& endpoint, net::Transport& transport,
-           wire::Frame& scratch, UdpTally& sent) {
+           wire::Frame& scratch) {
   session::PeerId peer = 0;
-  while (endpoint.poll_transmit(peer, scratch)) {
-    if (transport.send(scratch.bytes())) {
-      ++sent.frames;
-      sent.bytes += scratch.size();
-    }
+  while (endpoint.poll_transmit(peer, scratch)) transport.send(scratch.bytes());
+}
+
+/// Sends every frame the endpoint has queued to transport peer `to` in
+/// one send_batch call, so frames small enough to share a datagram pack.
+void flush_batch(session::Endpoint& endpoint, net::UdpTransport& transport,
+                 net::UdpTransport::PeerIndex to,
+                 std::vector<wire::Frame>& frames) {
+  std::vector<net::UdpTransport::TxItem> items;
+  session::PeerId peer = 0;
+  for (std::size_t n = 0;; ++n) {
+    if (frames.size() == n) frames.emplace_back();
+    if (!endpoint.poll_transmit(peer, frames[n])) break;
+    items.push_back({to, frames[n].bytes()});
   }
+  if (!items.empty()) transport.send_batch(items);
+}
+
+/// "F frames in D datagrams (R frames/datagram) / B wire bytes" sent.
+std::string sent_summary(const net::UdpStats& s) {
+  std::ostringstream out;
+  out << s.frames_sent << " frames in " << s.datagrams_sent
+      << " datagrams (" << s.frames_per_datagram() << " frames/datagram) / "
+      << s.bytes_sent << " wire bytes";
+  return out.str();
 }
 
 session::EndpointConfig receiver_config(session::FeedbackMode feedback) {
@@ -255,21 +267,24 @@ std::size_t round_frames(std::size_t blocks, bool first_round) {
 }
 
 /// The sender runs in rounds so it cannot run ahead of its receiver:
-/// every unacked file gets round_frames() frames, then the sender waits
-/// for acks before the next round.
+/// every unacked file gets round_frames() frames, sent in one batch, then
+/// the sender reads acks — up to kAckWaitMs for the first, then for as
+/// long as more keep coming within kAckGraceMs — before the next round,
+/// so a file acked a moment after another gets no further round.
 int run_udp_dir_sender(net::UdpTransport& transport,
                        const std::vector<LoadedFile>& files) {
   constexpr int kAckWaitMs = 20;
+  constexpr int kAckGraceMs = 1;
   std::vector<lt::LtEncoder> encoders = make_dir_encoders(files);
   session::Endpoint sender = make_dir_sender(files);
   Rng rng(1);
-  wire::Frame frame;
+  std::vector<wire::Frame> frames;
   wire::Frame feedback;
   const std::uint64_t max_frames = 400 * total_blocks(files) + 100000;
+  const net::UdpStats& sent = transport.stats();
 
-  UdpTally sent;
   for (bool first = true;
-       !sender.peer_completed_all(0) && sent.frames < max_frames;
+       !sender.peer_completed_all(0) && sent.frames_sent < max_frames;
        first = false) {
     for (std::size_t i = 0; i < files.size(); ++i) {
       const ContentId id = files[i].meta.id;
@@ -278,20 +293,23 @@ int run_udp_dir_sender(net::UdpTransport& transport,
            --n) {
         sender.offer_packet(0, id, encoders[i].encode(rng));
       }
-      flush(sender, transport, frame, sent);
     }
-    if (!transport.wait_readable(kAckWaitMs)) continue;
-    while (transport.recv(feedback)) {
-      sender.handle_frame(0, feedback.bytes());
+    flush_batch(sender, transport, 0, frames);
+    for (int wait_ms = kAckWaitMs; !sender.peer_completed_all(0) &&
+                                   transport.wait_readable(wait_ms);
+         wait_ms = kAckGraceMs) {
+      while (transport.recv(feedback)) {
+        sender.handle_frame(0, feedback.bytes());
+      }
     }
   }
   if (!sender.peer_completed_all(0)) {
-    std::cerr << "sender: unacked contents remain after " << sent.frames
+    std::cerr << "sender: unacked contents remain after " << sent.frames_sent
               << " frames\n";
     return 1;
   }
   std::cout << "sender: all " << files.size() << " files acked; sent "
-            << sent.frames << " frames / " << sent.bytes << " wire bytes\n";
+            << sent_summary(sent) << "\n";
   return 0;
 }
 
@@ -303,22 +321,26 @@ int run_udp_dir_receiver(net::UdpTransport& transport,
                          const std::vector<LoadedFile>& files,
                          std::ostream& out, std::ostream& err) {
   session::Endpoint receiver = make_dir_receiver(files);
-  wire::Frame frame;
   constexpr int kIdleTimeoutMs = 10'000;
-  bool has_peer = false;
-  UdpTally acks;
+  std::vector<wire::Frame> rx(net::UdpTransport::kMaxBatch);
+  std::vector<net::UdpTransport::PeerIndex> from(rx.size());
+  std::vector<wire::Frame> acks;
+  net::UdpTransport::PeerIndex sender = net::UdpTransport::kInvalidPeer;
 
   while (!receiver.complete()) {
-    if (!transport.recv(frame)) {
+    const std::size_t n = transport.recv_batch(rx, from);
+    if (n == 0) {
       if (!transport.wait_readable(kIdleTimeoutMs)) {
         err << "receiver: no frame for 10 s, giving up\n";
         return 1;
       }
       continue;
     }
-    receiver.handle_frame(0, frame.bytes());
-    if (!has_peer) has_peer = transport.set_peer_to_last_sender();
-    if (has_peer) flush(receiver, transport, frame, acks);
+    for (std::size_t i = 0; i < n && !receiver.complete(); ++i) {
+      receiver.handle_frame(0, rx[i].bytes());
+      sender = from[i];
+      flush_batch(receiver, transport, sender, acks);
+    }
   }
   for (const LoadedFile& file : files) {
     if (!verify_received_file(receiver, file)) {
@@ -327,13 +349,15 @@ int run_udp_dir_receiver(net::UdpTransport& transport,
     }
   }
   for (session::Instant now = 1; now <= 8; ++now) {
-    flush(receiver, transport, frame, acks);
+    flush_batch(receiver, transport, sender, acks);
     receiver.tick(now);
   }
   const session::SessionStats& s = receiver.stats();
+  const net::UdpStats& u = transport.stats();
   out << "receiver: decoded and hash-verified " << files.size()
       << " files from " << s.frames_received << " frames / "
-      << s.bytes_received << " wire bytes\n";
+      << s.bytes_received << " wire bytes in " << u.datagrams_received
+      << " datagrams (" << u.frames_per_datagram() << " frames/datagram)\n";
   return 0;
 }
 
@@ -575,7 +599,6 @@ int run_udp_swarm_loopback(std::size_t peers, std::size_t blocks,
       std::vector<bool> locked(peers, false);  // feedback channel acquired
       std::vector<bool> counted(peers, false);
       wire::Frame frame;
-      UdpTally acks;
       std::uint64_t iterations = 0;
       while (!seeder_done.load(std::memory_order_relaxed)) {
         bool any = false;
@@ -588,7 +611,7 @@ int run_udp_swarm_loopback(std::size_t peers, std::size_t blocks,
             locked[p] = true;
           }
           if (locked[p]) {
-            flush(endpoints[p], *rx_transports[p], frame, acks);
+            flush(endpoints[p], *rx_transports[p], frame);
           }
           if (!counted[p] && endpoints[p].complete()) {
             counted[p] = true;
@@ -715,8 +738,8 @@ int run_udp_swarm_loopback(std::size_t peers, std::size_t blocks,
     const net::UdpStats& us = seeder->stats();
     const session::SessionStats total = sharded.aggregate_stats();
     std::cout << "swarm: " << app.peers_done() << "/" << peers
-              << " peers acked; seeder sent " << us.frames_sent
-              << " frames in " << us.send_calls << " sendmmsg calls ("
+              << " peers acked; seeder sent " << sent_summary(us) << " in "
+              << us.send_calls << " sendmmsg calls ("
               << us.frames_per_send_call() << " frames/call), received "
               << us.frames_received << " acks in " << us.recv_calls
               << " recv calls; session data_sent " << total.data_sent

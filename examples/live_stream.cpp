@@ -136,7 +136,10 @@ int main(int argc, char** argv) {
             << "  goodput           " << r.goodput_bytes << " B over "
             << r.duration_ticks << " µs\n"
             << "  source frames     " << r.source_frames << "  (late/expired "
-            << r.expired_frames << ")\n";
+            << r.expired_frames << ")\n"
+            << "  udp datagrams     " << r.link_tx.datagrams_sent << " for "
+            << r.link_tx.frames_sent << " frames  ("
+            << r.link_tx.frames_per_datagram() << " frames/datagram)\n";
 
   if (!prom_path.empty()) {
     std::ofstream out(prom_path, std::ios::trunc);

@@ -133,6 +133,15 @@ class WordBuf {
   explicit WordBuf(std::size_t words)
       : ptr_(WordArena::local().lease(words)), words_(words) {}
 
+  /// Leases `words` limbs without the zero-fill, for a caller that writes
+  /// every limb before reading it.
+  static WordBuf uninitialized(std::size_t words) {
+    WordBuf buf;
+    buf.ptr_ = WordArena::local().lease_uninitialized(words);
+    buf.words_ = words;
+    return buf;
+  }
+
   WordBuf(const WordBuf& other)
       : ptr_(WordArena::local().lease_uninitialized(other.words_)),
         words_(other.words_) {

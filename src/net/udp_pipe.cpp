@@ -66,6 +66,7 @@ bool UdpPipe::recv(wire::Frame& out) {
       --in_socket_;
       return true;
     }
+    tx_->send_batch({});  // datagrams a refusal queued in tx_ go now
     if (!rx_->wait_readable(kDeliveryTimeoutMs)) {
       socket_losses_ += in_socket_;
       in_socket_ = 0;

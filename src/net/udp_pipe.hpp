@@ -3,13 +3,16 @@
 //
 // send() feeds a SimChannel, the seeded loss / duplicate / reorder / MTU /
 // overflow stage. recv() moves what that channel delivers through a pair
-// of loopback UDP sockets and hands the datagrams out as they arrive. At
-// most 64 datagrams (and about 32 KiB) sit in the socket at once, well
-// inside a default receive buffer, and recv() waits for every datagram
-// the kernel accepted. A loopback keeps datagram order, so the pipe
-// delivers exactly the frames, in exactly the order, that a SimChannel
-// with the same config delivers: a driver's counts are the same over
-// either link, and only its clock differs.
+// of loopback UDP sockets, one send_batch at a time (small frames pack
+// several to a datagram), and hands the frames out as they arrive. At
+// most 64 frames (and about 32 KiB) sit in the socket at once, well
+// inside a default receive buffer, and recv() waits for every frame the
+// transport took. A loopback keeps datagram order, so the pipe delivers
+// exactly the frames, in exactly the order, that a SimChannel with the
+// same config delivers: a driver's counts are the same over either link,
+// and only its clock differs. (The one exception: an item the fault stage
+// delivers that is not one frame but exactly a run of whole frames
+// arrives split into them; no driver sends such bytes.)
 //
 // That holds for a driver that sends and then drains the link, as every
 // harness does. One recv() may move up to 64 frames out of the fault
@@ -46,9 +49,13 @@ class UdpPipe final : public Transport {
   bool recv(wire::Frame& out) override;
   std::size_t mtu() const override { return faults_.mtu(); }
 
-  /// Datagrams lost between the sockets: refused by the kernel, or never
+  /// Frames lost between the sockets: dropped by a send error, or never
   /// delivered within a second. 0 on a healthy loopback.
   std::uint64_t socket_losses() const { return socket_losses_; }
+
+  /// The sending socket's tallies: frames, and the datagrams they were
+  /// packed into.
+  const UdpStats& sender_stats() const { return tx_->stats(); }
 
  private:
   UdpPipe(const SimChannelConfig& faults, std::unique_ptr<UdpTransport> tx,

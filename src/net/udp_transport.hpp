@@ -1,22 +1,37 @@
 // UdpTransport — real POSIX UDP sockets under the wire codec.
 //
-// One frame = one UDP datagram (pyrofling-style simple sockets): the
-// socket is bound, set non-blocking, and polled from the protocol loop.
-// recv() lands datagrams straight into the caller's arena-backed
-// wire::Frame (no intermediate buffer) and remembers the source address,
-// so a receiver can lock onto whoever is talking to it and ship feedback
-// frames back — the abort/ack channel of §III-C over a real network.
+// A datagram carries one or more whole wire frames. The socket is bound,
+// set non-blocking, and polled from the protocol loop. recv() lands
+// datagrams straight into the caller's arena-backed wire::Frame and
+// remembers the source address, so a receiver can lock onto whoever is
+// talking to it and ship feedback frames back — the abort/ack channel of
+// §III-C over a real network.
 //
 // **Batched I/O.** The single-datagram path costs one syscall per frame —
 // the dominant per-frame cost once the coding itself is SIMD-cheap. The
-// batch surface (recv_batch / send_batch) moves up to kMaxBatch frames
+// batch surface (recv_batch / send_batch) moves up to kMaxBatch datagrams
 // per recvmmsg/sendmmsg syscall on Linux, with a runtime fallback to a
 // recvfrom/sendto loop on kernels or platforms without the mmsg calls —
-// same semantics, one syscall per frame, so callers never branch on
+// same semantics, one syscall per datagram, so callers never branch on
 // availability. Batch calls speak the transport's peer registry: every
 // distinct source address is interned to a dense PeerIndex (auto-grown on
 // first sight), which is what the sharded endpoint hashes on; send_batch
 // takes (peer, bytes) pairs so one socket fans out to a whole swarm.
+//
+// **Packing.** send_batch packs the frames bound for one destination, in
+// item order, back to back into datagrams of at most kPackedDatagramBytes
+// (and never more than UdpConfig::mtu). Two kinds of item go out alone,
+// byte for byte: a frame too big to share such a datagram with another
+// (over half of it), and bytes that are not exactly one wire frame. The
+// receive calls split a datagram of at most kPackedDatagramBytes that is
+// exactly a run of whole frames (wire::count_frames) and deliver any
+// other datagram whole. Frames that do not fit the caller's span wait in
+// the transport and come back first on the next recv/recv_batch, with no
+// syscall; wait_readable() returns true at once while any wait. No byte
+// is added on the wire: frames stay byte-identical and the protocol
+// version stays 2. A receiver that predates packing rejects a packed
+// datagram whole (kTrailingBytes) instead of misreading it. UdpStats
+// counts frames and datagrams apart.
 //
 // **Error discipline.** EAGAIN/EWOULDBLOCK is the *expected* idle result
 // of a non-blocking socket and is counted separately (would_block) from
@@ -25,6 +40,19 @@
 // (counted with the errno preserved in stats().last_errno). send()/recv()
 // report false for all three — datagram semantics — but the tallies let a
 // caller distinguish "link idle" from "link broken".
+//
+// **A datagram the kernel refuses.** One packed datagram can hold items
+// from before and after an item of another datagram, so send_batch cannot
+// hand a refused datagram's items back as a tail of `items`. When the
+// kernel refuses a datagram with EAGAIN, that datagram and the rest of
+// the call's datagrams stay queued in the transport, in order, and count
+// as taken; the call takes no further item. A fatal error drops its one
+// datagram (counted) and queues the rest the same way. The next
+// send_batch (an empty one too) or send() sends the queue first, and
+// takes no new frame while the kernel still refuses it. So a frame is
+// never sent twice, frames to one destination keep their order, and a
+// frame leaves the transport only in a datagram the kernel accepted or in
+// one an error dropped and counted (transient_errors, fatal_errors).
 //
 // Compiled to a stub returning "unsupported" on non-POSIX platforms so
 // the library stays portable; everything else in src/net is pure C++.
@@ -56,12 +84,17 @@ struct UdpConfig {
 /// Syscall-level tallies. would_block is the idle path, not an error;
 /// transient_errors are per-peer failures (ECONNREFUSED, EHOSTUNREACH,
 /// ENETUNREACH, EINTR, ENOBUFS, EPERM) that cost one datagram at most;
-/// fatal_errors is everything else, with the last errno preserved.
+/// fatal_errors is everything else (and send_batch items it skips as
+/// invalid), with the last errno preserved.
 struct UdpStats {
   std::uint64_t send_calls = 0;       ///< syscalls issued (batched count 1)
-  std::uint64_t recv_calls = 0;
-  std::uint64_t frames_sent = 0;      ///< datagrams the kernel accepted
+  std::uint64_t recv_calls = 0;       ///< syscalls; queued frames cost none
+  std::uint64_t frames_sent = 0;      ///< frames in accepted datagrams
+  std::uint64_t datagrams_sent = 0;   ///< datagrams the kernel accepted
+  /// Frames the received datagrams split into, those still queued for a
+  /// later call included.
   std::uint64_t frames_received = 0;
+  std::uint64_t datagrams_received = 0;
   std::uint64_t bytes_sent = 0;
   std::uint64_t bytes_received = 0;
   std::uint64_t send_would_block = 0;  ///< EAGAIN on send (socket buffer full)
@@ -82,6 +115,31 @@ struct UdpStats {
                : static_cast<double>(frames_received) /
                      static_cast<double>(recv_calls);
   }
+  UdpStats& operator+=(const UdpStats& o) {
+    send_calls += o.send_calls;
+    recv_calls += o.recv_calls;
+    frames_sent += o.frames_sent;
+    datagrams_sent += o.datagrams_sent;
+    frames_received += o.frames_received;
+    datagrams_received += o.datagrams_received;
+    bytes_sent += o.bytes_sent;
+    bytes_received += o.bytes_received;
+    send_would_block += o.send_would_block;
+    recv_would_block += o.recv_would_block;
+    transient_errors += o.transient_errors;
+    fatal_errors += o.fatal_errors;
+    if (o.last_errno != 0) last_errno = o.last_errno;
+    return *this;
+  }
+
+  /// Frames per datagram over both directions: 1 without packing.
+  double frames_per_datagram() const {
+    const std::uint64_t datagrams = datagrams_sent + datagrams_received;
+    return datagrams == 0 ? 0.0
+                          : static_cast<double>(frames_sent +
+                                                frames_received) /
+                                static_cast<double>(datagrams);
+  }
 };
 
 class UdpTransport final : public Transport {
@@ -95,6 +153,12 @@ class UdpTransport final : public Transport {
   /// Largest number of datagrams one recvmmsg/sendmmsg call can move.
   static constexpr std::size_t kMaxBatch = 64;
 
+  /// Largest datagram send_batch packs frames into: a 1,500-byte Ethernet
+  /// MTU less the IPv4 (20) and UDP (8) headers, so a packed datagram is
+  /// never fragmented on such a path. A frame shares one only when it is
+  /// at most half of it (736 bytes).
+  static constexpr std::size_t kPackedDatagramBytes = 1472;
+
   /// Opens and binds the socket. Returns nullptr on failure with a
   /// human-readable reason in `error` (also on non-POSIX builds).
   static std::unique_ptr<UdpTransport> open(const UdpConfig& config,
@@ -104,32 +168,40 @@ class UdpTransport final : public Transport {
   UdpTransport(const UdpTransport&) = delete;
   UdpTransport& operator=(const UdpTransport&) = delete;
 
-  /// Sends one datagram to the default peer. False when no peer is set,
-  /// the frame exceeds the MTU, or the kernel refuses (see stats() for
-  /// which way it refused).
+  /// Sends one datagram to the default peer, after any datagram a
+  /// send_batch left queued. False when no peer is set, the frame exceeds
+  /// the MTU, or the kernel refuses (see stats() for which way it
+  /// refused).
   bool send(std::span<const std::uint8_t> frame) override;
 
-  /// Non-blocking receive; false when no datagram is pending. Oversized
-  /// datagrams are truncated by the kernel and will fail frame decoding —
-  /// the codec treats them as malformed, which is the right failure mode.
+  /// Non-blocking receive of one frame: a queued one first, else the
+  /// next datagram, whose further frames are queued. False when nothing
+  /// is pending. Oversized datagrams are truncated by the kernel and will
+  /// fail frame decoding — the codec treats them as malformed, which is
+  /// the right failure mode.
   bool recv(wire::Frame& out) override;
 
   std::size_t mtu() const override { return mtu_; }
 
   // --- batched I/O ----------------------------------------------------------
 
-  /// One outbound datagram of a batch: the interned destination plus the
+  /// One outbound frame of a batch: the interned destination plus the
   /// frame bytes (which must stay alive across the call).
   struct TxItem {
     PeerIndex peer = 0;
     std::span<const std::uint8_t> bytes;
   };
 
-  /// Sends up to min(items.size(), kMaxBatch) datagrams in one sendmmsg
-  /// syscall (fallback: a sendto loop). Returns the number the kernel
-  /// accepted, stopping early on EAGAIN (retry the rest later); transient
-  /// per-peer errors skip that datagram and keep going. Items with an
-  /// unknown peer index or over-MTU bytes are skipped and counted fatal.
+  /// Packs the items into datagrams (see the header comment) and sends
+  /// them, up to kMaxBatch datagrams per sendmmsg syscall (fallback: a
+  /// sendto loop). Returns how many items it took: sent, or queued in the
+  /// transport behind a refused datagram. After a refusal it takes no
+  /// further item, so with no invalid item the return value counts the
+  /// leading items taken and the caller offers the rest again later; it
+  /// is 0 while an earlier refusal still stands. Transient per-peer
+  /// errors drop that datagram and keep going. Items with an unknown peer
+  /// index or over-MTU bytes are skipped and counted fatal. An empty
+  /// `items` only retries the queue.
   std::size_t send_batch(std::span<const TxItem> items) {
     const std::size_t n = send_batch_impl(items);
     LTNC_TELEMETRY(
@@ -142,11 +214,14 @@ class UdpTransport final : public Transport {
     return n;
   }
 
-  /// Receives up to min(frames.size(), peers.size(), kMaxBatch) datagrams
-  /// in one recvmmsg syscall (fallback: a recvfrom loop). frames[i] is
-  /// resized to datagram i; peers[i] is the interned source address —
-  /// first-sight senders are registered automatically. Returns the count
-  /// received (0 on idle).
+  /// Receives up to min(frames.size(), peers.size()) frames: the queued
+  /// ones if any wait (no syscall), else up to kMaxBatch datagrams in one
+  /// recvmmsg syscall (fallback: a recvfrom loop), split into frames in
+  /// arrival order; what does not fit is queued for the next call.
+  /// frames[i] is resized to frame i, and a datagram of one frame lands
+  /// in place; peers[i] is the interned source address — first-sight
+  /// senders are registered automatically. Returns the count received (0
+  /// on idle).
   std::size_t recv_batch(std::span<wire::Frame> frames,
                          std::span<PeerIndex> peers) {
     const std::size_t n = recv_batch_impl(frames, peers);
@@ -173,9 +248,9 @@ class UdpTransport final : public Transport {
   /// the same semantics at one syscall per frame).
   bool batching_active() const { return use_mmsg_; }
 
-  /// Blocks until a datagram is pending or `timeout_ms` elapses; true
-  /// when one is pending. The idle wait of a blocking-style driver,
-  /// instead of spinning on recv().
+  /// Blocks until a frame is pending or `timeout_ms` elapses; true when
+  /// one is pending (at once while frames wait in the transport). The
+  /// idle wait of a blocking-style driver, instead of spinning on recv().
   bool wait_readable(int timeout_ms);
 
   // --- peer registry --------------------------------------------------------
@@ -192,7 +267,7 @@ class UdpTransport final : public Transport {
   bool has_peer() const { return default_peer_ != kInvalidPeer; }
 
   /// Redirects send() at the source of the most recently received
-  /// datagram — how a receiver acquires its feedback channel.
+  /// frame — how a receiver acquires its feedback channel.
   bool set_peer_to_last_sender();
 
   const UdpStats& stats() const { return stats_; }
@@ -200,14 +275,62 @@ class UdpTransport final : public Transport {
  private:
   UdpTransport() = default;
 
+  using Address = std::array<unsigned char, 16>;  ///< a sockaddr_in image
+
+  /// One datagram on its way out: `frames` frames for `peer`, in an
+  /// item's own bytes or (buffer != 0) in pack_[buffer - 1].
+  struct Datagram {
+    PeerIndex peer = 0;
+    std::uint32_t frames = 0;
+    std::uint32_t buffer = 0;
+    std::span<const std::uint8_t> bytes;
+  };
+  /// A datagram the kernel refused, queued with a copy of its bytes.
+  struct QueuedDatagram {
+    PeerIndex peer = 0;
+    std::uint32_t frames = 0;
+    wire::Frame bytes;
+  };
+  /// A received frame of a packed datagram, on its way to the caller.
+  struct QueuedFrame {
+    wire::Frame frame;
+    Address from{};
+  };
+
   /// Interns a raw sockaddr_in image; returns its dense index.
   PeerIndex intern_peer(const void* addr);
   std::size_t send_batch_impl(std::span<const TxItem> items);
   std::size_t recv_batch_impl(std::span<wire::Frame> frames,
                               std::span<PeerIndex> peers);
-  std::size_t send_batch_fallback(std::span<const TxItem> items);
+  /// One recvmmsg into the span (Linux): single-frame datagrams land in
+  /// place; from the first packed one on, frames pass through the queue.
+  std::size_t recv_mmsg(std::span<wire::Frame> frames,
+                        std::span<PeerIndex> peers);
+  /// The recvfrom loop: one syscall per datagram.
   std::size_t recv_batch_fallback(std::span<wire::Frame> frames,
                                   std::span<PeerIndex> peers);
+  /// Packs items from `next` on into at most kMaxBatch datagrams,
+  /// advancing `next` past every item taken or skipped.
+  std::size_t pack(std::span<const TxItem> items, std::size_t& next,
+                   Datagram* out);
+  /// Sends `dgrams` in order; returns how many the kernel accepted or an
+  /// error dropped. Stops before a datagram refused with EAGAIN (setting
+  /// `blocked`) and after one dropped by a fatal error.
+  std::size_t transmit(const Datagram* dgrams, std::size_t n,
+                       bool& blocked);
+  /// Sends the queued datagrams; false while the kernel still refuses.
+  bool send_queued();
+  /// Copies `dgrams` to the back of the send queue.
+  void queue_datagrams(const Datagram* dgrams, std::size_t n);
+  /// Splits the datagram in `frame` (from `from`): the first frame stays
+  /// in `frame`, the rest are queued. Returns the frame count.
+  std::size_t keep_first_frame(wire::Frame& frame, const void* from);
+  /// Pops the oldest queued frame into `out`; returns its source, or
+  /// nullptr when none is queued.
+  const unsigned char* pop_frame(wire::Frame& out);
+  /// Appends a slot to the receive queue and returns it.
+  QueuedFrame& push_frame();
+  std::size_t frames_queued() const { return rx_tail_ - rx_head_; }
   /// Classifies a non-EAGAIN errno into the transient/fatal tallies.
   void count_error(int err);
 
@@ -242,8 +365,20 @@ class UdpTransport final : public Transport {
   bool has_last_sender_ = false;
   // sockaddr_in storage without leaking <netinet/in.h> into the header.
   alignas(8) unsigned char last_sender_[16] = {};
-  std::vector<std::array<unsigned char, 16>> peer_addrs_;
+  std::vector<Address> peer_addrs_;
   std::unordered_map<std::uint64_t, PeerIndex> peer_index_;  ///< (ip,port) →
+  // Packing state, all leased on first use: a buffer per packed datagram
+  // of a send_batch call, each peer's open datagram in it (index + 1,
+  // 0 = none), and the datagrams the kernel refused (from tx_head_ on).
+  std::vector<wire::Frame> pack_;
+  std::vector<std::uint32_t> open_datagram_;
+  std::vector<QueuedDatagram> tx_queue_;
+  std::size_t tx_head_ = 0;
+  // Frames of packed datagrams not yet handed out: [rx_head_, rx_tail_)
+  // of rx_queue_, whose slots are reused.
+  std::vector<QueuedFrame> rx_queue_;
+  std::size_t rx_head_ = 0;
+  std::size_t rx_tail_ = 0;
   UdpStats stats_;
   const telemetry::TransportInstruments* telemetry_ = nullptr;
   std::uint64_t flushed_would_block_ = 0;

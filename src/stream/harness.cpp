@@ -168,6 +168,11 @@ StreamRunStats run_sim_stream(const SimStreamConfig& config) {
   out.receivers = config.receivers;
   out.blocks = src.blocks_emitted();
   out.source_frames = source.stats().frames_sent;
+  for (const auto& link : links) {
+    if (const auto* pipe = dynamic_cast<const net::UdpPipe*>(link.get())) {
+      out.link_tx += pipe->sender_stats();
+    }
+  }
   out.duration_ticks = t;
   out.every_receiver_decoded = true;
   for (const auto& rx : fleet) fold_receiver(out, *rx);

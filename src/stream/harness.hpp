@@ -40,6 +40,9 @@ struct StreamRunStats {
   std::uint64_t expired_frames = 0;  ///< late symbols, summed over fleet
   std::uint64_t goodput_bytes = 0;
   std::uint64_t source_frames = 0;  ///< frames the source sent
+  /// The UdpPipe links' sending sockets, summed (zeros over SimChannels):
+  /// how many datagrams carried the frames.
+  net::UdpStats link_tx;
   std::uint64_t duration_ticks = 0;
   std::uint64_t latency_samples = 0;
   double latency_p50 = 0.0;

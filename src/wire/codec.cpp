@@ -135,8 +135,12 @@ void write_sparse(Writer& w, const BitVector& coeffs) {
   });
 }
 
-DecodeStatus read_dense(Reader& r, BitVector& coeffs) {
-  const std::size_t k = coeffs.size();
+// The body readers below take their outputs by pointer: null validates
+// and skips the field without storing it, which is how
+// leading_frame_size walks a frame with exactly the decoders' reads.
+
+/// Reads a dense code vector of k bits into `coeffs` (zeroed, k wide).
+DecodeStatus read_dense(Reader& r, std::size_t k, BitVector* coeffs) {
   const std::size_t bytes = dense_size(k);
   if (r.remaining() < bytes) return DecodeStatus::kTruncated;
   // Reject dirty tail bits past k so the BitVector zero-tail invariant
@@ -145,20 +149,22 @@ DecodeStatus read_dense(Reader& r, BitVector& coeffs) {
     const std::uint8_t tail = r.p[bytes - 1];
     if ((tail >> (k % 8)) != 0) return DecodeStatus::kMalformed;
   }
-  if constexpr (std::endian::native == std::endian::little) {
-    if (bytes != 0) std::memcpy(coeffs.mutable_words(), r.p, bytes);
-  } else {
-    for (std::size_t b = 0; b < bytes; ++b) {
-      coeffs.mutable_words()[b / 8] |= static_cast<std::uint64_t>(r.p[b])
-                                       << ((b % 8) * 8);
+  if (coeffs != nullptr) {
+    if constexpr (std::endian::native == std::endian::little) {
+      if (bytes != 0) std::memcpy(coeffs->mutable_words(), r.p, bytes);
+    } else {
+      for (std::size_t b = 0; b < bytes; ++b) {
+        coeffs->mutable_words()[b / 8] |= static_cast<std::uint64_t>(r.p[b])
+                                          << ((b % 8) * 8);
+      }
     }
   }
   r.p += bytes;
   return DecodeStatus::kOk;
 }
 
-DecodeStatus read_sparse(Reader& r, BitVector& coeffs) {
-  const std::size_t k = coeffs.size();
+/// Reads a sparse code vector of k bits into `coeffs` (zeroed, k wide).
+DecodeStatus read_sparse(Reader& r, std::size_t k, BitVector* coeffs) {
   std::uint64_t degree = 0;
   WIRE_TRY(r.get_varint(degree));
   if (degree > k) return DecodeStatus::kMalformed;
@@ -177,7 +183,7 @@ DecodeStatus read_sparse(Reader& r, BitVector& coeffs) {
       index = index + delta + 1;
     }
     if (index >= k) return DecodeStatus::kMalformed;
-    coeffs.set(static_cast<std::size_t>(index));
+    if (coeffs != nullptr) coeffs->set(static_cast<std::size_t>(index));
   }
   return DecodeStatus::kOk;
 }
@@ -310,7 +316,7 @@ void write_packet_body(Writer& w, const CodedPacket& packet,
 /// code vector (everything ahead of the payload span). Flag validation
 /// already happened in read_head; only the encoding bit matters here.
 DecodeStatus read_coeff_prefix(Reader& r, std::uint8_t flags,
-                               BitVector& coeffs, std::uint64_t& m) {
+                               BitVector* coeffs, std::uint64_t& m) {
   const auto enc = static_cast<CoeffEncoding>(flags & kFlagSparse);
   std::uint64_t k = 0;
   WIRE_TRY(r.get_varint(k));
@@ -318,28 +324,37 @@ DecodeStatus read_coeff_prefix(Reader& r, std::uint8_t flags,
   if (k > kMaxCodeLength) return DecodeStatus::kMalformed;
   if (m > kMaxPayloadBytes) return DecodeStatus::kMalformed;
 
-  if (coeffs.size() == static_cast<std::size_t>(k)) {
-    coeffs.clear();  // reuse the lease on the steady-state path
-  } else {
-    coeffs = BitVector(static_cast<std::size_t>(k));
+  if (coeffs != nullptr) {
+    if (coeffs->size() == static_cast<std::size_t>(k)) {
+      coeffs->clear();  // reuse the lease on the steady-state path
+    } else {
+      *coeffs = BitVector(static_cast<std::size_t>(k));
+    }
   }
-  return enc == CoeffEncoding::kDense ? read_dense(r, coeffs)
-                                      : read_sparse(r, coeffs);
+  const auto bits = static_cast<std::size_t>(k);
+  return enc == CoeffEncoding::kDense ? read_dense(r, bits, coeffs)
+                                      : read_sparse(r, bits, coeffs);
 }
 
 DecodeStatus read_packet_body(Reader& r, std::uint8_t flags,
-                              CodedPacket& packet) {
+                              CodedPacket* packet) {
   std::uint64_t m = 0;
   // The payload tail bounds the body, but the dimensions come first —
   // read_coeff_prefix caps them before leasing storage, and the payload
   // length is re-checked against the remaining frame right after.
-  WIRE_TRY(read_coeff_prefix(r, flags, packet.coeffs, m));
+  WIRE_TRY(read_coeff_prefix(r, flags,
+                             packet != nullptr ? &packet->coeffs : nullptr,
+                             m));
 
   if (r.remaining() < m) return DecodeStatus::kTruncated;
-  if (packet.payload.size_bytes() != static_cast<std::size_t>(m)) {
-    packet.payload = Payload(static_cast<std::size_t>(m));
+  if (packet == nullptr) {
+    r.p += m;
+    return DecodeStatus::kOk;
   }
-  std::uint64_t* words = packet.payload.mutable_words();
+  if (packet->payload.size_bytes() != static_cast<std::size_t>(m)) {
+    packet->payload = Payload(static_cast<std::size_t>(m));
+  }
+  std::uint64_t* words = packet->payload.mutable_words();
   if constexpr (std::endian::native == std::endian::little) {
     const std::size_t whole = static_cast<std::size_t>(m) / 8;
     if (whole != 0) std::memcpy(words, r.p, whole * 8);
@@ -349,12 +364,37 @@ DecodeStatus read_packet_body(Reader& r, std::uint8_t flags,
       words[whole] = last;  // tail bytes masked to zero, matching Payload
     }
   } else {
-    for (std::size_t w = 0; w < packet.payload.word_count(); ++w) words[w] = 0;
+    for (std::size_t w = 0; w < packet->payload.word_count(); ++w) {
+      words[w] = 0;
+    }
     for (std::size_t b = 0; b < m; ++b) {
       words[b / 8] |= static_cast<std::uint64_t>(r.p[b]) << ((b % 8) * 8);
     }
   }
   r.p += m;
+  return DecodeStatus::kOk;
+}
+
+/// Reads a kCcArray body: the leader count, then each leader.
+DecodeStatus read_cc_body(Reader& r, std::vector<std::uint32_t>* leaders) {
+  std::uint64_t count = 0;
+  WIRE_TRY(r.get_varint(count));
+  if (count > kMaxCodeLength) return DecodeStatus::kMalformed;
+  // Every entry is ≥ 1 byte, so bound the declared count by the frame
+  // before reserving storage.
+  if (count > r.remaining()) return DecodeStatus::kTruncated;
+  if (leaders != nullptr) {
+    leaders->clear();
+    leaders->reserve(static_cast<std::size_t>(count));
+  }
+  for (std::uint64_t i = 0; i < count; ++i) {
+    std::uint64_t leader = 0;
+    WIRE_TRY(r.get_varint(leader));
+    if (leader > 0xFFFFFFFFULL) return DecodeStatus::kMalformed;
+    if (leaders != nullptr) {
+      leaders->push_back(static_cast<std::uint32_t>(leader));
+    }
+  }
   return DecodeStatus::kOk;
 }
 
@@ -486,7 +526,7 @@ DecodeStatus deserialize(std::span<const std::uint8_t> frame,
   std::uint8_t flags = 0;
   WIRE_TRY(read_head(r, kFlagSparse | kFlagContentId, type, flags, content));
   if (type != MessageType::kCodedPacket) return DecodeStatus::kBadType;
-  WIRE_TRY(read_packet_body(r, flags, packet));
+  WIRE_TRY(read_packet_body(r, flags, &packet));
   return finish(r);
 }
 
@@ -513,7 +553,7 @@ DecodeStatus deserialize_advertise(std::span<const std::uint8_t> frame,
                      info.content));
   if (type != MessageType::kAdvertise) return DecodeStatus::kBadType;
   std::uint64_t m = 0;
-  WIRE_TRY(read_coeff_prefix(r, flags, coeffs, m));
+  WIRE_TRY(read_coeff_prefix(r, flags, &coeffs, m));
   WIRE_TRY(finish(r));
   info.payload_bytes = static_cast<std::size_t>(m);
   return DecodeStatus::kOk;
@@ -527,21 +567,51 @@ DecodeStatus deserialize_cc(std::span<const std::uint8_t> frame,
   std::uint8_t flags = 0;
   WIRE_TRY(read_head(r, kFlagContentId, type, flags, content));
   if (type != MessageType::kCcArray) return DecodeStatus::kBadType;
-  std::uint64_t count = 0;
-  WIRE_TRY(r.get_varint(count));
-  if (count > kMaxCodeLength) return DecodeStatus::kMalformed;
-  // Every entry is ≥ 1 byte, so bound the declared count by the frame
-  // before reserving storage.
-  if (count > r.remaining()) return DecodeStatus::kTruncated;
-  leaders.clear();
-  leaders.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    std::uint64_t leader = 0;
-    WIRE_TRY(r.get_varint(leader));
-    if (leader > 0xFFFFFFFFULL) return DecodeStatus::kMalformed;
-    leaders.push_back(static_cast<std::uint32_t>(leader));
-  }
+  WIRE_TRY(read_cc_body(r, &leaders));
   return finish(r);
+}
+
+DecodeStatus leading_frame_size(std::span<const std::uint8_t> bytes,
+                                std::size_t& size) {
+  MessageType type{};
+  WIRE_TRY(peek_type(bytes, type));
+  Reader r{bytes.data(), bytes.data() + bytes.size()};
+  std::uint8_t flags = 0;
+  ContentId content = 0;
+  std::uint64_t scalar = 0;
+  switch (type) {
+    case MessageType::kCodedPacket:
+      WIRE_TRY(read_head(r, kFlagSparse | kFlagContentId, type, flags,
+                         content));
+      WIRE_TRY(read_packet_body(r, flags, nullptr));
+      break;
+    case MessageType::kAdvertise:
+      WIRE_TRY(read_head(r, kFlagSparse | kFlagContentId, type, flags,
+                         content));
+      WIRE_TRY(read_coeff_prefix(r, flags, nullptr, scalar));
+      break;
+    case MessageType::kCcArray:
+      WIRE_TRY(read_head(r, kFlagContentId, type, flags, content));
+      WIRE_TRY(read_cc_body(r, nullptr));
+      break;
+    default:  // kAbort, kAck, kProceed: a token
+      WIRE_TRY(read_head(r, kFlagContentId, type, flags, content));
+      WIRE_TRY(r.get_varint(scalar));
+      break;
+  }
+  size = static_cast<std::size_t>(r.p - bytes.data());
+  return DecodeStatus::kOk;
+}
+
+std::size_t count_frames(std::span<const std::uint8_t> datagram) {
+  std::size_t count = 0;
+  while (!datagram.empty()) {
+    std::size_t size = 0;
+    if (leading_frame_size(datagram, size) != DecodeStatus::kOk) return 0;
+    datagram = datagram.subspan(size);
+    ++count;
+  }
+  return count;
 }
 
 }  // namespace ltnc::wire

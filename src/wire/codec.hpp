@@ -52,6 +52,16 @@
 // traffic. Deserialization is defensive end to end: every read is
 // bounds-checked, declared dimensions are capped before any allocation,
 // and a frame must be consumed exactly (no trailing bytes).
+//
+// **Several frames per datagram.** A frame's length follows from its own
+// header and body, so frames can travel back to back in one datagram with
+// no length prefix or marker: leading_frame_size finds where the first
+// one ends, and count_frames tells whether a datagram is exactly such a
+// run (net::UdpTransport packs small frames this way, and splits only a
+// datagram that is; any other one is delivered whole). The frames
+// themselves are unchanged, so the version stays 2; a receiver that
+// predates packing rejects a packed datagram whole as kTrailingBytes
+// instead of misreading it.
 #pragma once
 
 #include <cstddef>
@@ -183,5 +193,22 @@ DecodeStatus deserialize_cc(std::span<const std::uint8_t> frame,
 /// to come.
 DecodeStatus deserialize_advertise(std::span<const std::uint8_t> frame,
                                    BitVector& coeffs, AdvertiseInfo& info);
+
+// -- frames back to back ---------------------------------------------------
+
+/// Length of the frame at the front of `bytes`, by the same bounds-checked
+/// header, content-id, dimension and code-vector reads and caps its
+/// type's decoder uses, without storing anything. kOk ⇒ `size` ≤
+/// bytes.size() and bytes.first(size) decodes as that type; the bytes
+/// after it are not read. kOk with size == bytes.size() is how a sender
+/// tells that `bytes` is exactly one frame.
+DecodeStatus leading_frame_size(std::span<const std::uint8_t> bytes,
+                                std::size_t& size);
+
+/// How many frames `datagram` carries back to back when it is exactly a
+/// run of whole frames (leading_frame_size from each boundary to the
+/// next, the last one ending at its last byte); 0 when it is not, or is
+/// empty. Reads nothing past `datagram`.
+std::size_t count_frames(std::span<const std::uint8_t> datagram);
 
 }  // namespace ltnc::wire

@@ -67,11 +67,11 @@ class Frame {
 
   /// Ensures capacity for `bytes` without changing size. Growth re-leases
   /// from the arena (power-of-two classes recycle instantly at steady
-  /// state) and preserves the current contents.
+  /// state) without zero-filling it, and preserves the current contents.
   void reserve(std::size_t bytes) {
     if (bytes <= capacity()) return;
     LTNC_DCHECK(size_ <= capacity());
-    WordBuf bigger((bytes + 7) / 8);
+    WordBuf bigger = WordBuf::uninitialized((bytes + 7) / 8);
     if (size_ != 0) std::memcpy(bigger.data(), words_.data(), size_);
     words_ = std::move(bigger);
   }

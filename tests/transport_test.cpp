@@ -4,7 +4,11 @@
 #include "net/transport.hpp"
 
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -364,6 +368,216 @@ TEST(UdpTransport, PeerRegistryInternsStably) {
 #if defined(__linux__)
   EXPECT_TRUE(transport->batching_active());
 #endif
+}
+
+// -- packing --------------------------------------------------------------
+
+/// A serialized data frame of `payload` bytes for content `content`: about
+/// 84 bytes at a 64-byte payload, so ~17 share one packed datagram.
+wire::Frame data_frame(std::uint32_t serial, std::size_t payload,
+                       ContentId content) {
+  BitVector coeffs(1024);
+  for (std::uint32_t d = 0; d <= serial % 6; ++d) {
+    coeffs.set((serial * 131 + d * 17) % 1024);
+  }
+  wire::Frame frame;
+  wire::serialize(content,
+                  CodedPacket(std::move(coeffs),
+                              Payload::deterministic(payload, 5, serial)),
+                  frame);
+  return frame;
+}
+
+std::vector<std::uint8_t> copy_of(std::span<const std::uint8_t> bytes) {
+  return {bytes.begin(), bytes.end()};
+}
+
+/// A plain bound loopback socket, to see datagrams exactly as they cross
+/// the wire. Closes on destruction.
+struct RawSocket {
+  int fd = -1;
+  std::uint16_t port = 0;
+  RawSocket() {
+    fd = ::socket(AF_INET, SOCK_DGRAM, 0);
+    if (fd < 0) return;
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
+        ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
+      ::close(fd);
+      fd = -1;
+      return;
+    }
+    port = ntohs(addr.sin_port);
+  }
+  ~RawSocket() {
+    if (fd >= 0) ::close(fd);
+  }
+  /// The next datagram, or empty when none is pending.
+  std::vector<std::uint8_t> next() {
+    std::vector<std::uint8_t> buf(65536);
+    const ssize_t n = ::recv(fd, buf.data(), buf.size(), MSG_DONTWAIT);
+    buf.resize(n < 0 ? 0 : static_cast<std::size_t>(n));
+    return buf;
+  }
+};
+
+TEST(UdpTransport, PacksEachPeersFramesInItemOrder) {
+  std::string error;
+  UdpConfig cfg;
+  cfg.bind_address = "127.0.0.1";
+  auto sender = UdpTransport::open(cfg, &error);
+  std::vector<std::unique_ptr<UdpTransport>> receivers;
+  for (int r = 0; r < 2 && sender != nullptr; ++r) {
+    receivers.push_back(UdpTransport::open(cfg, &error));
+    if (receivers.back() == nullptr) sender.reset();
+  }
+  RawSocket raw;
+  if (sender == nullptr || raw.fd < 0) {
+    GTEST_SKIP() << "no usable UDP sockets in this environment";
+  }
+  // Peer 0 is a plain socket that sees the datagrams themselves; peers 1
+  // and 2 are transports that split them.
+  ASSERT_EQ(sender->add_peer("127.0.0.1", raw.port), 0u);
+  ASSERT_EQ(sender->add_peer("127.0.0.1", receivers[0]->local_port()), 1u);
+  ASSERT_EQ(sender->add_peer("127.0.0.1", receivers[1]->local_port()), 2u);
+
+  // 90 small frames round-robin over the three peers, and for peer 0 two
+  // that must go alone: a frame over half a packed datagram, and bytes
+  // that are no frame at all.
+  constexpr std::uint32_t kSmall = 90;
+  std::vector<wire::Frame> frames;
+  std::vector<UdpTransport::PeerIndex> dest;
+  for (std::uint32_t i = 0; i < kSmall; ++i) {
+    if (i == 30) {
+      frames.push_back(data_frame(1000, 900, 7));
+      dest.push_back(0);
+      frames.push_back(make_frame(0xEE, 40));
+      dest.push_back(0);
+    }
+    frames.push_back(data_frame(i, 64, 1 + i % 3));
+    dest.push_back(i % 3);
+  }
+  std::vector<UdpTransport::TxItem> items;
+  std::vector<std::vector<std::vector<std::uint8_t>>> expected(3);
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    items.push_back({dest[i], frames[i].bytes()});
+    expected[dest[i]].push_back(copy_of(frames[i].bytes()));
+  }
+  ASSERT_EQ(sender->send_batch(items), items.size());
+  const UdpStats& tx = sender->stats();
+  EXPECT_EQ(tx.frames_sent, items.size());
+  EXPECT_EQ(tx.fatal_errors + tx.transient_errors, 0u);
+  EXPECT_LE(tx.datagrams_sent * 8, tx.frames_sent) << "packing must pay";
+  EXPECT_GT(tx.frames_per_datagram(), 8.0);
+
+  // Peer 0's datagrams: the small frames before the big one packed, the
+  // big frame and the raw bytes alone, then the rest packed; every
+  // datagram within the limit and split back into whole frames.
+  std::vector<std::vector<std::uint8_t>> datagrams;
+  std::vector<std::vector<std::uint8_t>> got;
+  for (int spin = 0; spin < 100000 && got.size() < expected[0].size();
+       ++spin) {
+    const std::vector<std::uint8_t> datagram = raw.next();
+    if (datagram.empty()) continue;
+    datagrams.push_back(datagram);
+    const std::size_t count = wire::count_frames(datagram);
+    if (count == 0) {
+      got.push_back(datagram);
+      continue;
+    }
+    if (count > 1) {
+      EXPECT_LE(datagram.size(), UdpTransport::kPackedDatagramBytes);
+    }
+    std::span<const std::uint8_t> rest(datagram);
+    for (std::size_t f = 0; f < count; ++f) {
+      std::size_t size = 0;
+      ASSERT_EQ(wire::leading_frame_size(rest, size), wire::DecodeStatus::kOk);
+      got.push_back(copy_of(rest.first(size)));
+      rest = rest.subspan(size);
+    }
+  }
+  EXPECT_EQ(got, expected[0]) << "peer 0's frames in item order";
+  ASSERT_GE(datagrams.size(), 4u);
+  EXPECT_GT(wire::count_frames(datagrams[0]), 1u);
+  EXPECT_EQ(datagrams[1], copy_of(frames[30].bytes())) << "the big frame";
+  EXPECT_EQ(datagrams[2], copy_of(frames[31].bytes())) << "the raw bytes";
+
+  // Peers 1 and 2 receive whole frames, in order, from few datagrams.
+  for (std::size_t r = 0; r < 2; ++r) {
+    std::vector<wire::Frame> rx(64);
+    std::vector<UdpTransport::PeerIndex> peers(64);
+    std::vector<std::vector<std::uint8_t>> in;
+    for (int spin = 0; spin < 100000 && in.size() < expected[r + 1].size();
+         ++spin) {
+      const std::size_t n = receivers[r]->recv_batch(rx, peers);
+      for (std::size_t i = 0; i < n; ++i) in.push_back(copy_of(rx[i].bytes()));
+    }
+    EXPECT_EQ(in, expected[r + 1]) << "peer " << r + 1;
+    const UdpStats& st = receivers[r]->stats();
+    EXPECT_EQ(st.frames_received, expected[r + 1].size());
+    EXPECT_EQ(st.datagrams_received, 2u) << "30 frames of ~84 B";
+  }
+}
+
+TEST(UdpTransport, FramesBeyondTheCallersSpanWaitForTheNextCall) {
+  std::unique_ptr<UdpTransport> receiver;
+  std::unique_ptr<UdpTransport> sender;
+  if (!open_loopback_pair(receiver, sender)) {
+    GTEST_SKIP() << "no usable UDP sockets in this environment";
+  }
+  constexpr std::uint32_t kFrames = 14;  // one packed datagram
+  std::vector<wire::Frame> frames;
+  std::vector<UdpTransport::TxItem> items;
+  for (std::uint32_t i = 0; i < kFrames; ++i) {
+    frames.push_back(data_frame(i, 64, 3));
+  }
+  for (const wire::Frame& f : frames) items.push_back({0, f.bytes()});
+
+  // recv_batch with a span of 4: the datagram's other frames come back
+  // on the next calls, with no syscall, and wait_readable says so at once.
+  ASSERT_EQ(sender->send_batch(items), kFrames);
+  ASSERT_EQ(sender->stats().datagrams_sent, 1u);
+  ASSERT_TRUE(receiver->wait_readable(1000));
+  std::vector<wire::Frame> rx(4);
+  std::vector<UdpTransport::PeerIndex> peers(4);
+  std::size_t next = 0;
+  for (int call = 0; next < kFrames; ++call) {
+    if (call > 0) {
+      EXPECT_TRUE(receiver->wait_readable(0));
+    }
+    const std::size_t n = receiver->recv_batch(rx, peers);
+    ASSERT_EQ(n, std::min<std::size_t>(4, kFrames - next));
+    for (std::size_t i = 0; i < n; ++i, ++next) {
+      EXPECT_EQ(copy_of(rx[i].bytes()), copy_of(frames[next].bytes()));
+      EXPECT_EQ(peers[i], peers[0]);
+    }
+  }
+  EXPECT_EQ(receiver->stats().recv_calls, 1u);
+  EXPECT_EQ(receiver->stats().datagrams_received, 1u);
+  EXPECT_EQ(receiver->stats().frames_received, kFrames);
+  EXPECT_FALSE(receiver->wait_readable(0));
+
+  // recv() splits the same way, one frame a call; the feedback channel
+  // still locks onto the sender.
+  ASSERT_EQ(sender->send_batch(items), kFrames);
+  wire::Frame out;
+  ASSERT_TRUE(recv_with_retry(*receiver, out));
+  const std::uint64_t calls = receiver->stats().recv_calls;
+  for (std::uint32_t i = 1; i < kFrames; ++i) {
+    EXPECT_EQ(copy_of(out.bytes()), copy_of(frames[i - 1].bytes()));
+    EXPECT_TRUE(receiver->wait_readable(0));
+    ASSERT_TRUE(receiver->recv(out));
+  }
+  EXPECT_EQ(copy_of(out.bytes()), copy_of(frames[kFrames - 1].bytes()));
+  EXPECT_EQ(receiver->stats().datagrams_received, 2u);
+  EXPECT_EQ(receiver->stats().recv_calls, calls) << "queued frames: no syscall";
+  ASSERT_TRUE(receiver->set_peer_to_last_sender());
+  ASSERT_TRUE(receiver->send(frames[0].bytes()));
+  ASSERT_TRUE(recv_with_retry(*sender, out));
+  EXPECT_EQ(copy_of(out.bytes()), copy_of(frames[0].bytes()));
 }
 
 // -- UdpPipe --------------------------------------------------------------

@@ -2,8 +2,10 @@
 // pure garbage must be rejected cleanly — never a crash, never a read past
 // the frame (ASan/UBSan enforce the memory-safety half in the sanitizer
 // CI job), and never a decoded packet that violates its own invariants.
+// The same holds for splitting a datagram of frames sent back to back.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
@@ -162,6 +164,126 @@ TEST(WireFuzz, GarbageWithValidHeaderNeverCrashes) {
         kLiveTypes[rng.uniform(std::size(kLiveTypes))]);
     frame.mutable_bytes()[2] = static_cast<std::uint8_t>(rng.uniform(4));
     decode_any(frame.bytes());
+  }
+}
+
+// -- frames back to back ----------------------------------------------------
+
+/// One valid frame of a random type: packets and advertises with a dense
+/// or a sparse code vector, every type with or without a content id.
+Frame random_frame(Rng& rng) {
+  const ContentId content =
+      rng.chance(0.5) ? 0 : static_cast<ContentId>(1 + rng.uniform(0x3FFF));
+  const std::size_t k = 1 + rng.uniform(600);
+  // A handful of indices encodes sparse, about half of k dense.
+  const std::size_t degree =
+      rng.chance(0.5) ? 1 + rng.uniform(std::min<std::size_t>(k, 6))
+                      : (k + 1) / 2;
+  Frame frame;
+  switch (rng.uniform(5)) {
+    case 0:
+      serialize(content,
+                CodedPacket(random_coeffs(k, degree, rng),
+                            Payload::deterministic(rng.uniform(200),
+                                                   rng.next(), 0)),
+                frame);
+      break;
+    case 1:
+      serialize_advertise({content, rng.uniform(5000)},
+                          random_coeffs(k, degree, rng), frame);
+      break;
+    case 2: {
+      std::vector<std::uint32_t> leaders(rng.uniform(40));
+      for (auto& leader : leaders) leader = static_cast<std::uint32_t>(rng.next());
+      serialize_cc(content, leaders, frame);
+      break;
+    }
+    default: {
+      constexpr MessageType kFeedback[] = {
+          MessageType::kAbort, MessageType::kAck, MessageType::kProceed};
+      serialize_feedback(content, kFeedback[rng.uniform(3)], rng.next(),
+                         frame);
+      break;
+    }
+  }
+  return frame;
+}
+
+using Bytes = std::vector<std::uint8_t>;
+
+/// The pieces a receiver splits `datagram` into: its frames when it is a
+/// run of whole frames, else the datagram whole. `datagram` lives in a
+/// heap block of exactly its size, so ASan catches any read past it.
+std::vector<Bytes> pieces_of(const Bytes& datagram) {
+  std::span<const std::uint8_t> rest(datagram);
+  const std::size_t count = count_frames(rest);
+  if (count == 0) return {datagram};
+  std::vector<Bytes> pieces;
+  for (std::size_t i = 0; i < count; ++i) {
+    std::size_t size = 0;
+    EXPECT_EQ(leading_frame_size(rest, size), DecodeStatus::kOk);
+    EXPECT_GT(size, 0u);
+    EXPECT_LE(size, rest.size());
+    pieces.emplace_back(rest.begin(), rest.begin() + size);
+    EXPECT_TRUE(decode_any(pieces.back())) << "a piece that is a frame decodes";
+    rest = rest.subspan(size);
+  }
+  EXPECT_TRUE(rest.empty());
+  return pieces;
+}
+
+TEST(WireFuzz, BackToBackFramesSplitIntoTheOriginals) {
+  Rng rng(7006);
+  for (int rep = 0; rep < 500; ++rep) {
+    std::vector<Bytes> frames(1 + rng.uniform(12));
+    Bytes datagram;
+    for (Bytes& f : frames) {
+      const Frame frame = random_frame(rng);
+      f.assign(frame.bytes().begin(), frame.bytes().end());
+      std::size_t size = 0;
+      ASSERT_EQ(leading_frame_size(f, size), DecodeStatus::kOk);
+      ASSERT_EQ(size, f.size()) << "a frame alone is exactly one frame";
+      datagram.insert(datagram.end(), f.begin(), f.end());
+    }
+    EXPECT_EQ(count_frames(datagram), frames.size());
+    EXPECT_EQ(pieces_of(datagram), frames);
+  }
+}
+
+TEST(WireFuzz, DamagedRunsSplitIntoPiecesOfTheInput) {
+  Rng rng(7007);
+  for (int rep = 0; rep < 1000; ++rep) {
+    Bytes datagram;
+    for (std::size_t n = 1 + rng.uniform(6); n > 0; --n) {
+      const Frame frame = random_frame(rng);
+      datagram.insert(datagram.end(), frame.bytes().begin(),
+                      frame.bytes().end());
+    }
+    switch (rng.uniform(4)) {
+      case 0:  // truncated anywhere, down to nothing
+        datagram.resize(rng.uniform(datagram.size() + 1));
+        break;
+      case 1:  // bit flips
+        for (int f = 1 + static_cast<int>(rng.uniform(4)); f > 0; --f) {
+          const std::size_t bit = rng.uniform(datagram.size() * 8);
+          datagram[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+        }
+        break;
+      case 2:  // garbage after the last frame
+        for (std::size_t g = 1 + rng.uniform(20); g > 0; --g) {
+          datagram.push_back(static_cast<std::uint8_t>(rng.next()));
+        }
+        break;
+      default:  // garbage throughout
+        for (std::uint8_t& b : datagram) b = static_cast<std::uint8_t>(rng.next());
+        break;
+    }
+    const std::vector<Bytes> pieces = pieces_of(datagram);
+    Bytes joined;
+    for (const Bytes& piece : pieces) {
+      joined.insert(joined.end(), piece.begin(), piece.end());
+    }
+    EXPECT_EQ(joined, datagram) << "the pieces concatenate to the input";
   }
 }
 
