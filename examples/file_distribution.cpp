@@ -79,26 +79,20 @@ using namespace ltnc;
 
 constexpr std::uint64_t kContentSeed = 20100621;  // the file's identity
 
-/// Sends every frame the endpoint has queued, one datagram each. Budgets
-/// and reports count what the socket accepted (UdpStats), not what the
-/// endpoint popped for transmit.
-void flush(session::Endpoint& endpoint, net::Transport& transport,
-           wire::Frame& scratch) {
-  session::PeerId peer = 0;
-  while (endpoint.poll_transmit(peer, scratch)) transport.send(scratch.bytes());
-}
-
-/// Sends every frame the endpoint has queued to transport peer `to` in
-/// one send_batch call, so frames small enough to share a datagram pack.
+/// Sends every frame the endpoint has queued in one send_batch call, so
+/// frames small enough to share a datagram pack. The endpoint's
+/// session::PeerId is the transport's PeerIndex: a frame goes to the
+/// address its conversation's frames came from (or that add_peer
+/// interned). Budgets and reports count what the socket accepted
+/// (UdpStats), not what the endpoint popped for transmit.
 void flush_batch(session::Endpoint& endpoint, net::UdpTransport& transport,
-                 net::UdpTransport::PeerIndex to,
                  std::vector<wire::Frame>& frames) {
   std::vector<net::UdpTransport::TxItem> items;
   session::PeerId peer = 0;
   for (std::size_t n = 0;; ++n) {
     if (frames.size() == n) frames.emplace_back();
     if (!endpoint.poll_transmit(peer, frames[n])) break;
-    items.push_back({to, frames[n].bytes()});
+    items.push_back({peer, frames[n].bytes()});
   }
   if (!items.empty()) transport.send_batch(items);
 }
@@ -270,7 +264,9 @@ std::size_t round_frames(std::size_t blocks, bool first_round) {
 /// every unacked file gets round_frames() frames, sent in one batch, then
 /// the sender reads acks — up to kAckWaitMs for the first, then for as
 /// long as more keep coming within kAckGraceMs — before the next round,
-/// so a file acked a moment after another gets no further round.
+/// so a file acked a moment after another gets no further round. The
+/// receiver is the transport's peer 0, and every frame read back counts
+/// as the receiver's.
 int run_udp_dir_sender(net::UdpTransport& transport,
                        const std::vector<LoadedFile>& files) {
   constexpr int kAckWaitMs = 20;
@@ -279,7 +275,8 @@ int run_udp_dir_sender(net::UdpTransport& transport,
   session::Endpoint sender = make_dir_sender(files);
   Rng rng(1);
   std::vector<wire::Frame> frames;
-  wire::Frame feedback;
+  wire::Frame ack;
+  net::UdpTransport::PeerIndex from = 0;
   const std::uint64_t max_frames = 400 * total_blocks(files) + 100000;
   const net::UdpStats& sent = transport.stats();
 
@@ -294,12 +291,12 @@ int run_udp_dir_sender(net::UdpTransport& transport,
         sender.offer_packet(0, id, encoders[i].encode(rng));
       }
     }
-    flush_batch(sender, transport, 0, frames);
+    flush_batch(sender, transport, frames);
     for (int wait_ms = kAckWaitMs; !sender.peer_completed_all(0) &&
                                    transport.wait_readable(wait_ms);
          wait_ms = kAckGraceMs) {
-      while (transport.recv(feedback)) {
-        sender.handle_frame(0, feedback.bytes());
+      while (transport.recv_batch({&ack, 1}, {&from, 1}) != 0) {
+        sender.handle_frame(0, ack.bytes());
       }
     }
   }
@@ -313,10 +310,10 @@ int run_udp_dir_sender(net::UdpTransport& transport,
   return 0;
 }
 
-/// Decodes every file, acking each one back to the sender as it
-/// completes (so the sender's next round skips it), then re-announces the
-/// acks for eight ticks. Writes its summary to `out` and failures to
-/// `err`.
+/// Decodes every file, acking each one back to the PeerIndex its frames
+/// came from as it completes (so the sender's next round skips it), then
+/// re-announces the acks for eight ticks. Writes its summary to `out` and
+/// failures to `err`.
 int run_udp_dir_receiver(net::UdpTransport& transport,
                          const std::vector<LoadedFile>& files,
                          std::ostream& out, std::ostream& err) {
@@ -325,7 +322,6 @@ int run_udp_dir_receiver(net::UdpTransport& transport,
   std::vector<wire::Frame> rx(net::UdpTransport::kMaxBatch);
   std::vector<net::UdpTransport::PeerIndex> from(rx.size());
   std::vector<wire::Frame> acks;
-  net::UdpTransport::PeerIndex sender = net::UdpTransport::kInvalidPeer;
 
   while (!receiver.complete()) {
     const std::size_t n = transport.recv_batch(rx, from);
@@ -337,9 +333,8 @@ int run_udp_dir_receiver(net::UdpTransport& transport,
       continue;
     }
     for (std::size_t i = 0; i < n && !receiver.complete(); ++i) {
-      receiver.handle_frame(0, rx[i].bytes());
-      sender = from[i];
-      flush_batch(receiver, transport, sender, acks);
+      receiver.handle_frame(from[i], rx[i].bytes());
+      flush_batch(receiver, transport, acks);
     }
   }
   for (const LoadedFile& file : files) {
@@ -349,7 +344,7 @@ int run_udp_dir_receiver(net::UdpTransport& transport,
     }
   }
   for (session::Instant now = 1; now <= 8; ++now) {
-    flush_batch(receiver, transport, sender, acks);
+    flush_batch(receiver, transport, acks);
     receiver.tick(now);
   }
   const session::SessionStats& s = receiver.stats();
@@ -368,22 +363,19 @@ int run_udp_loopback_dir(const std::string& dir, std::size_t block_bytes) {
   if (!load_directory(dir, block_bytes, files)) return 1;
 
   std::string error;
-  net::UdpConfig rx_cfg;
-  rx_cfg.bind_address = "127.0.0.1";
-  auto rx_transport = net::UdpTransport::open(rx_cfg, &error);
+  net::UdpConfig cfg;
+  cfg.bind_address = "127.0.0.1";
+  auto rx_transport = net::UdpTransport::open(cfg, &error);
   if (rx_transport == nullptr) {
     std::cerr << "loopback: cannot open receiver socket: " << error << "\n";
     return 1;
   }
-  net::UdpConfig tx_cfg;
-  tx_cfg.bind_address = "127.0.0.1";
-  tx_cfg.peer_address = "127.0.0.1";
-  tx_cfg.peer_port = rx_transport->local_port();
-  auto tx_transport = net::UdpTransport::open(tx_cfg, &error);
+  auto tx_transport = net::UdpTransport::open(cfg, &error);
   if (tx_transport == nullptr) {
     std::cerr << "loopback: cannot open sender socket: " << error << "\n";
     return 1;
   }
+  tx_transport->add_peer("127.0.0.1", rx_transport->local_port());
   std::cout << "loopback: streaming " << files.size() << " files ("
             << total_blocks(files) << " blocks of " << block_bytes
             << " bytes) over 127.0.0.1:" << rx_transport->local_port()
@@ -596,23 +588,23 @@ int run_udp_swarm_loopback(std::size_t peers, std::size_t blocks,
         endpoints.emplace_back(receiver_config(opts.feedback),
                                std::move(contents));
       }
-      std::vector<bool> locked(peers, false);  // feedback channel acquired
       std::vector<bool> counted(peers, false);
-      wire::Frame frame;
+      std::vector<wire::Frame> frames(net::UdpTransport::kMaxBatch);
+      std::vector<net::UdpTransport::PeerIndex> from(frames.size());
+      std::vector<wire::Frame> replies;
       std::uint64_t iterations = 0;
       while (!seeder_done.load(std::memory_order_relaxed)) {
         bool any = false;
         for (std::size_t p = 0; p < peers; ++p) {
-          while (rx_transports[p]->recv(frame)) {
-            endpoints[p].handle_frame(0, frame.bytes());
+          // Each receiver answers the PeerIndex its frames came from.
+          net::UdpTransport& socket = *rx_transports[p];
+          for (std::size_t n; (n = socket.recv_batch(frames, from)) != 0;) {
+            for (std::size_t i = 0; i < n; ++i) {
+              endpoints[p].handle_frame(from[i], frames[i].bytes());
+            }
             any = true;
           }
-          if (!locked[p] && rx_transports[p]->set_peer_to_last_sender()) {
-            locked[p] = true;
-          }
-          if (locked[p]) {
-            flush(endpoints[p], *rx_transports[p], frame);
-          }
+          flush_batch(endpoints[p], socket, replies);
           if (!counted[p] && endpoints[p].complete()) {
             counted[p] = true;
             rx_complete.fetch_add(1, std::memory_order_relaxed);
@@ -934,12 +926,14 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::string error;
-    net::UdpConfig cfg;
-    cfg.peer_address = argv[2];
-    cfg.peer_port = static_cast<std::uint16_t>(std::atoi(argv[3]));
-    auto transport = net::UdpTransport::open(cfg, &error);
+    auto transport = net::UdpTransport::open(net::UdpConfig{}, &error);
     if (transport == nullptr) {
       std::cerr << "cannot open socket: " << error << "\n";
+      return 1;
+    }
+    if (transport->add_peer(argv[2], static_cast<std::uint16_t>(
+                                         std::atoi(argv[3]))) != 0) {
+      std::cerr << "bad IPv4 address: " << argv[2] << "\n";
       return 1;
     }
     return run_udp_dir_sender(*transport, files);

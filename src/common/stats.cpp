@@ -44,24 +44,4 @@ void RunningStats::merge(const RunningStats& other) {
   max_ = std::max(max_, other.max_);
 }
 
-void Histogram::add(std::size_t bucket) {
-  if (bucket >= counts_.size()) counts_.resize(bucket + 1, 0);
-  ++counts_[bucket];
-  ++total_;
-}
-
-double Histogram::mean() const {
-  if (total_ == 0) return 0.0;
-  double acc = 0.0;
-  for (std::size_t b = 0; b < counts_.size(); ++b) {
-    acc += static_cast<double>(b) * static_cast<double>(counts_[b]);
-  }
-  return acc / static_cast<double>(total_);
-}
-
-void Histogram::reset() {
-  std::fill(counts_.begin(), counts_.end(), 0);
-  total_ = 0;
-}
-
 }  // namespace ltnc

@@ -1,15 +1,12 @@
 // Streaming statistics used by the evaluation harness.
 //
-// RunningStats implements Welford's online algorithm; Histogram buckets
-// integer observations (e.g. packet degrees). Both are cheap enough to be
+// RunningStats implements Welford's online algorithm, cheap enough to be
 // left enabled inside the codecs, which is how the paper's in-text
 // statistics (degree-retry rate, occurrence variance, …) are collected.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <limits>
-#include <vector>
 
 namespace ltnc {
 
@@ -37,31 +34,6 @@ class RunningStats {
   double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-class Histogram {
- public:
-  explicit Histogram(std::size_t buckets = 0) : counts_(buckets, 0) {}
-
-  void add(std::size_t bucket);
-
-  std::size_t buckets() const { return counts_.size(); }
-  std::uint64_t count(std::size_t bucket) const {
-    return bucket < counts_.size() ? counts_[bucket] : 0;
-  }
-  std::uint64_t total() const { return total_; }
-  double fraction(std::size_t bucket) const {
-    return total_ == 0 ? 0.0
-                       : static_cast<double>(count(bucket)) /
-                             static_cast<double>(total_);
-  }
-  double mean() const;
-
-  void reset();
-
- private:
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
 };
 
 }  // namespace ltnc

@@ -70,8 +70,7 @@ std::unique_ptr<Endpoint> SimCore::make_endpoint() const {
 SimCore::SimCore(session::Scheme scheme, const SimConfig& config)
     : scheme_(scheme),
       cfg_(config),
-      rng_(config.seed),
-      bus_(net::SimChannelConfig{}) {  // fault-free FIFO; faults are ours
+      rng_(config.seed) {
   LTNC_CHECK_MSG(config.num_nodes >= 2, "need at least two nodes");
   LTNC_CHECK_MSG(config.k >= 1, "k must be positive");
   LTNC_CHECK_MSG(config.num_contents >= 1, "need at least one content");
@@ -114,9 +113,6 @@ void SimCore::route_frame(Endpoint& from, NodeId expected_dst) {
   LTNC_CHECK_MSG(from.poll_transmit(dst, frame_),
                  "conversation expected an outbound frame");
   LTNC_CHECK_MSG(dst == expected_dst, "frame addressed to the wrong peer");
-  LTNC_CHECK_MSG(bus_.send(frame_.bytes()),
-                 "simulation bus refused a frame (over the MTU?)");
-  LTNC_CHECK_MSG(bus_.recv(frame_), "simulation bus lost a frame");
 }
 
 bool SimCore::run_transfer(Endpoint& sender, NodeId sender_peer,
@@ -166,7 +162,7 @@ bool SimCore::run_transfer(Endpoint& sender, NodeId sender_peer,
     }
     LTNC_CHECK_MSG(verdict == Endpoint::Event::kProceeding,
                    "advertise expected abort or proceed");
-    // The go-ahead crosses the bus but charges nothing: it models the
+    // The go-ahead is routed but charges nothing: it models the
     // "silence means proceed" of the paper's reliable feedback channel.
     route_frame(receiver, sender_peer);
     const Endpoint::Event go = sender.handle_frame(target, frame_.bytes());

@@ -1,8 +1,8 @@
 // SimCore — the fleet machinery shared by both simulation drivers.
 //
 // The paper's §IV-A harness has two halves. The *what*: a fleet of
-// session endpoints, per-content sources, the peer sampler, the frame
-// bus, fault injection and the traffic ledger. The *when*: a driver that
+// session endpoints, per-content sources, the peer sampler, frame
+// routing, fault injection and the traffic ledger. The *when*: a driver that
 // decides which node acts next — the lockstep EpidemicSimulation
 // (every node, every round) or the discrete-event EventSimulation (only
 // nodes with scheduled work). SimCore is the *what*, decomposed into
@@ -41,7 +41,6 @@
 #include "common/types.hpp"
 #include "dissemination/sources.hpp"
 #include "net/peer_sampler.hpp"
-#include "net/sim_channel.hpp"
 #include "net/traffic.hpp"
 #include "session/endpoint.hpp"
 #include "session/protocols.hpp"
@@ -230,6 +229,8 @@ class SimCore {
  private:
   bool run_transfer(session::Endpoint& sender, NodeId sender_peer,
                     NodeId target, ContentId content);
+  /// Pops `from`'s next outbound frame into frame_; it must be addressed
+  /// to `expected_dst`.
   void route_frame(session::Endpoint& from, NodeId expected_dst);
   void after_transfer(NodeId target);
   void deliver_overhears(NodeId target);
@@ -250,15 +251,14 @@ class SimCore {
   /// Flyweight fleet: null until first touch.
   std::vector<std::unique_ptr<session::Endpoint>> endpoints_;
   std::unique_ptr<net::PeerSampler> sampler_;
-  /// The frame bus: one fault-free SimChannel every frame of every
-  /// conversation crosses (FIFO, so the lockstep conversation pops what
-  /// it just pushed). Fault injection stays with the harness, which
-  /// owns the global RNG: the paper's loss model drops payload frames
-  /// after the (reliable) feedback exchange, not uniformly.
-  net::SimChannel bus_;
   std::vector<NodeId> schedule_;  ///< node visit order, reshuffled per round
 
-  wire::Frame frame_;      ///< the frame currently crossing the bus
+  /// The frame in flight: the sender's poll_transmit writes it, and the
+  /// receiver's handle_frame reads it. Fault injection stays with the
+  /// harness, which owns the global RNG: the paper's loss model drops
+  /// payload frames after the (reliable) feedback exchange, not
+  /// uniformly.
+  wire::Frame frame_;
   CodedPacket rx_packet_;  ///< overhear scratch (deserialized data frame)
   std::uint64_t transfer_seq_ = 0;
   std::vector<net::TrafficStats> traffic_per_content_;

@@ -10,8 +10,8 @@
 // The protocol conversation itself — advertise the code vector, collect
 // abort/proceed (binary feedback) or a cc array (smart feedback), then
 // move the payload — lives in session::Endpoint; the fleet machinery
-// (sources, sampler, frame bus, fault injection, traffic ledger) lives in
-// SimCore. This driver is the paper's original schedule: every round,
+// (sources, sampler, frame routing, fault injection, traffic ledger) lives
+// in SimCore. This driver is the paper's original schedule: every round,
 // every node, in a freshly shuffled order. The discrete-event driver
 // (event_engine.hpp) composes the same SimCore primitives through a timer
 // wheel instead, so only nodes with pending work pay CPU.

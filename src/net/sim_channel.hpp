@@ -47,7 +47,6 @@ class SimChannel final : public Transport {
 
   bool send(std::span<const std::uint8_t> frame) override;
   bool recv(wire::Frame& out) override;
-  std::size_t mtu() const override { return cfg_.mtu; }
 
   std::size_t pending() const { return size_; }
   const Stats& stats() const { return stats_; }

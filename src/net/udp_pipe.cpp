@@ -25,16 +25,14 @@ UdpPipe::UdpPipe(const SimChannelConfig& faults,
 
 std::unique_ptr<UdpPipe> UdpPipe::open(const SimChannelConfig& faults,
                                        std::string* error) {
-  UdpConfig rx_cfg;
-  rx_cfg.bind_address = "127.0.0.1";
-  rx_cfg.mtu = faults.mtu;
-  auto rx = UdpTransport::open(rx_cfg, error);
+  UdpConfig cfg;
+  cfg.bind_address = "127.0.0.1";
+  cfg.mtu = faults.mtu;
+  auto rx = UdpTransport::open(cfg, error);
   if (rx == nullptr) return nullptr;
-  UdpConfig tx_cfg = rx_cfg;
-  tx_cfg.peer_address = "127.0.0.1";
-  tx_cfg.peer_port = rx->local_port();
-  auto tx = UdpTransport::open(tx_cfg, error);
+  auto tx = UdpTransport::open(cfg, error);
   if (tx == nullptr) return nullptr;
+  tx->add_peer("127.0.0.1", rx->local_port());  // peer 0 of every refill
   return std::unique_ptr<UdpPipe>(
       new UdpPipe(faults, std::move(tx), std::move(rx)));
 }
@@ -59,10 +57,11 @@ void UdpPipe::refill() {
 }
 
 bool UdpPipe::recv(wire::Frame& out) {
+  UdpTransport::PeerIndex from = 0;
   for (;;) {
     if (in_socket_ == 0) refill();
     if (in_socket_ == 0) return false;
-    if (rx_->recv(out)) {
+    if (rx_->recv_batch({&out, 1}, {&from, 1}) == 1) {
       --in_socket_;
       return true;
     }

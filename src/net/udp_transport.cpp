@@ -141,14 +141,6 @@ std::unique_ptr<UdpTransport> UdpTransport::open(const UdpConfig& config,
     if (error != nullptr) *error = std::string("fcntl: ") + strerror(errno);
     return nullptr;
   }
-
-  if (!config.peer_address.empty()) {
-    sockaddr_in peer{};
-    if (!parse_endpoint(config.peer_address, config.peer_port, peer, error)) {
-      return nullptr;
-    }
-    t->default_peer_ = t->intern_peer(&peer);
-  }
   return t;
 }
 
@@ -176,28 +168,6 @@ UdpTransport::PeerIndex UdpTransport::add_peer(const std::string& address,
   return intern_peer(&addr);
 }
 
-bool UdpTransport::send(std::span<const std::uint8_t> frame) {
-  if (default_peer_ == kInvalidPeer || frame.size() > mtu_) return false;
-  if (!send_queued()) return false;  // behind the frames already queued
-  ++stats_.send_calls;
-  const ssize_t n = ::sendto(
-      fd_, frame.data(), frame.size(), 0,
-      reinterpret_cast<const sockaddr*>(peer_addrs_[default_peer_].data()),
-      sizeof(sockaddr_in));
-  if (n < 0) {
-    if (is_would_block(errno)) {
-      ++stats_.send_would_block;
-    } else {
-      count_error(errno);
-    }
-    return false;
-  }
-  ++stats_.frames_sent;
-  ++stats_.datagrams_sent;
-  stats_.bytes_sent += static_cast<std::uint64_t>(n);
-  return n == static_cast<ssize_t>(frame.size());
-}
-
 // -- receive queue -----------------------------------------------------------
 
 UdpTransport::QueuedFrame& UdpTransport::push_frame() {
@@ -205,68 +175,14 @@ UdpTransport::QueuedFrame& UdpTransport::push_frame() {
   return rx_queue_[rx_tail_++];
 }
 
-const unsigned char* UdpTransport::pop_frame(wire::Frame& out) {
-  if (rx_head_ == rx_tail_) return nullptr;
+UdpTransport::PeerIndex UdpTransport::pop_frame(wire::Frame& out) {
   const QueuedFrame& queued = rx_queue_[rx_head_++];
   // A copy, not a swap: the caller's buffer keeps its MTU capacity and
   // the slot its small one.
   out.assign(queued.frame.bytes());
-  std::memcpy(last_sender_, queued.from.data(), sizeof(sockaddr_in));
-  has_last_sender_ = true;
+  const PeerIndex from = queued.from;
   if (rx_head_ == rx_tail_) rx_head_ = rx_tail_ = 0;
-  return queued.from.data();
-}
-
-std::size_t UdpTransport::keep_first_frame(wire::Frame& frame,
-                                           const void* from) {
-  const std::size_t count = frame_count(frame.bytes());
-  if (count == 1) return 1;
-  std::size_t first = 0;
-  for_each_frame(frame.bytes(), count,
-                 [&](std::span<const std::uint8_t> piece) {
-                   if (first == 0) {
-                     first = piece.size();  // a frame is never empty
-                     return;
-                   }
-                   QueuedFrame& queued = push_frame();
-                   queued.frame.assign(piece);
-                   std::memcpy(queued.from.data(), from, sizeof(sockaddr_in));
-                 });
-  frame.resize(first);
-  return count;
-}
-
-bool UdpTransport::recv(wire::Frame& out) {
-  if (pop_frame(out) != nullptr) return true;
-  out.resize(mtu_);
-  sockaddr_in from{};
-  socklen_t from_len = sizeof(from);
-  ++stats_.recv_calls;
-  const ssize_t n =
-      ::recvfrom(fd_, out.data(), out.capacity(), 0,
-                 reinterpret_cast<sockaddr*>(&from), &from_len);
-  if (n < 0) {
-    out.clear();
-    if (is_would_block(errno)) {
-      ++stats_.recv_would_block;  // the expected idle path, not an error
-    } else {
-      count_error(errno);
-    }
-    return false;
-  }
-  out.resize(static_cast<std::size_t>(n));
-  ++stats_.datagrams_received;
-  stats_.bytes_received += static_cast<std::uint64_t>(n);
-  stats_.frames_received += keep_first_frame(out, &from);
-  std::memcpy(last_sender_, &from, sizeof(from));
-  has_last_sender_ = true;
-  return true;
-}
-
-bool UdpTransport::set_peer_to_last_sender() {
-  if (!has_last_sender_) return false;
-  default_peer_ = intern_peer(last_sender_);
-  return true;
+  return from;
 }
 
 bool UdpTransport::wait_readable(int timeout_ms) {
@@ -275,43 +191,100 @@ bool UdpTransport::wait_readable(int timeout_ms) {
   return ::poll(&pfd, 1, timeout_ms) > 0 && (pfd.revents & POLLIN) != 0;
 }
 
-std::size_t UdpTransport::recv_batch_fallback(std::span<wire::Frame> frames,
-                                              std::span<PeerIndex> peers) {
-  const std::size_t want = std::min(frames.size(), peers.size());
-  std::size_t got = 0;
-  while (got < want) {
-    wire::Frame& frame = frames[got];
-    frame.resize(mtu_);
-    sockaddr_in from{};
-    socklen_t from_len = sizeof(from);
-    ++stats_.recv_calls;
-    const ssize_t n =
-        ::recvfrom(fd_, frame.data(), frame.capacity(), 0,
-                   reinterpret_cast<sockaddr*>(&from), &from_len);
-    if (n < 0) {
-      frame.clear();
-      if (is_would_block(errno)) {
-        ++stats_.recv_would_block;
-      } else {
-        count_error(errno);
-      }
-      break;
+std::size_t UdpTransport::recv_batch_impl(std::span<wire::Frame> frames,
+                                          std::span<PeerIndex> peers) {
+  const std::size_t capacity = std::min(frames.size(), peers.size());
+  std::size_t n = 0;
+  if (frames_queued() == 0) n = recv_datagrams(frames.first(capacity), peers);
+  for (; n < capacity && frames_queued() != 0; ++n) {
+    peers[n] = pop_frame(frames[n]);
+  }
+  return n;
+}
+
+std::size_t UdpTransport::recv_datagrams(std::span<wire::Frame> frames,
+                                         std::span<PeerIndex> peers) {
+  const std::size_t want = std::min(frames.size(), kMaxBatch);
+  sockaddr_in addrs[kMaxBatch];
+  std::size_t count[kMaxBatch];  // frames in each datagram
+  std::size_t datagrams = 0;
+  const auto idle_or_error = [this](int err) {
+    if (is_would_block(err)) {
+      ++stats_.recv_would_block;  // the expected idle path, not an error
+    } else {
+      count_error(err);
     }
-    frame.resize(static_cast<std::size_t>(n));
-    ++stats_.datagrams_received;
-    stats_.bytes_received += static_cast<std::uint64_t>(n);
-    std::memcpy(last_sender_, &from, sizeof(from));
-    has_last_sender_ = true;
-    // The datagram's further frames queue, and fill the next slots from
-    // there; what does not fit waits for the next call.
-    stats_.frames_received += keep_first_frame(frame, &from);
-    peers[got++] = intern_peer(&from);
-    while (got < want && frames_queued() != 0) {
-      peers[got] = intern_peer(pop_frame(frames[got]));
-      ++got;
+  };
+#if defined(__linux__)
+  if (use_mmsg_ && want > 0) {
+    mmsghdr msgs[kMaxBatch];
+    iovec iovs[kMaxBatch];
+    for (std::size_t i = 0; i < want; ++i) {
+      frames[i].resize(mtu_);
+      iovs[i] = {frames[i].data(), frames[i].capacity()};
+      std::memset(&msgs[i], 0, sizeof(msgs[i]));
+      msgs[i].msg_hdr.msg_iov = &iovs[i];
+      msgs[i].msg_hdr.msg_iovlen = 1;
+      msgs[i].msg_hdr.msg_name = &addrs[i];
+      msgs[i].msg_hdr.msg_namelen = sizeof(sockaddr_in);
+    }
+    ++stats_.recv_calls;
+    const int got =
+        ::recvmmsg(fd_, msgs, static_cast<unsigned int>(want), 0, nullptr);
+    if (got >= 0) {
+      for (; datagrams < static_cast<std::size_t>(got); ++datagrams) {
+        frames[datagrams].resize(msgs[datagrams].msg_len);
+        count[datagrams] = frame_count(frames[datagrams].bytes());
+      }
+    } else if (errno == ENOSYS) {
+      use_mmsg_ = false;    // the recvfrom loop below takes this call
+      --stats_.recv_calls;  // the probe never moved a frame
+    } else {
+      idle_or_error(errno);
+      return 0;
     }
   }
-  return got;
+#endif
+  // The fallback: one recvfrom a datagram, until the frames in hand fill
+  // the span.
+  for (std::size_t in_hand = 0;
+       !use_mmsg_ && datagrams < want && in_hand < frames.size();) {
+    wire::Frame& frame = frames[datagrams];
+    frame.resize(mtu_);
+    socklen_t from_len = sizeof(sockaddr_in);
+    ++stats_.recv_calls;
+    const ssize_t got =
+        ::recvfrom(fd_, frame.data(), frame.capacity(), 0,
+                   reinterpret_cast<sockaddr*>(&addrs[datagrams]), &from_len);
+    if (got < 0) {
+      idle_or_error(errno);
+      break;
+    }
+    frame.resize(static_cast<std::size_t>(got));
+    count[datagrams] = frame_count(frame.bytes());
+    in_hand += count[datagrams++];
+  }
+
+  std::size_t in_place = datagrams;  // datagrams before the first packed one
+  for (std::size_t d = 0; d < datagrams; ++d) {
+    stats_.bytes_received += frames[d].size();
+    stats_.frames_received += count[d];
+    peers[d] = intern_peer(&addrs[d]);  // first-sight order
+    if (count[d] > 1 && in_place == datagrams) in_place = d;
+  }
+  stats_.datagrams_received += datagrams;
+  // Single-frame datagrams stay where they landed. From the first packed
+  // one on, every frame passes through the queue, so frames keep their
+  // arrival order, and the span fills from it.
+  for (std::size_t d = in_place; d < datagrams; ++d) {
+    for_each_frame(frames[d].bytes(), count[d],
+                   [&](std::span<const std::uint8_t> frame) {
+                     QueuedFrame& queued = push_frame();
+                     queued.frame.assign(frame);
+                     queued.from = peers[d];
+                   });
+  }
+  return in_place;
 }
 
 // -- send path ---------------------------------------------------------------
@@ -480,94 +453,6 @@ std::size_t UdpTransport::send_batch_impl(std::span<const TxItem> items) {
   return static_cast<std::size_t>(stats_.frames_sent - sent_before + queued);
 }
 
-std::size_t UdpTransport::recv_batch_impl(std::span<wire::Frame> frames,
-                                          std::span<PeerIndex> peers) {
-  const std::size_t capacity = std::min(frames.size(), peers.size());
-  if (frames_queued() != 0) {
-    std::size_t n = 0;
-    for (; n < capacity && frames_queued() != 0; ++n) {
-      peers[n] = intern_peer(pop_frame(frames[n]));
-    }
-    return n;
-  }
-#if defined(__linux__)
-  if (use_mmsg_) return recv_mmsg(frames, peers);
-#endif
-  return recv_batch_fallback(frames, peers);
-}
-
-#if defined(__linux__)
-
-std::size_t UdpTransport::recv_mmsg(std::span<wire::Frame> frames,
-                                    std::span<PeerIndex> peers) {
-  const std::size_t capacity = std::min(frames.size(), peers.size());
-  const std::size_t want = std::min(capacity, kMaxBatch);
-  if (want == 0) return 0;
-  mmsghdr msgs[kMaxBatch];
-  iovec iovs[kMaxBatch];
-  sockaddr_in addrs[kMaxBatch];
-  for (std::size_t i = 0; i < want; ++i) {
-    frames[i].resize(mtu_);
-    iovs[i] = {frames[i].data(), frames[i].capacity()};
-    std::memset(&msgs[i], 0, sizeof(msgs[i]));
-    msgs[i].msg_hdr.msg_iov = &iovs[i];
-    msgs[i].msg_hdr.msg_iovlen = 1;
-    msgs[i].msg_hdr.msg_name = &addrs[i];
-    msgs[i].msg_hdr.msg_namelen = sizeof(sockaddr_in);
-  }
-  ++stats_.recv_calls;
-  const int got =
-      ::recvmmsg(fd_, msgs, static_cast<unsigned int>(want), 0, nullptr);
-  if (got < 0) {
-    if (errno == ENOSYS) {
-      use_mmsg_ = false;
-      --stats_.recv_calls;  // the probe never moved a frame
-      return recv_batch_fallback(frames, peers);
-    }
-    if (is_would_block(errno)) {
-      ++stats_.recv_would_block;
-    } else {
-      count_error(errno);
-    }
-    return 0;
-  }
-  const auto datagrams = static_cast<std::size_t>(got);
-  std::size_t count[kMaxBatch];
-  std::size_t in_place = datagrams;  // datagrams before the first packed one
-  for (std::size_t d = 0; d < datagrams; ++d) {
-    frames[d].resize(msgs[d].msg_len);
-    stats_.bytes_received += msgs[d].msg_len;
-    count[d] = frame_count(frames[d].bytes());
-    stats_.frames_received += count[d];
-    peers[d] = intern_peer(&addrs[d]);  // first-sight order
-    if (count[d] > 1 && in_place == datagrams) in_place = d;
-  }
-  stats_.datagrams_received += datagrams;
-  if (in_place != 0) {  // a queued frame's sender is set as it pops
-    std::memcpy(last_sender_, &addrs[in_place - 1], sizeof(sockaddr_in));
-    has_last_sender_ = true;
-  }
-  // Single-frame datagrams stay where they landed. From the first packed
-  // one on, every frame passes through the queue, so frames keep their
-  // arrival order, and the span fills from it.
-  for (std::size_t d = in_place; d < datagrams; ++d) {
-    for_each_frame(frames[d].bytes(), count[d],
-                   [&](std::span<const std::uint8_t> frame) {
-                     QueuedFrame& queued = push_frame();
-                     queued.frame.assign(frame);
-                     std::memcpy(queued.from.data(), &addrs[d],
-                                 sizeof(sockaddr_in));
-                   });
-  }
-  std::size_t n = in_place;
-  for (; n < capacity && frames_queued() != 0; ++n) {
-    peers[n] = intern_peer(pop_frame(frames[n]));
-  }
-  return n;
-}
-
-#endif
-
 }  // namespace ltnc::net
 
 #else  // non-POSIX stub
@@ -581,15 +466,9 @@ std::unique_ptr<UdpTransport> UdpTransport::open(const UdpConfig&,
 }
 
 UdpTransport::~UdpTransport() = default;
-bool UdpTransport::send(std::span<const std::uint8_t>) { return false; }
-bool UdpTransport::recv(wire::Frame&) { return false; }
-bool UdpTransport::set_peer_to_last_sender() { return false; }
 bool UdpTransport::wait_readable(int) { return false; }
 UdpTransport::PeerIndex UdpTransport::add_peer(const std::string&,
                                                std::uint16_t) {
-  return kInvalidPeer;
-}
-UdpTransport::PeerIndex UdpTransport::intern_peer(const void*) {
   return kInvalidPeer;
 }
 std::size_t UdpTransport::send_batch_impl(std::span<const TxItem>) { return 0; }
@@ -597,11 +476,6 @@ std::size_t UdpTransport::recv_batch_impl(std::span<wire::Frame>,
                                           std::span<PeerIndex>) {
   return 0;
 }
-std::size_t UdpTransport::recv_batch_fallback(std::span<wire::Frame>,
-                                              std::span<PeerIndex>) {
-  return 0;
-}
-void UdpTransport::count_error(int) {}
 
 }  // namespace ltnc::net
 

@@ -1,32 +1,31 @@
 // UdpTransport — real POSIX UDP sockets under the wire codec.
 //
 // A datagram carries one or more whole wire frames. The socket is bound,
-// set non-blocking, and polled from the protocol loop. recv() lands
-// datagrams straight into the caller's arena-backed wire::Frame and
-// remembers the source address, so a receiver can lock onto whoever is
-// talking to it and ship feedback frames back — the abort/ack channel of
-// §III-C over a real network.
+// set non-blocking, and polled from the protocol loop. Its one surface is
+// batched and peer-indexed: recv_batch lands frames in the caller's
+// arena-backed wire::Frames and names the PeerIndex each came from, and
+// send_batch takes (peer, bytes) pairs, so a receiver answers the
+// PeerIndex a frame came from — the abort/ack channel of §III-C over a
+// real network.
 //
-// **Batched I/O.** The single-datagram path costs one syscall per frame —
-// the dominant per-frame cost once the coding itself is SIMD-cheap. The
-// batch surface (recv_batch / send_batch) moves up to kMaxBatch datagrams
-// per recvmmsg/sendmmsg syscall on Linux, with a runtime fallback to a
+// **Batched I/O.** Each call moves up to kMaxBatch datagrams per
+// recvmmsg/sendmmsg syscall on Linux, with a runtime fallback to a
 // recvfrom/sendto loop on kernels or platforms without the mmsg calls —
 // same semantics, one syscall per datagram, so callers never branch on
-// availability. Batch calls speak the transport's peer registry: every
-// distinct source address is interned to a dense PeerIndex (auto-grown on
-// first sight), which is what the sharded endpoint hashes on; send_batch
-// takes (peer, bytes) pairs so one socket fans out to a whole swarm.
+// availability. Every distinct remote address is interned to a dense
+// PeerIndex (add_peer, or auto-grown on a datagram's first sight), which
+// is what the sharded endpoint hashes on; one socket fans out to a whole
+// swarm.
 //
 // **Packing.** send_batch packs the frames bound for one destination, in
 // item order, back to back into datagrams of at most kPackedDatagramBytes
 // (and never more than UdpConfig::mtu). Two kinds of item go out alone,
 // byte for byte: a frame too big to share such a datagram with another
-// (over half of it), and bytes that are not exactly one wire frame. The
-// receive calls split a datagram of at most kPackedDatagramBytes that is
-// exactly a run of whole frames (wire::count_frames) and deliver any
+// (over half of it), and bytes that are not exactly one wire frame.
+// recv_batch splits a datagram of at most kPackedDatagramBytes that is
+// exactly a run of whole frames (wire::count_frames) and delivers any
 // other datagram whole. Frames that do not fit the caller's span wait in
-// the transport and come back first on the next recv/recv_batch, with no
+// the transport and come back first on the next recv_batch, with no
 // syscall; wait_readable() returns true at once while any wait. No byte
 // is added on the wire: frames stay byte-identical and the protocol
 // version stays 2. A receiver that predates packing rejects a packed
@@ -37,9 +36,9 @@
 // of a non-blocking socket and is counted separately (would_block) from
 // transient per-peer failures (ECONNREFUSED and friends — a receiver went
 // away; counted, skipped, never fatal) and genuinely fatal socket errors
-// (counted with the errno preserved in stats().last_errno). send()/recv()
-// report false for all three — datagram semantics — but the tallies let a
-// caller distinguish "link idle" from "link broken".
+// (counted with the errno preserved in stats().last_errno). The batch
+// calls return counts either way — datagram semantics — but the tallies
+// let a caller distinguish "link idle" from "link broken".
 //
 // **A datagram the kernel refuses.** One packed datagram can hold items
 // from before and after an item of another datagram, so send_batch cannot
@@ -48,11 +47,11 @@
 // the call's datagrams stay queued in the transport, in order, and count
 // as taken; the call takes no further item. A fatal error drops its one
 // datagram (counted) and queues the rest the same way. The next
-// send_batch (an empty one too) or send() sends the queue first, and
-// takes no new frame while the kernel still refuses it. So a frame is
-// never sent twice, frames to one destination keep their order, and a
-// frame leaves the transport only in a datagram the kernel accepted or in
-// one an error dropped and counted (transient_errors, fatal_errors).
+// send_batch (an empty one too) sends the queue first, and takes no new
+// frame while the kernel still refuses it. So a frame is never sent
+// twice, frames to one destination keep their order, and a frame leaves
+// the transport only in a datagram the kernel accepted or in one an error
+// dropped and counted (transient_errors, fatal_errors).
 //
 // Compiled to a stub returning "unsupported" on non-POSIX platforms so
 // the library stays portable; everything else in src/net is pure C++.
@@ -67,18 +66,16 @@
 #include <unordered_map>
 #include <vector>
 
-#include "net/transport.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/telemetry.hpp"
+#include "wire/frame.hpp"
 
 namespace ltnc::net {
 
 struct UdpConfig {
   std::string bind_address = "0.0.0.0";
   std::uint16_t bind_port = 0;  ///< 0 = ephemeral (see local_port())
-  std::string peer_address;     ///< empty = receive-only until a peer is set
-  std::uint16_t peer_port = 0;
-  std::size_t mtu = 65507;  ///< max UDP payload over IPv4
+  std::size_t mtu = 65507;      ///< max UDP payload over IPv4
 };
 
 /// Syscall-level tallies. would_block is the idle path, not an error;
@@ -142,11 +139,11 @@ struct UdpStats {
   }
 };
 
-class UdpTransport final : public Transport {
+class UdpTransport final {
  public:
   /// Dense handle for an interned remote address (the sharded endpoint's
-  /// session::PeerId). Index 0 is the configured peer when UdpConfig
-  /// named one; further indices are assigned in first-sight order.
+  /// session::PeerId), assigned in first-sight order: by add_peer, or by
+  /// recv_batch for a source it has not seen.
   using PeerIndex = std::uint32_t;
   static constexpr PeerIndex kInvalidPeer = ~PeerIndex{0};
 
@@ -164,24 +161,9 @@ class UdpTransport final : public Transport {
   static std::unique_ptr<UdpTransport> open(const UdpConfig& config,
                                             std::string* error);
 
-  ~UdpTransport() override;
+  ~UdpTransport();
   UdpTransport(const UdpTransport&) = delete;
   UdpTransport& operator=(const UdpTransport&) = delete;
-
-  /// Sends one datagram to the default peer, after any datagram a
-  /// send_batch left queued. False when no peer is set, the frame exceeds
-  /// the MTU, or the kernel refuses (see stats() for which way it
-  /// refused).
-  bool send(std::span<const std::uint8_t> frame) override;
-
-  /// Non-blocking receive of one frame: a queued one first, else the
-  /// next datagram, whose further frames are queued. False when nothing
-  /// is pending. Oversized datagrams are truncated by the kernel and will
-  /// fail frame decoding — the codec treats them as malformed, which is
-  /// the right failure mode.
-  bool recv(wire::Frame& out) override;
-
-  std::size_t mtu() const override { return mtu_; }
 
   // --- batched I/O ----------------------------------------------------------
 
@@ -216,12 +198,14 @@ class UdpTransport final : public Transport {
 
   /// Receives up to min(frames.size(), peers.size()) frames: the queued
   /// ones if any wait (no syscall), else up to kMaxBatch datagrams in one
-  /// recvmmsg syscall (fallback: a recvfrom loop), split into frames in
-  /// arrival order; what does not fit is queued for the next call.
-  /// frames[i] is resized to frame i, and a datagram of one frame lands
-  /// in place; peers[i] is the interned source address — first-sight
-  /// senders are registered automatically. Returns the count received (0
-  /// on idle).
+  /// recvmmsg syscall (fallback: a recvfrom loop that stops once the
+  /// frames in hand fill the span), split into frames in arrival order;
+  /// what does not fit is queued for the next call. frames[i] is resized
+  /// to frame i, and a datagram of one frame lands in place; peers[i] is
+  /// the interned source address — first-sight senders are registered
+  /// automatically. Returns the count received (0 on idle). Oversized
+  /// datagrams are truncated by the kernel and fail frame decoding — the
+  /// codec treats them as malformed, which is the right failure mode.
   std::size_t recv_batch(std::span<wire::Frame> frames,
                          std::span<PeerIndex> peers) {
     const std::size_t n = recv_batch_impl(frames, peers);
@@ -245,12 +229,13 @@ class UdpTransport final : public Transport {
 
   /// True when the mmsg syscalls are compiled in and the kernel accepts
   /// them (flips to false at runtime on ENOSYS — the fallback loop keeps
-  /// the same semantics at one syscall per frame).
+  /// the same semantics at one syscall per datagram).
   bool batching_active() const { return use_mmsg_; }
 
   /// Blocks until a frame is pending or `timeout_ms` elapses; true when
   /// one is pending (at once while frames wait in the transport). The
-  /// idle wait of a blocking-style driver, instead of spinning on recv().
+  /// idle wait of a blocking-style driver, instead of spinning on
+  /// recv_batch().
   bool wait_readable(int timeout_ms);
 
   // --- peer registry --------------------------------------------------------
@@ -263,12 +248,6 @@ class UdpTransport final : public Transport {
 
   /// Port actually bound (resolves an ephemeral bind_port = 0).
   std::uint16_t local_port() const { return local_port_; }
-
-  bool has_peer() const { return default_peer_ != kInvalidPeer; }
-
-  /// Redirects send() at the source of the most recently received
-  /// frame — how a receiver acquires its feedback channel.
-  bool set_peer_to_last_sender();
 
   const UdpStats& stats() const { return stats_; }
 
@@ -294,7 +273,7 @@ class UdpTransport final : public Transport {
   /// A received frame of a packed datagram, on its way to the caller.
   struct QueuedFrame {
     wire::Frame frame;
-    Address from{};
+    PeerIndex from = 0;
   };
 
   /// Interns a raw sockaddr_in image; returns its dense index.
@@ -302,13 +281,12 @@ class UdpTransport final : public Transport {
   std::size_t send_batch_impl(std::span<const TxItem> items);
   std::size_t recv_batch_impl(std::span<wire::Frame> frames,
                               std::span<PeerIndex> peers);
-  /// One recvmmsg into the span (Linux): single-frame datagrams land in
-  /// place; from the first packed one on, frames pass through the queue.
-  std::size_t recv_mmsg(std::span<wire::Frame> frames,
-                        std::span<PeerIndex> peers);
-  /// The recvfrom loop: one syscall per datagram.
-  std::size_t recv_batch_fallback(std::span<wire::Frame> frames,
-                                  std::span<PeerIndex> peers);
+  /// One recvmmsg into the span, or (fallback) one recvfrom a datagram
+  /// until the frames in hand fill it; then the split: single-frame
+  /// datagrams stay where they landed, and from the first packed one on,
+  /// every frame passes through the queue. Returns the frames in place.
+  std::size_t recv_datagrams(std::span<wire::Frame> frames,
+                             std::span<PeerIndex> peers);
   /// Packs items from `next` on into at most kMaxBatch datagrams,
   /// advancing `next` past every item taken or skipped.
   std::size_t pack(std::span<const TxItem> items, std::size_t& next,
@@ -322,12 +300,9 @@ class UdpTransport final : public Transport {
   bool send_queued();
   /// Copies `dgrams` to the back of the send queue.
   void queue_datagrams(const Datagram* dgrams, std::size_t n);
-  /// Splits the datagram in `frame` (from `from`): the first frame stays
-  /// in `frame`, the rest are queued. Returns the frame count.
-  std::size_t keep_first_frame(wire::Frame& frame, const void* from);
-  /// Pops the oldest queued frame into `out`; returns its source, or
-  /// nullptr when none is queued.
-  const unsigned char* pop_frame(wire::Frame& out);
+  /// Pops the oldest queued frame (one must wait) into `out`; returns
+  /// its source.
+  PeerIndex pop_frame(wire::Frame& out);
   /// Appends a slot to the receive queue and returns it.
   QueuedFrame& push_frame();
   std::size_t frames_queued() const { return rx_tail_ - rx_head_; }
@@ -361,10 +336,6 @@ class UdpTransport final : public Transport {
   std::size_t mtu_ = 0;
   std::uint16_t local_port_ = 0;
   bool use_mmsg_ = false;
-  PeerIndex default_peer_ = kInvalidPeer;
-  bool has_last_sender_ = false;
-  // sockaddr_in storage without leaking <netinet/in.h> into the header.
-  alignas(8) unsigned char last_sender_[16] = {};
   std::vector<Address> peer_addrs_;
   std::unordered_map<std::uint64_t, PeerIndex> peer_index_;  ///< (ip,port) →
   // Packing state, all leased on first use: a buffer per packed datagram

@@ -32,18 +32,6 @@ bool scheme_from_string(std::string_view name, Scheme& out) {
   return true;
 }
 
-const char* feedback_name(FeedbackMode mode) {
-  switch (mode) {
-    case FeedbackMode::kNone:
-      return "none";
-    case FeedbackMode::kBinary:
-      return "binary";
-    case FeedbackMode::kSmart:
-      return "smart";
-  }
-  return "?";
-}
-
 bool feedback_from_string(std::string_view name, FeedbackMode& out) {
   if (name == "none") {
     out = FeedbackMode::kNone;

@@ -43,8 +43,6 @@ bool scheme_from_string(std::string_view name, Scheme& out);
 ///   kSmart   the receiver ships its cc array; the sender constructs for it
 enum class FeedbackMode { kNone, kBinary, kSmart };
 
-const char* feedback_name(FeedbackMode mode);
-
 /// Parses "none" / "binary" / "smart". Returns false on anything else.
 bool feedback_from_string(std::string_view name, FeedbackMode& out);
 

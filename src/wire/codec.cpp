@@ -404,24 +404,6 @@ DecodeStatus finish(const Reader& r) {
 
 }  // namespace
 
-const char* status_name(DecodeStatus status) {
-  switch (status) {
-    case DecodeStatus::kOk:
-      return "ok";
-    case DecodeStatus::kTruncated:
-      return "truncated";
-    case DecodeStatus::kBadVersion:
-      return "bad-version";
-    case DecodeStatus::kBadType:
-      return "bad-type";
-    case DecodeStatus::kMalformed:
-      return "malformed";
-    case DecodeStatus::kTrailingBytes:
-      return "trailing-bytes";
-  }
-  return "unknown";
-}
-
 std::size_t coeff_encoded_size(const BitVector& coeffs, CoeffEncoding enc) {
   return enc == CoeffEncoding::kDense ? dense_size(coeffs.size())
                                       : sparse_size(coeffs, coeffs.popcount());

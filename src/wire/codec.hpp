@@ -115,8 +115,6 @@ enum class DecodeStatus : std::uint8_t {
   kTrailingBytes,  ///< frame longer than the message it carries
 };
 
-const char* status_name(DecodeStatus status);
-
 // -- sizes (exact, shared with serialization so they can never drift) ------
 
 /// Encoded size of a code vector under the given encoding.

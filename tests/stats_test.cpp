@@ -65,34 +65,5 @@ TEST(RunningStats, MergeWithEmpty) {
   EXPECT_DOUBLE_EQ(empty.mean(), 1.0);
 }
 
-TEST(Histogram, CountsAndFractions) {
-  Histogram h(4);
-  h.add(0);
-  h.add(1);
-  h.add(1);
-  h.add(3);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_EQ(h.count(1), 2u);
-  EXPECT_DOUBLE_EQ(h.fraction(1), 0.5);
-  EXPECT_DOUBLE_EQ(h.fraction(2), 0.0);
-  EXPECT_DOUBLE_EQ(h.mean(), (0 + 1 + 1 + 3) / 4.0);
-}
-
-TEST(Histogram, GrowsOnDemand) {
-  Histogram h(2);
-  h.add(10);
-  EXPECT_EQ(h.buckets(), 11u);
-  EXPECT_EQ(h.count(10), 1u);
-  EXPECT_EQ(h.count(99), 0u);  // out of range reads are safe
-}
-
-TEST(Histogram, ResetClears) {
-  Histogram h(3);
-  h.add(1);
-  h.reset();
-  EXPECT_EQ(h.total(), 0u);
-  EXPECT_EQ(h.count(1), 0u);
-}
-
 }  // namespace
 }  // namespace ltnc

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -146,30 +147,37 @@ TEST(SimChannel, CodedPacketsSurviveTheChannel) {
 
 // -- UDP ------------------------------------------------------------------
 
-/// Opens a loopback pair, or returns false when the environment has no
-/// usable sockets (sandboxed CI) — the test then skips rather than fails.
+/// Opens a loopback pair, the receiver the sender's peer 0, or returns
+/// false when the environment has no usable sockets (sandboxed CI) — the
+/// test then skips rather than fails.
 bool open_loopback_pair(std::unique_ptr<UdpTransport>& receiver,
                         std::unique_ptr<UdpTransport>& sender) {
   std::string error;
-  UdpConfig rx_cfg;
-  rx_cfg.bind_address = "127.0.0.1";
-  receiver = UdpTransport::open(rx_cfg, &error);
+  UdpConfig cfg;
+  cfg.bind_address = "127.0.0.1";
+  receiver = UdpTransport::open(cfg, &error);
   if (receiver == nullptr) return false;
-
-  UdpConfig tx_cfg;
-  tx_cfg.bind_address = "127.0.0.1";
-  tx_cfg.peer_address = "127.0.0.1";
-  tx_cfg.peer_port = receiver->local_port();
-  sender = UdpTransport::open(tx_cfg, &error);
-  return sender != nullptr;
+  sender = UdpTransport::open(cfg, &error);
+  return sender != nullptr &&
+         sender->add_peer("127.0.0.1", receiver->local_port()) == 0;
 }
 
-/// Polls until a datagram arrives (loopback is fast but asynchronous).
-bool recv_with_retry(UdpTransport& transport, wire::Frame& out) {
+/// Sends one frame to `peer` in a batch of one; true when it was taken.
+bool send_one(UdpTransport& transport, UdpTransport::PeerIndex peer,
+              std::span<const std::uint8_t> frame) {
+  const UdpTransport::TxItem item{peer, frame};
+  return transport.send_batch({&item, 1}) == 1;
+}
+
+/// Polls a one-slot recv_batch until a frame arrives (loopback is fast
+/// but asynchronous); returns its source, or kInvalidPeer on timeout.
+UdpTransport::PeerIndex recv_with_retry(UdpTransport& transport,
+                                        wire::Frame& out) {
+  UdpTransport::PeerIndex from = UdpTransport::kInvalidPeer;
   for (int spin = 0; spin < 100000; ++spin) {
-    if (transport.recv(out)) return true;
+    if (transport.recv_batch({&out, 1}, {&from, 1}) == 1) return from;
   }
-  return false;
+  return UdpTransport::kInvalidPeer;
 }
 
 TEST(UdpTransport, LoopbackRoundTripsFrames) {
@@ -184,10 +192,10 @@ TEST(UdpTransport, LoopbackRoundTripsFrames) {
                              Payload::deterministic(128, 3, 0));
   wire::Frame frame;
   wire::serialize(0, original, frame);
-  ASSERT_TRUE(sender->send(frame.bytes()));
+  ASSERT_TRUE(send_one(*sender, 0, frame.bytes()));
 
   wire::Frame rx;
-  ASSERT_TRUE(recv_with_retry(*receiver, rx));
+  ASSERT_NE(recv_with_retry(*receiver, rx), UdpTransport::kInvalidPeer);
   EXPECT_EQ(rx.size(), frame.size());
   ContentId content = 0;
   CodedPacket decoded;
@@ -206,16 +214,17 @@ TEST(UdpTransport, FeedbackFlowsBackToLastSender) {
 
   wire::Frame frame;
   wire::serialize_feedback(0, wire::MessageType::kAck, 42, frame);
-  ASSERT_TRUE(sender->send(frame.bytes()));
+  ASSERT_TRUE(send_one(*sender, 0, frame.bytes()));
   wire::Frame rx;
-  ASSERT_TRUE(recv_with_retry(*receiver, rx));
+  const UdpTransport::PeerIndex from = recv_with_retry(*receiver, rx);
+  ASSERT_NE(from, UdpTransport::kInvalidPeer);
 
-  // The receiver locks onto whoever spoke and replies with an abort.
-  ASSERT_TRUE(receiver->set_peer_to_last_sender());
+  // The receiver answers the PeerIndex the frame came from with an abort,
+  // and the sender reads it from the peer it added.
   wire::serialize_feedback(0, wire::MessageType::kAbort, 43, frame);
-  ASSERT_TRUE(receiver->send(frame.bytes()));
+  ASSERT_TRUE(send_one(*receiver, from, frame.bytes()));
 
-  ASSERT_TRUE(recv_with_retry(*sender, rx));
+  ASSERT_EQ(recv_with_retry(*sender, rx), 0u);
   wire::MessageType type{};
   std::uint64_t token = 0;
   ContentId content = 0;
@@ -223,19 +232,6 @@ TEST(UdpTransport, FeedbackFlowsBackToLastSender) {
             wire::DecodeStatus::kOk);
   EXPECT_EQ(type, wire::MessageType::kAbort);
   EXPECT_EQ(token, 43u);
-}
-
-TEST(UdpTransport, SendWithoutPeerFails) {
-  std::string error;
-  UdpConfig cfg;
-  cfg.bind_address = "127.0.0.1";
-  auto transport = UdpTransport::open(cfg, &error);
-  if (transport == nullptr) {
-    GTEST_SKIP() << "no usable UDP sockets in this environment";
-  }
-  EXPECT_FALSE(transport->has_peer());
-  const wire::Frame frame(8);
-  EXPECT_FALSE(transport->send(frame.bytes()));
 }
 
 TEST(UdpTransport, RejectsBadAddress) {
@@ -257,7 +253,7 @@ TEST(UdpTransport, BatchRoundTripsAcrossTheLoopback) {
   constexpr std::size_t kFrames = 24;
 
   // One serialized frame per token; the batch speaks (peer, bytes) pairs
-  // against the sender's interned registry (the configured peer is 0).
+  // against the sender's interned registry (the receiver is peer 0).
   std::vector<wire::Frame> frames(kFrames);
   std::vector<UdpTransport::TxItem> items(kFrames);
   for (std::size_t i = 0; i < kFrames; ++i) {
@@ -327,9 +323,9 @@ TEST(UdpTransport, SendBatchSkipsInvalidItemsAndCountsThemFatal) {
   EXPECT_EQ(sender->stats().fatal_errors, 2u);
 
   wire::Frame rx;
-  ASSERT_TRUE(recv_with_retry(*receiver, rx));
+  ASSERT_NE(recv_with_retry(*receiver, rx), UdpTransport::kInvalidPeer);
   EXPECT_EQ(rx.size(), 64u);
-  ASSERT_TRUE(recv_with_retry(*receiver, rx));
+  ASSERT_NE(recv_with_retry(*receiver, rx), UdpTransport::kInvalidPeer);
   EXPECT_EQ(rx.size(), 64u);
 }
 
@@ -560,24 +556,74 @@ TEST(UdpTransport, FramesBeyondTheCallersSpanWaitForTheNextCall) {
   EXPECT_EQ(receiver->stats().frames_received, kFrames);
   EXPECT_FALSE(receiver->wait_readable(0));
 
-  // recv() splits the same way, one frame a call; the feedback channel
-  // still locks onto the sender.
+  // A span of one splits the same way, one frame a call, each from the
+  // same peer, which a reply then reaches.
   ASSERT_EQ(sender->send_batch(items), kFrames);
   wire::Frame out;
-  ASSERT_TRUE(recv_with_retry(*receiver, out));
+  const UdpTransport::PeerIndex from = recv_with_retry(*receiver, out);
+  ASSERT_NE(from, UdpTransport::kInvalidPeer);
   const std::uint64_t calls = receiver->stats().recv_calls;
   for (std::uint32_t i = 1; i < kFrames; ++i) {
     EXPECT_EQ(copy_of(out.bytes()), copy_of(frames[i - 1].bytes()));
     EXPECT_TRUE(receiver->wait_readable(0));
-    ASSERT_TRUE(receiver->recv(out));
+    UdpTransport::PeerIndex peer = UdpTransport::kInvalidPeer;
+    ASSERT_EQ(receiver->recv_batch({&out, 1}, {&peer, 1}), 1u);
+    EXPECT_EQ(peer, from);
   }
   EXPECT_EQ(copy_of(out.bytes()), copy_of(frames[kFrames - 1].bytes()));
   EXPECT_EQ(receiver->stats().datagrams_received, 2u);
   EXPECT_EQ(receiver->stats().recv_calls, calls) << "queued frames: no syscall";
-  ASSERT_TRUE(receiver->set_peer_to_last_sender());
-  ASSERT_TRUE(receiver->send(frames[0].bytes()));
-  ASSERT_TRUE(recv_with_retry(*sender, out));
+  ASSERT_TRUE(send_one(*receiver, from, frames[0].bytes()));
+  ASSERT_NE(recv_with_retry(*sender, out), UdpTransport::kInvalidPeer);
   EXPECT_EQ(copy_of(out.bytes()), copy_of(frames[0].bytes()));
+}
+
+TEST(UdpTransport, QueuedFramesKeepTheirSendersPeerIndex) {
+  std::string error;
+  UdpConfig cfg;
+  cfg.bind_address = "127.0.0.1";
+  auto receiver = UdpTransport::open(cfg, &error);
+  std::unique_ptr<UdpTransport> senders[2];
+  for (auto& sender : senders) {
+    if (receiver != nullptr) sender = UdpTransport::open(cfg, &error);
+  }
+  if (receiver == nullptr || senders[0] == nullptr || senders[1] == nullptr) {
+    GTEST_SKIP() << "no usable UDP sockets in this environment";
+  }
+  // Each sender packs 14 frames of its own content into one datagram, and
+  // a span of 4 leaves most of both datagrams queued.
+  constexpr std::size_t kFrames = 14;
+  std::vector<wire::Frame> frames[2];
+  for (std::uint32_t s = 0; s < 2; ++s) {
+    ASSERT_EQ(senders[s]->add_peer("127.0.0.1", receiver->local_port()), 0u);
+    std::vector<UdpTransport::TxItem> items;
+    for (std::uint32_t i = 0; i < kFrames; ++i) {
+      frames[s].push_back(data_frame(i, 64, 1 + s));
+    }
+    for (const wire::Frame& f : frames[s]) items.push_back({0, f.bytes()});
+    ASSERT_EQ(senders[s]->send_batch(items), kFrames);
+  }
+  std::vector<wire::Frame> rx(4);
+  std::vector<UdpTransport::PeerIndex> peers(4);
+  std::size_t got[2] = {0, 0};
+  for (int spin = 0; spin < 100000 && got[0] + got[1] < 2 * kFrames; ++spin) {
+    const std::size_t n = receiver->recv_batch(rx, peers);
+    for (std::size_t i = 0; i < n; ++i) {
+      ContentId content = 0;
+      ASSERT_EQ(wire::peek_content(rx[i].bytes(), content),
+                wire::DecodeStatus::kOk);
+      ASSERT_TRUE(content == 1 || content == 2);
+      const std::size_t s = content - 1;
+      EXPECT_EQ(peers[i], s) << "senders intern in arrival order";
+      ASSERT_LT(got[s], kFrames);
+      EXPECT_EQ(copy_of(rx[i].bytes()), copy_of(frames[s][got[s]].bytes()));
+      ++got[s];
+    }
+  }
+  EXPECT_EQ(got[0], kFrames);
+  EXPECT_EQ(got[1], kFrames);
+  EXPECT_EQ(receiver->peer_count(), 2u);
+  EXPECT_EQ(receiver->stats().datagrams_received, 2u);
 }
 
 // -- UdpPipe --------------------------------------------------------------
