@@ -4,8 +4,9 @@
 //   --full         paper-scale parameters (slow; default is laptop scale)
 //   --csv          machine-readable output instead of the boxed table
 //   --nodes=N --k=K --runs=R   explicit overrides
-// and prints the scale it ran at, so EXPERIMENTS.md numbers are
-// reproducible by construction.
+//   --seed=S       first Monte-Carlo seed (runs use S, S+1, …)
+// and prints the scale it ran at above each table, so a table carries
+// what it takes to reproduce it.
 #pragma once
 
 #include <cstddef>
@@ -15,6 +16,8 @@
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "common/table.hpp"
 
 namespace ltnc::bench {
 
@@ -56,6 +59,15 @@ struct Args {
 
 inline void print_header(const std::string& title, const std::string& scale) {
   std::cout << "\n=== " << title << " ===\n" << scale << "\n\n";
+}
+
+/// The boxed table, or CSV under --csv.
+inline void print_table(const TextTable& table, bool csv) {
+  if (csv) {
+    table.print_csv(std::cout);
+  } else {
+    table.print(std::cout);
+  }
 }
 
 }  // namespace ltnc::bench

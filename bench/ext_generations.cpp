@@ -129,11 +129,7 @@ int main(int argc, char** argv) {
                        static_cast<long long>(r.decode_ctrl_ops)),
                    r.ok ? "yes" : "NO"});
   }
-  if (args.csv) {
-    table.print_csv(std::cout);
-  } else {
-    table.print(std::cout);
-  }
+  bench::print_table(table, args.csv);
   std::cout << "\nheader B/pkt is the mean measured frame size minus the "
                "payload over every recoded packet (content id, dimensions "
                "and the adaptively encoded code vector).\n"

@@ -48,11 +48,7 @@ int main(int argc, char** argv) {
     table.add_row({TextTable::integer(static_cast<long long>(d)),
                    sci(ideal[d - 1]), sci(rs.probability(d))});
   }
-  if (args.csv) {
-    table.print_csv(std::cout);
-  } else {
-    table.print(std::cout);
-  }
+  bench::print_table(table, args.csv);
 
   double mass12 = rs.probability(1) + rs.probability(2);
   std::cout << "\nmass at degree 1-2: " << TextTable::num(100 * mass12, 1)

@@ -97,12 +97,21 @@ void flush_batch(session::Endpoint& endpoint, net::UdpTransport& transport,
   if (!items.empty()) transport.send_batch(items);
 }
 
-/// "F frames in D datagrams (R frames/datagram) / B wire bytes" sent.
+/// "F frames in D datagrams (F/D frames/datagram) / B wire bytes" sent.
 std::string sent_summary(const net::UdpStats& s) {
   std::ostringstream out;
   out << s.frames_sent << " frames in " << s.datagrams_sent
-      << " datagrams (" << s.frames_per_datagram() << " frames/datagram) / "
-      << s.bytes_sent << " wire bytes";
+      << " datagrams (" << s.frames_per_sent_datagram()
+      << " frames/datagram) / " << s.bytes_sent << " wire bytes";
+  return out.str();
+}
+
+/// The same for what the transport received.
+std::string received_summary(const net::UdpStats& s) {
+  std::ostringstream out;
+  out << s.frames_received << " frames in " << s.datagrams_received
+      << " datagrams (" << s.frames_per_received_datagram()
+      << " frames/datagram) / " << s.bytes_received << " wire bytes";
   return out.str();
 }
 
@@ -348,11 +357,11 @@ int run_udp_dir_receiver(net::UdpTransport& transport,
     receiver.tick(now);
   }
   const session::SessionStats& s = receiver.stats();
-  const net::UdpStats& u = transport.stats();
   out << "receiver: decoded and hash-verified " << files.size()
       << " files from " << s.frames_received << " frames / "
-      << s.bytes_received << " wire bytes in " << u.datagrams_received
-      << " datagrams (" << u.frames_per_datagram() << " frames/datagram)\n";
+      << s.bytes_received << " wire bytes\n"
+      << "receiver: received " << received_summary(transport.stats())
+      << "\n";
   return 0;
 }
 
@@ -734,7 +743,8 @@ int run_udp_swarm_loopback(std::size_t peers, std::size_t blocks,
               << us.send_calls << " sendmmsg calls ("
               << us.frames_per_send_call() << " frames/call), received "
               << us.frames_received << " acks in " << us.recv_calls
-              << " recv calls; session data_sent " << total.data_sent
+              << " recv calls\n"
+              << "swarm: session data_sent " << total.data_sent
               << ", inbound ring drops " << sharded.inbound_drops() << "\n";
     for (std::uint32_t s = 0; s < shards; ++s) {
       const auto& report = sharded.report(s);
@@ -787,7 +797,7 @@ int run_swarm_comparison(std::size_t peers, std::size_t blocks,
   dissem::SimConfig cfg;
   cfg.num_nodes = peers;
   cfg.k = blocks;
-  cfg.payload_bytes = 64;  // simulation payload; see DESIGN.md §1.3
+  cfg.payload_bytes = 64;  // rounds and overhead count packets, not bytes
   cfg.seed = 7;
   cfg.max_rounds = 200 * blocks;
 

@@ -139,7 +139,7 @@ int main(int argc, char** argv) {
             << r.expired_frames << ")\n"
             << "  udp datagrams     " << r.link_tx.datagrams_sent << " for "
             << r.link_tx.frames_sent << " frames  ("
-            << r.link_tx.frames_per_datagram() << " frames/datagram)\n";
+            << r.link_tx.frames_per_sent_datagram() << " frames/datagram)\n";
 
   if (!prom_path.empty()) {
     std::ofstream out(prom_path, std::ios::trunc);

@@ -43,6 +43,14 @@ constexpr const char* kEvictionsName = "ltnc_cache_evicted_entries_total";
 /// what makes the hit-rate and offload curves monotone by construction.
 constexpr std::uint64_t kFillSalt = 0x5851f42d4c957f2dULL;
 
+// The serving policy both drivers share. The edge replays its stored
+// symbols for at most two passes plus a margin for loss; the source
+// serves at most 30·k symbols before the fetch counts as failed.
+constexpr std::size_t edge_replay_budget(std::size_t held) {
+  return 2 * held + 8;
+}
+constexpr std::size_t source_symbol_cap(std::size_t k) { return 30 * k; }
+
 // The event driver's latency model, in ticks.
 constexpr Instant kEdgeRtt = 2;     ///< request → first edge symbol
 constexpr Instant kSourceRtt = 16;  ///< extra once the backhaul is involved
@@ -303,7 +311,7 @@ CacheRunStats run_event_cache(const CacheScenario& sc) {
     std::size_t sent_edge = 0;
     if (held > 0) {
       const std::vector<CodedPacket>& stored = *cache.symbols(id);
-      const std::size_t budget = 2 * held + 8;
+      const std::size_t budget = edge_replay_budget(held);
       std::size_t distinct = 0;
       for (std::size_t i = 0;
            !decoder.complete() && distinct < held && sent_edge < budget;
@@ -325,7 +333,7 @@ CacheRunStats run_event_cache(const CacheScenario& sc) {
         encoders[slot] = std::make_unique<lt::LtEncoder>(
             lt::make_native_payloads(k, bytes, seed));
       }
-      const std::size_t cap = 30 * k;
+      const std::size_t cap = source_symbol_cap(k);
       while (!decoder.complete() && sent_source < cap) {
         const CodedPacket pkt = encoders[slot]->encode(req_rng);
         ++sent_source;
@@ -449,7 +457,7 @@ CacheRunStats run_sim_cache(const SimCacheConfig& config) {
   Rng source_rng(sc.seed ^ 0xbb67ae8584caa73bULL);
 
   wire::Frame frame;
-  const std::size_t source_cap = 30 * k;
+  const std::size_t source_cap = source_symbol_cap(k);
   const Instant horizon =
       static_cast<Instant>(sc.requests_per_user) *
           (kRequestTimeout + kSimThinkTicks + 16) +
@@ -489,7 +497,7 @@ CacheRunStats run_sim_cache(const SimCacheConfig& config) {
         st.id = catalog.id_of(slot);
         st.head = catalog.in_head(st.id);
         const std::size_t held = cache.begin_request(st.id);
-        st.edge_budget = held > 0 ? 2 * held + 8 : 0;
+        st.edge_budget = held > 0 ? edge_replay_budget(held) : 0;
         st.edge_sent = 0;
         st.source_phase = held == 0;
         st.source_pushed = 0;

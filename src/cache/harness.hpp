@@ -1,11 +1,13 @@
 // Edge-cache experiment drivers: one scenario, two execution engines.
 //
-//   run_event_cache   discrete-event model on dissem::TimerWheel — the
-//                     scale driver (10^4–10^5 users). Serving and source
-//                     fallback are evaluated synchronously per request
-//                     against a per-request BP decoder with a latency
-//                     model (edge RTT ≪ source RTT); wire costs use the
-//                     exact frame codec byte counts.
+//   run_event_cache   an analytic model on dissem::TimerWheel — the
+//                     scale driver (10^4–10^5 users). No frame crosses a
+//                     link: each request is served synchronously into a
+//                     per-request BP decoder, last-hop loss is a coin per
+//                     symbol, and latency is a formula whose round-trip
+//                     times (edge 2 ticks, source 16 more) and serving
+//                     rate (8 symbols a tick) are constants of the model.
+//                     Wire costs use the exact frame codec byte counts.
 //   run_sim_cache     full wire path through session::Endpoint — every
 //                     symbol is a real frame through the edge endpoint
 //                     (CacheEntryProtocol) or the source endpoint
@@ -16,7 +18,17 @@
 // Both report the same CacheRunStats — hit rates, source offload,
 // backhaul bytes, fetch-latency quantiles — and feed the same PR-8
 // telemetry instruments (ltnc_cache_*), so bench/edge_cache can sweep
-// cache capacity across engines and diff the resulting curves.
+// cache capacity across engines and diff the resulting curves. They
+// share one serving policy (the edge's replay budget, the source's
+// symbol cap).
+//
+// The model stays beside the wire driver because it is what reaches the
+// sweep's scale, and because the wire driver has no link delay, so the
+// edge/source round-trip gap the latency rows show exists only in the
+// model. Over bench/edge_cache's 10^4-user capacity sweep the wire driver
+// (SimChannel links) takes several times as long per point and hundreds
+// of MB of channel rings; the two agree on hit, full-hit and head-hit
+// rates, while offload differs (measurements under ROADMAP item 3).
 //
 // Placement vs reaction: under Policy::kPopularity the cache is filled
 // proactively (the paper's off-peak placement; those bytes are counted

@@ -124,7 +124,6 @@ void ComponentTracker::mark_decoded(NativeIndex x,
   const NativeIndex root = leader_[x] - 1;
   LTNC_DCHECK(parent_[root] < 0);
   leader_[x] = 0;
-  ++decoded_size_;
   heap_push(decoded_heap_, HeapEntry{current_occurrences, x});
   // The stale entry in the old component's heap is discarded lazily, or
   // with the whole heap once the component's last member decodes.
@@ -196,15 +195,6 @@ std::optional<NativeIndex> ComponentTracker::pick_substitute(
   }
   for (const HeapEntry& e : parked) heap_push(heap, e);
   return result;
-}
-
-std::size_t ComponentTracker::component_size(NativeIndex x) const {
-  if (leader_[x] == 0) return decoded_size_;
-  std::size_t n = 0;
-  for (std::size_t i = 0; i < k_; ++i) {
-    if (leader_[i] == leader_[x]) ++n;
-  }
-  return n;
 }
 
 std::vector<NativeIndex> ComponentTracker::members_of(NativeIndex x) const {

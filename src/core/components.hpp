@@ -74,9 +74,6 @@ class ComponentTracker {
       const BitVector& excluded, std::uint64_t occurrence_limit,
       OpCounters& ops) const;
 
-  /// Number of live members in x's component (decoded component included).
-  std::size_t component_size(NativeIndex x) const;
-
   /// Members of x's component, for tests (O(k) scan).
   std::vector<NativeIndex> members_of(NativeIndex x) const;
 
@@ -119,7 +116,6 @@ class ComponentTracker {
   mutable Heap decoded_heap_;                  ///< component 0
   mutable std::vector<NativeIndex> chain_scratch_;  ///< root_and_payload path
   mutable Heap parked_scratch_;  ///< pick_substitute exclusion parking
-  std::size_t decoded_size_ = 0;
 };
 
 }  // namespace ltnc::core

@@ -15,16 +15,13 @@ MonteCarloResult run_monte_carlo(session::Scheme scheme,
   agg.runs = runs;
 
   double decode_control = 0.0;
-  double decode_data = 0.0;
   double recode_control = 0.0;
-  double recode_data = 0.0;
 
   double first_accept = 0.0;
   double retries = 0.0;
   double target_rate = 0.0;
   double deviation = 0.0;
   double occ_sigma = 0.0;
-  double red_fraction = 0.0;
   std::size_t ltnc_runs = 0;
   std::vector<std::vector<double>> traces;
   traces.reserve(runs);
@@ -43,9 +40,7 @@ MonteCarloResult run_monte_carlo(session::Scheme scheme,
 
     const auto n = static_cast<double>(cfg.num_nodes);
     decode_control += static_cast<double>(res.decode_ops.control_total()) / n;
-    decode_data += static_cast<double>(res.decode_ops.data_word_ops) / n;
     recode_control += static_cast<double>(res.recode_ops.control_total()) / n;
-    recode_data += static_cast<double>(res.recode_ops.data_word_ops) / n;
 
     traces.push_back(res.convergence_trace);
 
@@ -56,12 +51,6 @@ MonteCarloResult run_monte_carlo(session::Scheme scheme,
       target_rate += res.ltnc_build_stats.target_rate();
       deviation += res.ltnc_build_stats.relative_deviation.mean();
       occ_sigma += res.ltnc_occurrence_rel_stddev;
-      red_fraction += res.ltnc_stats.receives == 0
-                          ? 0.0
-                          : static_cast<double>(
-                                res.ltnc_stats.redundant_rejected +
-                                res.ltnc_stats.dropped_during_decode) /
-                                static_cast<double>(res.ltnc_stats.receives);
     }
   }
 
@@ -79,9 +68,7 @@ MonteCarloResult run_monte_carlo(session::Scheme scheme,
   }
   for (double& v : agg.convergence_trace) v /= runs_d;
   agg.decode_control_per_node = decode_control / runs_d;
-  agg.decode_data_words_per_node = decode_data / runs_d;
   agg.recode_control_per_node = recode_control / runs_d;
-  agg.recode_data_words_per_node = recode_data / runs_d;
 
   if (ltnc_runs > 0) {
     const auto lr = static_cast<double>(ltnc_runs);
@@ -90,7 +77,6 @@ MonteCarloResult run_monte_carlo(session::Scheme scheme,
     agg.build_target_rate = target_rate / lr;
     agg.build_mean_relative_deviation = deviation / lr;
     agg.occurrence_rel_stddev = occ_sigma / lr;
-    agg.redundancy_hit_fraction = red_fraction / lr;
   }
   return agg;
 }

@@ -3,8 +3,8 @@
 // The paper averages 25 Monte-Carlo runs per data point (§IV-B). This
 // module runs R seeds of a SimConfig per scheme and aggregates the metrics
 // the figures plot: completion time (Fig. 7b), overhead (Fig. 7c), the
-// convergence trace (Fig. 7a), per-plane operation counts (Fig. 8 support)
-// and LTNC's in-text statistics.
+// convergence trace (Fig. 7a), control-plane operation counts (the §III
+// ablations' cost rows) and LTNC's in-text statistics.
 #pragma once
 
 #include <cstddef>
@@ -27,11 +27,9 @@ struct MonteCarloResult {
   RunningStats overhead;          ///< per-run communication overhead
   RunningStats abort_rate;
 
-  /// Per-node-and-run averages of the operation counters.
+  /// Per-node-and-run averages of the control-plane operation counters.
   double decode_control_per_node = 0.0;
-  double decode_data_words_per_node = 0.0;
   double recode_control_per_node = 0.0;
-  double recode_data_words_per_node = 0.0;
 
   /// Element-wise mean of the convergence traces (padded with 1.0 once a
   /// run has converged).
@@ -43,7 +41,6 @@ struct MonteCarloResult {
   double build_target_rate = 0.0;
   double build_mean_relative_deviation = 0.0;
   double occurrence_rel_stddev = 0.0;
-  double redundancy_hit_fraction = 0.0;  ///< hits / receives
 };
 
 /// Runs `runs` simulations with seeds seed, seed+1, … and aggregates.

@@ -129,13 +129,17 @@ struct UdpStats {
     return *this;
   }
 
-  /// Frames per datagram over both directions: 1 without packing.
-  double frames_per_datagram() const {
-    const std::uint64_t datagrams = datagrams_sent + datagrams_received;
-    return datagrams == 0 ? 0.0
-                          : static_cast<double>(frames_sent +
-                                                frames_received) /
-                                static_cast<double>(datagrams);
+  /// Frames per datagram, one direction at a time: 1 without packing.
+  double frames_per_sent_datagram() const {
+    return datagrams_sent == 0 ? 0.0
+                               : static_cast<double>(frames_sent) /
+                                     static_cast<double>(datagrams_sent);
+  }
+  double frames_per_received_datagram() const {
+    return datagrams_received == 0
+               ? 0.0
+               : static_cast<double>(frames_received) /
+                     static_cast<double>(datagrams_received);
   }
 };
 

@@ -75,11 +75,6 @@ Endpoint::Peer* Endpoint::find_peer(PeerId peer) {
   return slot == kNoSlot ? nullptr : &peers_[slot];
 }
 
-const Endpoint::Peer* Endpoint::find_peer(PeerId peer) const {
-  const std::uint32_t slot = find_slot(peer);
-  return slot == kNoSlot ? nullptr : &peers_[slot];
-}
-
 void Endpoint::index_insert(PeerId peer, std::uint32_t slot) {
   std::size_t i = hash_peer(peer) & index_mask_;
   while (slot_of_[i] != kNoSlot) i = (i + 1) & index_mask_;

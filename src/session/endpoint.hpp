@@ -390,7 +390,6 @@ class Endpoint {
 
   Peer& peer_state(PeerId peer);
   Peer* find_peer(PeerId peer);
-  const Peer* find_peer(PeerId peer) const;
   /// Open-addressed index plumbing: peers live in `peers_` in
   /// first-contact order; `slot_of_` maps a hashed PeerId to its slot.
   std::uint32_t find_slot(PeerId peer) const;

@@ -5,6 +5,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 namespace ltnc::telemetry {
 namespace {
@@ -68,53 +69,6 @@ void render_prometheus(std::ostream& out, const Snapshot& snap) {
         << fmt_double(h.sum_estimate()) << "\n";
     out << h.name << "_count" << label_block(h.label) << " " << cum << "\n";
   }
-}
-
-std::vector<metrics::RunRecord> snapshot_records(const Snapshot& snap) {
-  std::vector<metrics::RunRecord> rows;
-  rows.reserve(snap.counters.size() + snap.gauges.size() +
-               snap.histograms.size());
-  // Every row carries the full column set so the CSV writer's
-  // uniform-layout check holds across mixed metric kinds.
-  auto base = [](const std::string& name, const std::string& label,
-                 std::string_view kind) {
-    metrics::RunRecord r;
-    r.set("metric", name);
-    r.set("label", label);
-    r.set("kind", std::string(kind));
-    return r;
-  };
-  auto pad_histogram_columns = [](metrics::RunRecord& r) {
-    r.set("count", std::uint64_t{0});
-    r.set("p50", 0.0);
-    r.set("p99", 0.0);
-    r.set("p999", 0.0);
-    r.set("mean", 0.0);
-  };
-  for (const auto& c : snap.counters) {
-    auto r = base(c.name, c.label, "counter");
-    r.set("value", static_cast<double>(c.value));
-    pad_histogram_columns(r);
-    rows.push_back(std::move(r));
-  }
-  for (const auto& g : snap.gauges) {
-    auto r = base(g.name, g.label, "gauge");
-    r.set("value", static_cast<double>(g.value));
-    pad_histogram_columns(r);
-    rows.push_back(std::move(r));
-  }
-  for (const auto& h : snap.histograms) {
-    auto r = base(h.name, h.label, "histogram");
-    const std::uint64_t n = h.count();
-    r.set("value", h.sum_estimate());
-    r.set("count", n);
-    r.set("p50", h.quantile(0.50));
-    r.set("p99", h.quantile(0.99));
-    r.set("p999", h.quantile(0.999));
-    r.set("mean", n == 0 ? 0.0 : h.sum_estimate() / static_cast<double>(n));
-    rows.push_back(std::move(r));
-  }
-  return rows;
 }
 
 }  // namespace ltnc::telemetry

@@ -66,32 +66,6 @@ Sample* find_series(std::vector<Sample>& v, const std::string& name,
 
 }  // namespace
 
-void Snapshot::merge(const Snapshot& other) {
-  for (const auto& c : other.counters) {
-    if (auto* mine = find_series(counters, c.name, c.label)) {
-      mine->value += c.value;
-    } else {
-      counters.push_back(c);
-    }
-  }
-  for (const auto& g : other.gauges) {
-    if (auto* mine = find_series(gauges, g.name, g.label)) {
-      mine->value += g.value;
-    } else {
-      gauges.push_back(g);
-    }
-  }
-  for (const auto& h : other.histograms) {
-    if (auto* mine = find_series(histograms, h.name, h.label)) {
-      for (std::size_t i = 0; i < h.buckets.size(); ++i) {
-        mine->buckets[i] += h.buckets[i];
-      }
-    } else {
-      histograms.push_back(h);
-    }
-  }
-}
-
 Snapshot Snapshot::aggregated() const {
   Snapshot out;
   for (auto c : counters) {

@@ -94,8 +94,8 @@ class Histogram {
   alignas(64) std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
 };
 
-/// A point-in-time read of a registry (or several, via merge()): plain
-/// values, safe to ship across threads, render, or diff.
+/// A point-in-time read of a registry: plain values, safe to ship across
+/// threads, render, or diff.
 struct Snapshot {
   struct CounterSample {
     std::string name;
@@ -122,11 +122,6 @@ struct Snapshot {
   std::vector<CounterSample> counters;
   std::vector<GaugeSample> gauges;
   std::vector<HistogramSample> histograms;
-
-  /// Folds `other` in: same (name, label) series are summed (gauges
-  /// added), new series appended. How a multi-registry deployment (one
-  /// registry per thread fleet) builds its unified view.
-  void merge(const Snapshot& other);
 
   /// Collapses labels away: every series of one name becomes a single
   /// label-less series with summed counts — the per-shard-to-logical

@@ -467,7 +467,7 @@ TEST(UdpTransport, PacksEachPeersFramesInItemOrder) {
   EXPECT_EQ(tx.frames_sent, items.size());
   EXPECT_EQ(tx.fatal_errors + tx.transient_errors, 0u);
   EXPECT_LE(tx.datagrams_sent * 8, tx.frames_sent) << "packing must pay";
-  EXPECT_GT(tx.frames_per_datagram(), 8.0);
+  EXPECT_GT(tx.frames_per_sent_datagram(), 8.0);
 
   // Peer 0's datagrams: the small frames before the big one packed, the
   // big frame and the raw bytes alone, then the rest packed; every
@@ -501,7 +501,9 @@ TEST(UdpTransport, PacksEachPeersFramesInItemOrder) {
   EXPECT_EQ(datagrams[1], copy_of(frames[30].bytes())) << "the big frame";
   EXPECT_EQ(datagrams[2], copy_of(frames[31].bytes())) << "the raw bytes";
 
-  // Peers 1 and 2 receive whole frames, in order, from few datagrams.
+  // Peers 1 and 2 receive whole frames, in order, from few datagrams, and
+  // each acks with one frame that goes alone.
+  const wire::Frame ack = data_frame(2000, 8, 1);
   for (std::size_t r = 0; r < 2; ++r) {
     std::vector<wire::Frame> rx(64);
     std::vector<UdpTransport::PeerIndex> peers(64);
@@ -515,7 +517,23 @@ TEST(UdpTransport, PacksEachPeersFramesInItemOrder) {
     const UdpStats& st = receivers[r]->stats();
     EXPECT_EQ(st.frames_received, expected[r + 1].size());
     EXPECT_EQ(st.datagrams_received, 2u) << "30 frames of ~84 B";
+    ASSERT_TRUE(send_one(*receivers[r], peers[0], ack.bytes()));
   }
+
+  // With traffic both ways, each direction's ratio is its own frames over
+  // its own datagrams: the acks (one frame a datagram) leave the sent
+  // ratio alone.
+  wire::Frame got_ack;
+  for (int a = 0; a < 2; ++a) {
+    ASSERT_NE(recv_with_retry(*sender, got_ack), UdpTransport::kInvalidPeer);
+    EXPECT_EQ(copy_of(got_ack.bytes()), copy_of(ack.bytes()));
+  }
+  EXPECT_EQ(tx.frames_received, 2u);
+  EXPECT_EQ(tx.datagrams_received, 2u);
+  EXPECT_DOUBLE_EQ(tx.frames_per_sent_datagram(),
+                   static_cast<double>(tx.frames_sent) /
+                       static_cast<double>(tx.datagrams_sent));
+  EXPECT_DOUBLE_EQ(tx.frames_per_received_datagram(), 1.0);
 }
 
 TEST(UdpTransport, FramesBeyondTheCallersSpanWaitForTheNextCall) {
