@@ -6,7 +6,8 @@
 //   --nodes=N --k=K --runs=R   explicit overrides
 //   --seed=S       first Monte-Carlo seed (runs use S, S+1, …)
 // and prints the scale it ran at above each table, so a table carries
-// what it takes to reproduce it.
+// what it takes to reproduce it. Any other argument exits 2 with the flag
+// list: a mistyped flag must not silently run the default scale.
 #pragma once
 
 #include <cstddef>
@@ -20,6 +21,9 @@
 #include "common/table.hpp"
 
 namespace ltnc::bench {
+
+inline constexpr const char* kFlags =
+    "flags: --full --csv --nodes=N --k=K --runs=R --seed=S\n";
 
 struct Args {
   bool full = false;
@@ -49,8 +53,11 @@ struct Args {
       } else if (arg.rfind("--seed=", 0) == 0) {
         args.seed = static_cast<std::uint64_t>(value_of("--seed="));
       } else if (arg == "--help" || arg == "-h") {
-        std::cout << "flags: --full --csv --nodes=N --k=K --runs=R --seed=S\n";
+        std::cout << kFlags;
         std::exit(0);
+      } else {
+        std::cerr << "unknown argument " << arg << "\n" << kFlags;
+        std::exit(2);
       }
     }
     return args;

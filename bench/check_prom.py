@@ -9,6 +9,8 @@ image). Checks the subset of the exposition format the exporter uses:
   * metric/label names are legal ([a-zA-Z_:][a-zA-Z0-9_:]*)
   * every sample is preceded by # HELP and # TYPE headers for its family
     (histogram sample suffixes _bucket/_sum/_count belong to the family)
+  * each family's lines form one group: a family that reappears after
+    another family's lines is an error
   * the TYPE is one of counter|gauge|histogram and sample suffixes match
   * histogram buckets are cumulative (counts never decrease as le grows),
     end in le="+Inf", and the +Inf count equals _count
@@ -66,6 +68,18 @@ def check(lines):
     buckets = {}
     counts = {}  # same key -> _count value
     samples = 0
+    current, closed = None, set()  # the family being read, and those done
+
+    def enter(family, lineno):
+        nonlocal current
+        if family == current:
+            return
+        if family in closed:
+            errors.append(f"line {lineno}: family {family} reappears after "
+                          f"{current}; a family's lines must be one group")
+        if current is not None:
+            closed.add(current)
+        current = family
 
     for lineno, line in enumerate(lines, 1):
         line = line.rstrip("\n")
@@ -77,6 +91,7 @@ def check(lines):
                 name = parts[2]
                 if not NAME_RE.match(name):
                     errors.append(f"line {lineno}: bad metric name {name!r}")
+                enter(name, lineno)
                 if parts[1] == "HELP":
                     helps[name] = True
                 else:
@@ -103,6 +118,7 @@ def check(lines):
             continue
 
         fam = family_of(name, types)
+        enter(fam, lineno)
         if fam not in types:
             errors.append(f"line {lineno}: sample {name} has no # TYPE")
             continue

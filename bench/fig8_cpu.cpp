@@ -18,13 +18,12 @@
 // this host's.
 #include <benchmark/benchmark.h>
 
-#include <cstring>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/ltnc_codec.hpp"
+#include "gbench_main.hpp"
 #include "lt/bp_decoder.hpp"
 #include "lt/lt_encoder.hpp"
 #include "rlnc/rlnc_codec.hpp"
@@ -233,32 +232,7 @@ void register_all() {
 
 }  // namespace
 
-// Custom main: default --benchmark_out to BENCH_codec.json so every full
-// run leaves a machine-readable baseline (same convention as
-// micro_primitives / BENCH_kernels.json).
 int main(int argc, char** argv) {
   register_all();
-  std::vector<char*> args(argv, argv + argc);
-  bool has_out = false;
-  bool filtered = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--benchmark_out=", 16) == 0) has_out = true;
-    if (std::strncmp(argv[i], "--benchmark_filter", 18) == 0) filtered = true;
-  }
-  std::string out_flag = "--benchmark_out=BENCH_codec.json";
-  std::string format_flag = "--benchmark_out_format=json";
-  // Only full runs refresh the baseline: a filtered run writing the
-  // default file would replace the committed baseline with a partial one.
-  if (!has_out && !filtered) {
-    args.push_back(out_flag.data());
-    args.push_back(format_flag.data());
-  }
-  int args_count = static_cast<int>(args.size());
-  benchmark::Initialize(&args_count, args.data());
-  if (benchmark::ReportUnrecognizedArguments(args_count, args.data())) {
-    return 1;
-  }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return ltnc::bench::run_benchmarks(argc, argv, "BENCH_codec.json");
 }

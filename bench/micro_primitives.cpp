@@ -9,15 +9,14 @@
 // the kernel-throughput trajectory.
 #include <benchmark/benchmark.h>
 
-#include <cstring>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/bitvector.hpp"
 #include "common/fenwick.hpp"
 #include "common/kernels.hpp"
 #include "common/rng.hpp"
+#include "gbench_main.hpp"
 #include "gf2/gaussian.hpp"
 #include "lt/bp_decoder.hpp"
 #include "lt/lt_encoder.hpp"
@@ -253,32 +252,6 @@ BENCHMARK(BM_BpReceive)->Arg(512)->Arg(2048);
 
 }  // namespace
 
-// Custom main: default --benchmark_out to BENCH_kernels.json so every run
-// leaves a machine-readable baseline for future PRs to diff against.
 int main(int argc, char** argv) {
-  std::vector<char*> args(argv, argv + argc);
-  bool has_out = false;
-  bool filtered = false;
-  for (int i = 1; i < argc; ++i) {
-    // Exact flag only — "--benchmark_out_format" alone must not suppress
-    // the default baseline file.
-    if (std::strncmp(argv[i], "--benchmark_out=", 16) == 0) has_out = true;
-    if (std::strncmp(argv[i], "--benchmark_filter", 18) == 0) filtered = true;
-  }
-  std::string out_flag = "--benchmark_out=BENCH_kernels.json";
-  std::string format_flag = "--benchmark_out_format=json";
-  // Only full runs refresh the baseline: a filtered run writing the
-  // default file would replace the committed baseline with a partial one.
-  if (!has_out && !filtered) {
-    args.push_back(out_flag.data());
-    args.push_back(format_flag.data());
-  }
-  int args_count = static_cast<int>(args.size());
-  benchmark::Initialize(&args_count, args.data());
-  if (benchmark::ReportUnrecognizedArguments(args_count, args.data())) {
-    return 1;
-  }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return ltnc::bench::run_benchmarks(argc, argv, "BENCH_kernels.json");
 }

@@ -10,14 +10,13 @@
 // the 128-byte dense bitmap for every degree below the crossover.
 #include <benchmark/benchmark.h>
 
-#include <cstring>
-#include <string>
 #include <vector>
 
 #include "common/bitvector.hpp"
 #include "common/coded_packet.hpp"
 #include "common/payload.hpp"
 #include "common/rng.hpp"
+#include "gbench_main.hpp"
 #include "wire/codec.hpp"
 #include "wire/frame.hpp"
 
@@ -173,29 +172,6 @@ BENCHMARK(BM_SerializeCcArray)->Arg(256)->Arg(1024);
 
 }  // namespace
 
-// Custom main: default --benchmark_out to BENCH_wire.json so every run
-// leaves a machine-readable baseline for future PRs to diff against
-// (same convention as micro_primitives / BENCH_kernels.json).
 int main(int argc, char** argv) {
-  std::vector<char*> args(argv, argv + argc);
-  bool has_out = false;
-  bool filtered = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--benchmark_out=", 16) == 0) has_out = true;
-    if (std::strncmp(argv[i], "--benchmark_filter", 18) == 0) filtered = true;
-  }
-  std::string out_flag = "--benchmark_out=BENCH_wire.json";
-  std::string format_flag = "--benchmark_out_format=json";
-  if (!has_out && !filtered) {
-    args.push_back(out_flag.data());
-    args.push_back(format_flag.data());
-  }
-  int args_count = static_cast<int>(args.size());
-  benchmark::Initialize(&args_count, args.data());
-  if (benchmark::ReportUnrecognizedArguments(args_count, args.data())) {
-    return 1;
-  }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return ltnc::bench::run_benchmarks(argc, argv, "BENCH_wire.json");
 }

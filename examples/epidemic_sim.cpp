@@ -69,10 +69,8 @@ struct LiveStats {
   telemetry::Registry registry;
   telemetry::Gauge* round_gauge = nullptr;
   telemetry::Gauge* complete_gauge = nullptr;
-  telemetry::Counter* events_counter = nullptr;        // event engine only
   telemetry::Gauge* armed_gauge = nullptr;             // event engine only
   telemetry::Gauge* wheel_gauge = nullptr;             // event engine only
-  std::uint64_t events_flushed = 0;
   std::chrono::steady_clock::time_point last_dump;
   std::chrono::steady_clock::time_point last_rate;
   std::uint64_t events_at_rate = 0;
@@ -87,9 +85,7 @@ struct LiveStats {
             std::size_t wheel, std::size_t round, std::size_t complete) {
     round_gauge->set(static_cast<std::int64_t>(round));
     complete_gauge->set(static_cast<std::int64_t>(complete));
-    if (events_counter != nullptr) {
-      events_counter->add(events_processed - events_flushed);
-      events_flushed = events_processed;
+    if (armed_gauge != nullptr) {
       armed_gauge->set(static_cast<std::int64_t>(armed));
       wheel_gauge->set(static_cast<std::int64_t>(wheel));
     }
@@ -102,7 +98,7 @@ struct LiveStats {
     events_at_rate = events_processed;
     const telemetry::Snapshot snap = registry.snapshot();
     std::cout << "# --- telemetry round=" << round << " complete=" << complete;
-    if (events_counter != nullptr) {
+    if (armed_gauge != nullptr) {
       std::cout << " events_per_sec=" << static_cast<std::uint64_t>(rate);
     }
     std::cout << " ---\n";
@@ -214,7 +210,8 @@ int main(int argc, char** argv) {
                              trace_path.empty() ? nullptr : &recorder);
     if constexpr (requires { sim.set_telemetry(&recorder); }) {
       if (!trace_path.empty()) sim.set_telemetry(&recorder);
-      live.events_counter = &live.registry.counter("ltnc_sim_events_total");
+      live.registry.counter_fn("ltnc_sim_events_total", {},
+                               [&sim] { return sim.events_processed(); });
       live.armed_gauge = &live.registry.gauge("ltnc_sim_armed_pushes");
       live.wheel_gauge = &live.registry.gauge("ltnc_sim_wheel_occupancy");
     }
@@ -229,11 +226,22 @@ int main(int argc, char** argv) {
         }
       }
     }
-    return sim.core().finalise();
+    std::uint64_t events = 0;  // the lockstep engine counts no events
+    if constexpr (requires { sim.events_processed(); }) {
+      events = sim.events_processed();
+    }
+    dissem::SimResult result = sim.core().finalise();
+    if (live.period_ms != 0 || !live.prom_path.empty()) {
+      // Final dump so short runs still produce one exposition (and the
+      // --prom file reflects the finished state), taken while `sim`,
+      // whose event count the registry reads, still lives.
+      live.dump(events, 0, 0, result.rounds_run,
+                result.all_complete ? cfg.num_nodes : 0);
+    }
+    return result;
   };
 
   dissem::SimResult res;
-  std::uint64_t events_total = 0;
   if (engine == "lockstep") {
     dissem::EpidemicSimulation sim(scheme, cfg);
     res = drive(sim);
@@ -242,14 +250,6 @@ int main(int argc, char** argv) {
                                 engine == "compat" ? dissem::EngineMode::kCompat
                                                    : dissem::EngineMode::kScale);
     res = drive(sim);
-    events_total = sim.events_processed();
-  }
-
-  if (live.period_ms != 0 || !live.prom_path.empty()) {
-    // Final dump so short runs still produce one exposition (and the
-    // --prom file reflects the finished state).
-    live.dump(events_total, 0, 0, res.rounds_run,
-              static_cast<std::size_t>(res.all_complete ? cfg.num_nodes : 0));
   }
   if (!trace_path.empty()) {
     std::ofstream out(trace_path, std::ios::trunc);

@@ -560,21 +560,26 @@ int run_udp_swarm_loopback(std::size_t peers, std::size_t blocks,
             << (seeder->batching_active() ? "on" : "off (fallback)") << "\n";
 
   // Telemetry: one registry shared by the shards (per-shard series, the
-  // constructor labels them) and the seeder socket. All observer-only —
-  // the transfer runs identically with LTNC_TELEMETRY=OFF.
+  // constructor labels them) and the seeder socket, whose error tallies
+  // it reads from the socket's own stats (this thread also snapshots).
+  // All observer-only — the transfer runs identically with
+  // LTNC_TELEMETRY=OFF.
   telemetry::Registry registry;
   telemetry::TransportInstruments transport_instruments;
   transport_instruments.send_batch_frames =
       &registry.histogram("ltnc_udp_send_batch_frames");
   transport_instruments.recv_batch_frames =
       &registry.histogram("ltnc_udp_recv_batch_frames");
-  transport_instruments.would_block =
-      &registry.counter("ltnc_udp_would_block_total");
-  transport_instruments.transient_errors =
-      &registry.counter("ltnc_udp_transient_errors_total");
-  transport_instruments.fatal_errors =
-      &registry.counter("ltnc_udp_fatal_errors_total");
   seeder->set_telemetry(&transport_instruments);
+  const net::UdpStats& seeder_stats = seeder->stats();
+  registry.counter_fn("ltnc_udp_would_block_total", {}, [&seeder_stats] {
+    return seeder_stats.send_would_block + seeder_stats.recv_would_block;
+  });
+  registry.counter_fn(
+      "ltnc_udp_transient_errors_total", {},
+      [&seeder_stats] { return seeder_stats.transient_errors; });
+  registry.counter_fn("ltnc_udp_fatal_errors_total", {},
+                      [&seeder_stats] { return seeder_stats.fatal_errors; });
 
   // Receiver fleet on its own thread: plain single-threaded sink
   // endpoints, one per socket — the peers are ordinary nodes; only the
@@ -756,7 +761,8 @@ int run_udp_swarm_loopback(std::size_t peers, std::size_t blocks,
     // Final telemetry: one exposition of the finished state, a latency
     // digest (tick-domain histograms aggregated across shards), and the
     // merged flight-recorder trace. All post-stop(), so every shard's
-    // counters are quiescent.
+    // counters are quiescent, and before `sharded` goes, whose tallies
+    // the shard counters read.
     const telemetry::Snapshot final_snap = registry.snapshot();
     if (opts.stats_period_ms != 0 || !opts.prom_path.empty()) {
       dump_snapshot(final_snap);

@@ -62,39 +62,9 @@ constexpr std::size_t kPushesPerTick = 4;  ///< per-user symbols queued
 constexpr Instant kSimThinkTicks = 4;      ///< user idle between requests
 constexpr Instant kRequestTimeout = 20000;  ///< before a fetch is failed
 
-struct Instruments {
-  telemetry::Histogram* latency = nullptr;
-  telemetry::Counter* requests = nullptr;
-  telemetry::Counter* full_hits = nullptr;
-  telemetry::Counter* partial_hits = nullptr;
-  telemetry::Counter* misses = nullptr;
-  telemetry::Counter* edge_symbols = nullptr;
-  telemetry::Counter* source_symbols = nullptr;
-  telemetry::Counter* backhaul_bytes = nullptr;
-  telemetry::Counter* fill_bytes = nullptr;
-  telemetry::Counter* evictions = nullptr;
-};
-
-Instruments make_instruments(telemetry::Registry& registry,
-                             const char* latency_name) {
-  Instruments inst;
-  inst.latency = &registry.histogram(latency_name);
-  inst.requests = &registry.counter(kRequestsName);
-  inst.full_hits = &registry.counter(kFullHitsName);
-  inst.partial_hits = &registry.counter(kPartialHitsName);
-  inst.misses = &registry.counter(kMissesName);
-  inst.edge_symbols = &registry.counter(kEdgeSymbolsName);
-  inst.source_symbols = &registry.counter(kSourceSymbolsName);
-  inst.backhaul_bytes = &registry.counter(kBackhaulName);
-  inst.fill_bytes = &registry.counter(kFillName);
-  inst.evictions = &registry.counter(kEvictionsName);
-  return inst;
-}
-
-void fold_outcome(CacheRunStats& out, const Instruments& inst,
+void fold_outcome(CacheRunStats& out, telemetry::Histogram& latency,
                   const FetchOutcome& oc, bool head) {
   ++out.requests;
-  inst.requests->add(1);
   if (oc.completed && oc.verified) {
     ++out.completed;
   } else {
@@ -103,13 +73,10 @@ void fold_outcome(CacheRunStats& out, const Instruments& inst,
   }
   if (oc.full_hit()) {
     ++out.full_hits;
-    inst.full_hits->add(1);
   } else if (oc.partial_hit()) {
     ++out.partial_hits;
-    inst.partial_hits->add(1);
   } else {
     ++out.misses;
-    inst.misses->add(1);
   }
   if (head) {
     ++out.head_requests;
@@ -117,14 +84,22 @@ void fold_outcome(CacheRunStats& out, const Instruments& inst,
   }
   out.symbols_from_edge += oc.symbols_from_edge;
   out.symbols_from_source += oc.symbols_from_source;
-  inst.edge_symbols->add(oc.symbols_from_edge);
-  inst.source_symbols->add(oc.symbols_from_source);
-  inst.latency->record(static_cast<std::uint64_t>(oc.latency));
+  latency.record(static_cast<std::uint64_t>(oc.latency));
 }
 
-void fill_latency_quantiles(CacheRunStats& out,
-                            const telemetry::Registry& registry,
-                            const char* latency_name) {
+/// The end of a run: its totals go to the registry once (CacheRunStats
+/// is their one home), and the latency quantiles come back from it.
+void finish_run(CacheRunStats& out, telemetry::Registry& registry,
+                const char* latency_name) {
+  registry.counter(kRequestsName).add(out.requests);
+  registry.counter(kFullHitsName).add(out.full_hits);
+  registry.counter(kPartialHitsName).add(out.partial_hits);
+  registry.counter(kMissesName).add(out.misses);
+  registry.counter(kEdgeSymbolsName).add(out.symbols_from_edge);
+  registry.counter(kSourceSymbolsName).add(out.symbols_from_source);
+  registry.counter(kBackhaulName).add(out.backhaul_bytes);
+  registry.counter(kFillName).add(out.fill_bytes);
+  registry.counter(kEvictionsName).add(out.evicted_entries);
   const telemetry::Snapshot snap = registry.snapshot();
   if (const auto* h = snap.find_histogram(latency_name)) {
     out.latency_samples = h->count();
@@ -134,13 +109,11 @@ void fill_latency_quantiles(CacheRunStats& out,
   }
 }
 
-void fold_cache(CacheRunStats& out, const EdgeCache& cache,
-                const Instruments& inst) {
+void fold_cache(CacheRunStats& out, const EdgeCache& cache) {
   out.evicted_entries = cache.stats().evicted_entries;
   out.evicted_symbols = cache.stats().evicted_symbols;
   out.cache_bytes_used = cache.bytes_used();
   out.cache_capacity = cache.capacity_bytes();
-  inst.evictions->add(cache.stats().evicted_entries);
 }
 
 /// Proactive placement of one content: admits symbols from the content's
@@ -149,15 +122,13 @@ void fold_cache(CacheRunStats& out, const EdgeCache& cache,
 /// decoder keeps rejecting duplicates near completion.
 void fill_one(EdgeCache& cache, ContentId id, std::size_t k,
               std::size_t payload_bytes, std::uint64_t content_seed,
-              CacheRunStats* out, const Instruments* inst) {
+              CacheRunStats* out) {
   if (!cache.wants_symbols(id)) return;
   const auto account = [&](const CodedPacket& packet) {
-    const std::uint64_t bytes = wire::serialized_size(id, packet);
     if (out != nullptr) {
       ++out->fill_symbols;
-      out->fill_bytes += bytes;
+      out->fill_bytes += wire::serialized_size(id, packet);
     }
-    if (inst != nullptr) inst->fill_bytes->add(bytes);
   };
   if (cache.quota(id) >= k) {
     // A full allocation is shipped in systematic form: k natives seal the
@@ -196,8 +167,8 @@ void announce_all(EdgeCache& cache, const Catalog& catalog) {
 /// entries that seal below their planned quota release the difference on
 /// the next plan() (which charges sealed sets their actual bytes), so the
 /// budget waterfalls to still-hungry entries until no admission happens.
-void place_all(EdgeCache& cache, const Catalog& catalog, CacheRunStats* out,
-               const Instruments* inst) {
+void place_all(EdgeCache& cache, const Catalog& catalog,
+               CacheRunStats* out) {
   for (std::size_t slot = 0; slot < catalog.size(); ++slot) {
     cache.set_weight(catalog.id_of(slot), catalog.weight_of(slot));
   }
@@ -209,8 +180,7 @@ void place_all(EdgeCache& cache, const Catalog& catalog, CacheRunStats* out,
     const std::uint64_t before = cache.stats().admitted;
     for (std::size_t slot = 0; slot < catalog.size(); ++slot) {
       fill_one(cache, catalog.id_of(slot), catalog.config().k,
-               catalog.config().symbol_bytes, catalog.seed_of(slot), out,
-               inst);
+               catalog.config().symbol_bytes, catalog.seed_of(slot), out);
     }
     if (cache.stats().admitted == before) break;
   }
@@ -237,7 +207,7 @@ std::size_t working_set_bytes(const CatalogConfig& catalog,
   Catalog shape(catalog);  // no requests drawn, so no churn fires
   EdgeCache probe(unbounded);
   announce_all(probe, shape);
-  place_all(probe, shape, nullptr, nullptr);
+  place_all(probe, shape, nullptr);
   return probe.bytes_used();
 }
 
@@ -248,7 +218,7 @@ CacheRunStats run_event_cache(const CacheScenario& sc) {
   telemetry::Registry& registry =
       sc.registry != nullptr ? *sc.registry : local_registry;
   constexpr const char* kLatency = "ltnc_cache_fetch_latency_ticks";
-  const Instruments inst = make_instruments(registry, kLatency);
+  telemetry::Histogram& latency = registry.histogram(kLatency);
 
   const std::size_t k = sc.catalog.k;
   const std::size_t bytes = sc.catalog.symbol_bytes;
@@ -270,7 +240,7 @@ CacheRunStats run_event_cache(const CacheScenario& sc) {
     encoders[slot].reset();
   });
 
-  if (proactive) place_all(cache, catalog, &out, &inst);
+  if (proactive) place_all(cache, catalog, &out);
   std::uint64_t placed_version = catalog.version();
 
   std::vector<Rng> user_rng;
@@ -292,7 +262,7 @@ CacheRunStats run_event_cache(const CacheScenario& sc) {
     const std::size_t u = ev->user;
     const std::size_t slot = catalog.next_request(user_rng[u]);
     if (proactive && placed_version != catalog.version()) {
-      place_all(cache, catalog, &out, &inst);  // churn moved the catalog
+      place_all(cache, catalog, &out);  // churn moved the catalog
       placed_version = catalog.version();
     }
     const ContentId id = catalog.id_of(slot);
@@ -339,7 +309,6 @@ CacheRunStats run_event_cache(const CacheScenario& sc) {
         ++sent_source;
         const std::uint64_t frame_bytes = wire::serialized_size(id, pkt);
         out.backhaul_bytes += frame_bytes;
-        inst.backhaul_bytes->add(frame_bytes);
         if (!proactive) cache.admit(id, pkt);
         if (req_rng.chance(sc.loss_rate)) continue;
         ++oc.symbols_from_source;
@@ -352,7 +321,7 @@ CacheRunStats run_event_cache(const CacheScenario& sc) {
     const Instant transfer =
         (sent_edge + sent_source + kSymbolsPerTick - 1) / kSymbolsPerTick;
     oc.latency = kEdgeRtt + (sent_source > 0 ? kSourceRtt : 0) + transfer;
-    fold_outcome(out, inst, oc, head);
+    fold_outcome(out, latency, oc, head);
 
     if (--remaining[u] > 0) {
       wheel.schedule(now + oc.latency + kEventThinkTicks, Ev{u});
@@ -361,8 +330,8 @@ CacheRunStats run_event_cache(const CacheScenario& sc) {
 
   out.replacements = catalog.replacements();
   out.duration_ticks = wheel.now();
-  fold_cache(out, cache, inst);
-  fill_latency_quantiles(out, registry, kLatency);
+  fold_cache(out, cache);
+  finish_run(out, registry, kLatency);
   return out;
 }
 
@@ -376,7 +345,7 @@ CacheRunStats run_sim_cache(const SimCacheConfig& config) {
       sc.registry != nullptr ? *sc.registry : local_registry;
   const char* latency_name = wall_clock ? "ltnc_cache_fetch_latency_us"
                                         : "ltnc_cache_fetch_latency_ticks";
-  const Instruments inst = make_instruments(registry, latency_name);
+  telemetry::Histogram& latency = registry.histogram(latency_name);
 
   const std::size_t k = sc.catalog.k;
   const std::size_t bytes = sc.catalog.symbol_bytes;
@@ -416,7 +385,7 @@ CacheRunStats run_sim_cache(const SimCacheConfig& config) {
     register_pair(new_id, catalog.seed_of(slot));
   });
 
-  if (proactive) place_all(cache, catalog, &out, &inst);
+  if (proactive) place_all(cache, catalog, &out);
   std::uint64_t placed_version = catalog.version();
 
   std::vector<std::unique_ptr<net::Transport>> edge_ch;
@@ -485,7 +454,7 @@ CacheRunStats run_sim_cache(const SimCacheConfig& config) {
     edge.tick(t);
     source.tick(t);
     if (proactive && placed_version != catalog.version()) {
-      place_all(cache, catalog, &out, &inst);
+      place_all(cache, catalog, &out);
       placed_version = catalog.version();
     }
 
@@ -558,7 +527,7 @@ CacheRunStats run_sim_cache(const SimCacheConfig& config) {
       const bool timed_out = t - st.started >= kRequestTimeout;
       if (clients[u]->complete() || timed_out) {
         const FetchOutcome oc = clients[u]->finish(stamp);
-        fold_outcome(out, inst, oc, st.head);
+        fold_outcome(out, latency, oc, st.head);
         st.active = false;
         --st.remaining;
         st.idle_until = t + kSimThinkTicks;
@@ -570,9 +539,8 @@ CacheRunStats run_sim_cache(const SimCacheConfig& config) {
   out.duration_ticks = wall_clock ? clock_us() : t;
   out.edge_bytes = edge.stats().bytes_sent;
   out.backhaul_bytes = source.stats().bytes_sent;
-  inst.backhaul_bytes->add(out.backhaul_bytes);
-  fold_cache(out, cache, inst);
-  fill_latency_quantiles(out, registry, latency_name);
+  fold_cache(out, cache);
+  finish_run(out, registry, latency_name);
   return out;
 }
 

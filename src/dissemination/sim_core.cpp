@@ -119,7 +119,6 @@ bool SimCore::run_transfer(Endpoint& sender, NodeId sender_peer,
                            NodeId target, ContentId content) {
   Endpoint& receiver = endpoint(target);
   net::TrafficStats& per_content = traffic_per_content_[content];
-  ++traffic_.attempts;
   ++per_content.attempts;
   const std::uint64_t seq = transfer_seq_++;
 
@@ -127,10 +126,8 @@ bool SimCore::run_transfer(Endpoint& sender, NodeId sender_peer,
     // No handshake: one data frame, whose header span is always paid and
     // whose payload span pays only if it survives the lossy hop.
     route_frame(sender, target);
-    traffic_.header_bytes += frame_.size() - cfg_.payload_bytes;
     per_content.header_bytes += frame_.size() - cfg_.payload_bytes;
     if (cfg_.loss_rate > 0.0 && rng_.chance(cfg_.loss_rate)) {
-      ++traffic_.lost;
       ++per_content.lost;
       reclaim_after_transfer(sender, sender_peer, target, content);
       return false;
@@ -139,7 +136,6 @@ bool SimCore::run_transfer(Endpoint& sender, NodeId sender_peer,
     // The advertise travels first and is always paid for; it is
     // byte-identical to the data frame minus the payload span.
     route_frame(sender, target);
-    traffic_.header_bytes += frame_.size();
     per_content.header_bytes += frame_.size();
     // The receiver's veto (or go-ahead) answers under the harness's
     // global transfer sequence, so feedback frames carry the same tokens
@@ -149,9 +145,7 @@ bool SimCore::run_transfer(Endpoint& sender, NodeId sender_peer,
         receiver.handle_frame(sender_peer, frame_.bytes());
     if (verdict == Endpoint::Event::kAborted) {
       route_frame(receiver, sender_peer);
-      traffic_.control_bytes += frame_.size();
       per_content.control_bytes += frame_.size();
-      ++traffic_.aborted;
       ++per_content.aborted;
       const Endpoint::Event closed =
           sender.handle_frame(target, frame_.bytes());
@@ -170,16 +164,13 @@ bool SimCore::run_transfer(Endpoint& sender, NodeId sender_peer,
                    "proceed did not release the payload");
     route_frame(sender, target);  // the data frame
     if (cfg_.loss_rate > 0.0 && rng_.chance(cfg_.loss_rate)) {
-      ++traffic_.lost;
       ++per_content.lost;
       reclaim_after_transfer(sender, sender_peer, target, content);
       return false;
     }
   }
 
-  traffic_.payload_bytes += cfg_.payload_bytes;
   per_content.payload_bytes += cfg_.payload_bytes;
-  ++traffic_.payload_transfers;
   ++per_content.payload_transfers;
   ++payload_receptions_[target];
   const Endpoint::Event delivered =
@@ -263,7 +254,6 @@ bool SimCore::node_push(NodeId sender) {
     Endpoint& receiver = endpoint(target);
     if (receiver.announce_cc(sender, cid)) {
       route_frame(receiver, sender);
-      traffic_.feedback_bytes += frame_.size();
       traffic_per_content_[cid].feedback_bytes += frame_.size();
       const Endpoint::Event cached = ep.handle_frame(target, frame_.bytes());
       LTNC_CHECK_MSG(cached == Endpoint::Event::kCcReceived,
@@ -343,8 +333,8 @@ SimResult SimCore::finalise() {
   result.completion_round = completion_round_;
   result.convergence_trace = convergence_trace_;
   result.payload_receptions = payload_receptions_;
-  result.traffic = traffic_;
   result.per_content = traffic_per_content_;
+  for (const net::TrafficStats& t : traffic_per_content_) result.traffic += t;
   result.overheard_useful = overheard_useful_;
 
   // Flyweights contribute nothing to any sum below (a blank endpoint's

@@ -112,9 +112,10 @@ struct SimResult {
   /// Payload receptions per node (accepted transfers).
   std::vector<std::uint64_t> payload_receptions;
 
+  /// The whole run's traffic: the sum of `per_content`, field for field.
   net::TrafficStats traffic;
-  /// Per-content ledger breakdown (index = content id). Size num_contents;
-  /// sums to `traffic` field-for-field.
+  /// Per-content ledger (index = content id), size num_contents: the
+  /// one ledger the simulator keeps.
   std::vector<net::TrafficStats> per_content;
   /// Session-layer event counters summed over the node endpoints (the
   /// source endpoint excluded) — advertises, vetoes, duplicates, ….
@@ -275,7 +276,6 @@ class SimCore {
   std::vector<std::size_t> completion_round_;
   std::vector<std::uint64_t> payload_receptions_;
   std::vector<double> convergence_trace_;
-  net::TrafficStats traffic_;
 };
 
 }  // namespace ltnc::dissem

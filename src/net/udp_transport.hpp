@@ -191,11 +191,9 @@ class UdpTransport final {
   std::size_t send_batch(std::span<const TxItem> items) {
     const std::size_t n = send_batch_impl(items);
     LTNC_TELEMETRY(
-        if (telemetry_ != nullptr) {
-          if (telemetry_->send_batch_frames != nullptr && n > 0) {
-            telemetry_->send_batch_frames->record(n);
-          }
-          flush_error_telemetry();
+        if (telemetry_ != nullptr &&
+            telemetry_->send_batch_frames != nullptr && n > 0) {
+          telemetry_->send_batch_frames->record(n);
         });
     return n;
   }
@@ -214,19 +212,17 @@ class UdpTransport final {
                          std::span<PeerIndex> peers) {
     const std::size_t n = recv_batch_impl(frames, peers);
     LTNC_TELEMETRY(
-        if (telemetry_ != nullptr) {
-          if (telemetry_->recv_batch_frames != nullptr && n > 0) {
-            telemetry_->recv_batch_frames->record(n);
-          }
-          flush_error_telemetry();
+        if (telemetry_ != nullptr &&
+            telemetry_->recv_batch_frames != nullptr && n > 0) {
+          telemetry_->recv_batch_frames->record(n);
         });
     return n;
   }
 
-  /// Attaches observer-only instruments (batch-size histograms, errno-
-  /// class counters — flushed as deltas off UdpStats at batch-call
-  /// granularity). The bundle must outlive the transport. No-op under
-  /// LTNC_TELEMETRY=OFF.
+  /// Attaches observer-only batch-size histograms. The bundle must
+  /// outlive the transport. No-op under LTNC_TELEMETRY=OFF. The errno-
+  /// class tallies stay in stats(); a registry reads them from there
+  /// (telemetry::Registry::counter_fn).
   void set_telemetry(const telemetry::TransportInstruments* instruments) {
     telemetry_ = instruments;
   }
@@ -313,29 +309,6 @@ class UdpTransport final {
   /// Classifies a non-EAGAIN errno into the transient/fatal tallies.
   void count_error(int err);
 
-#if LTNC_TELEMETRY_ENABLED
-  /// Mirrors UdpStats error tallies into the registry counters as
-  /// deltas, so the syscall paths stay untouched by instrumentation.
-  void flush_error_telemetry() {
-    const std::uint64_t wb = stats_.send_would_block + stats_.recv_would_block;
-    if (telemetry_->would_block != nullptr && wb > flushed_would_block_) {
-      telemetry_->would_block->add(wb - flushed_would_block_);
-      flushed_would_block_ = wb;
-    }
-    if (telemetry_->transient_errors != nullptr &&
-        stats_.transient_errors > flushed_transient_) {
-      telemetry_->transient_errors->add(stats_.transient_errors -
-                                        flushed_transient_);
-      flushed_transient_ = stats_.transient_errors;
-    }
-    if (telemetry_->fatal_errors != nullptr &&
-        stats_.fatal_errors > flushed_fatal_) {
-      telemetry_->fatal_errors->add(stats_.fatal_errors - flushed_fatal_);
-      flushed_fatal_ = stats_.fatal_errors;
-    }
-  }
-#endif
-
   int fd_ = -1;
   std::size_t mtu_ = 0;
   std::uint16_t local_port_ = 0;
@@ -356,9 +329,6 @@ class UdpTransport final {
   std::size_t rx_tail_ = 0;
   UdpStats stats_;
   const telemetry::TransportInstruments* telemetry_ = nullptr;
-  std::uint64_t flushed_would_block_ = 0;
-  std::uint64_t flushed_transient_ = 0;
-  std::uint64_t flushed_fatal_ = 0;
 };
 
 }  // namespace ltnc::net

@@ -36,15 +36,17 @@ ShardedEndpoint::ShardedEndpoint(const ShardedConfig& config, ShardApp& app)
   }
   LTNC_TELEMETRY(
       if (cfg_.registry != nullptr) {
-        drops_counter_ =
-            &cfg_.registry->counter("ltnc_shard_inbound_drops_total");
+        cfg_.registry->counter_fn("ltnc_shard_inbound_drops_total", {},
+                                  [this] { return inbound_drops(); });
         for (std::uint32_t s = 0; s < config.num_shards; ++s) {
           Shard& sh = *shards_[s];
           const std::string label = "shard=\"" + std::to_string(s) + "\"";
-          sh.frames_in_counter =
-              &cfg_.registry->counter("ltnc_shard_frames_in_total", label);
-          sh.frames_out_counter =
-              &cfg_.registry->counter("ltnc_shard_frames_out_total", label);
+          cfg_.registry->counter_fn(
+              "ltnc_shard_frames_in_total", label,
+              [&sh] { return sh.frames_in.load(std::memory_order_relaxed); });
+          cfg_.registry->counter_fn(
+              "ltnc_shard_frames_out_total", label,
+              [&sh] { return sh.frames_out.load(std::memory_order_relaxed); });
           sh.in_ring_occupancy = &cfg_.registry->histogram(
               "ltnc_shard_in_ring_occupancy_frames", label);
           sh.instruments.handshake_ticks = &cfg_.registry->histogram(
@@ -81,7 +83,6 @@ bool ShardedEndpoint::route_frame(PeerId peer, wire::Frame& frame) {
   const std::uint32_t s = shard_of(peer, content, num_shards());
   if (!shards_[s]->in.try_push(peer, frame)) {
     inbound_drops_.fetch_add(1, std::memory_order_relaxed);
-    LTNC_TELEMETRY(if (drops_counter_ != nullptr) drops_counter_->add(1));
     return false;
   }
   return true;
@@ -107,10 +108,6 @@ void ShardedEndpoint::worker(std::uint32_t shard_index) {
     PeerId pending_peer = 0;
     bool has_pending = false;
     std::uint64_t iterations = 0;
-    // Registry counters are flushed as deltas at tick boundaries, so the
-    // per-frame path pays only the pre-existing shard atomics.
-    [[maybe_unused]] std::uint64_t flushed_in = 0;
-    [[maybe_unused]] std::uint64_t flushed_out = 0;
 
     while (!stop_.load(std::memory_order_relaxed)) {
       bool worked = false;
@@ -144,18 +141,9 @@ void ShardedEndpoint::worker(std::uint32_t shard_index) {
 
       if (++iterations % cfg_.iterations_per_tick == 0) {
         ep->tick(iterations / cfg_.iterations_per_tick);
-        LTNC_TELEMETRY(
-            if (shard.frames_in_counter != nullptr) {
-              const std::uint64_t in_now =
-                  shard.frames_in.load(std::memory_order_relaxed);
-              const std::uint64_t out_now =
-                  shard.frames_out.load(std::memory_order_relaxed);
-              shard.frames_in_counter->add(in_now - flushed_in);
-              shard.frames_out_counter->add(out_now - flushed_out);
-              flushed_in = in_now;
-              flushed_out = out_now;
-              shard.in_ring_occupancy->record(shard.in.size_approx());
-            });
+        LTNC_TELEMETRY(if (shard.in_ring_occupancy != nullptr) {
+          shard.in_ring_occupancy->record(shard.in.size_approx());
+        });
       }
       if (!worked) std::this_thread::yield();
     }

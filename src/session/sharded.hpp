@@ -62,9 +62,11 @@ struct ShardedConfig {
   /// set, every shard registers per-shard series (label shard="s"):
   /// frames in/out counters, inbound-ring occupancy sampled each tick,
   /// and the endpoint's handshake/completion latency histograms (in the
-  /// shard's tick domain). The I/O thread adds an inbound-drops counter.
-  /// Counter flushes are batched at tick boundaries so the per-frame hot
-  /// path gains no atomic traffic. Ignored under LTNC_TELEMETRY=OFF.
+  /// shard's tick domain), plus one inbound-drops counter. The counters
+  /// are readers over the endpoint's own tallies, so they are exact at
+  /// every snapshot, and valid only while the endpoint lives: take the
+  /// last snapshot before destroying it. Ignored under
+  /// LTNC_TELEMETRY=OFF.
   telemetry::Registry* registry = nullptr;
   /// When nonzero, each shard owns a FlightRecorder of this capacity
   /// (single-writer: only the worker records; dump after stop()). The
@@ -175,8 +177,6 @@ class ShardedEndpoint {
     // the worker starts; the worker is the only thread that updates
     // them. All null/empty when no registry is configured.
     telemetry::SessionInstruments instruments;
-    telemetry::Counter* frames_in_counter = nullptr;
-    telemetry::Counter* frames_out_counter = nullptr;
     telemetry::Histogram* in_ring_occupancy = nullptr;
     std::unique_ptr<telemetry::FlightRecorder> recorder;
   };
@@ -189,7 +189,6 @@ class ShardedEndpoint {
   std::atomic<bool> stop_{false};
   bool stopped_ = false;
   std::atomic<std::uint64_t> inbound_drops_{0};
-  telemetry::Counter* drops_counter_ = nullptr;  ///< I/O-thread side
 };
 
 }  // namespace ltnc::session

@@ -27,16 +27,6 @@ constexpr const char* kCompletedName = "ltnc_stream_blocks_completed_total";
 constexpr const char* kMissName = "ltnc_stream_deadline_misses_total";
 constexpr const char* kGoodputName = "ltnc_stream_goodput_bytes_total";
 
-ReceiverInstruments make_instruments(telemetry::Registry& registry,
-                                     const char* latency_name) {
-  ReceiverInstruments inst;
-  inst.latency = &registry.histogram(latency_name);
-  inst.completed = &registry.counter(kCompletedName);
-  inst.misses = &registry.counter(kMissName);
-  inst.goodput_bytes = &registry.counter(kGoodputName);
-  return inst;
-}
-
 /// Push attempts per destination per tick: enough to spend a full
 /// (slack-boosted) block budget within one block cadence, so the source
 /// keeps pace with emission even while older blocks still want symbols.
@@ -49,9 +39,14 @@ std::size_t derive_pushes(const StreamConfig& stream) {
   return per_tick + 1;
 }
 
-void fill_latency_quantiles(StreamRunStats& out,
-                            const telemetry::Registry& registry,
-                            const char* latency_name) {
+/// The end of a run: its totals go to the registry once (the receivers'
+/// ReceiverStats, folded into `out`, are their one home), and the latency
+/// quantiles come back from it.
+void finish_run(StreamRunStats& out, telemetry::Registry& registry,
+                const char* latency_name) {
+  registry.counter(kCompletedName).add(out.completed);
+  registry.counter(kMissName).add(out.missed);
+  registry.counter(kGoodputName).add(out.goodput_bytes);
   const telemetry::Snapshot snap = registry.snapshot();
   if (const auto* h = snap.find_histogram(latency_name)) {
     out.latency_samples = h->count();
@@ -84,7 +79,7 @@ StreamRunStats run_sim_stream(const SimStreamConfig& config) {
       config.registry != nullptr ? *config.registry : local_registry;
   const char* latency_name = wall_clock ? "ltnc_stream_block_latency_us"
                                         : "ltnc_stream_block_latency_ticks";
-  const ReceiverInstruments inst = make_instruments(registry, latency_name);
+  telemetry::Histogram& latency = registry.histogram(latency_name);
 
   session::EndpointConfig net_cfg;
   net_cfg.feedback = session::FeedbackMode::kNone;
@@ -106,7 +101,7 @@ StreamRunStats run_sim_stream(const SimStreamConfig& config) {
     net::SimChannelConfig ch = config.channel;
     ch.seed = config.channel.seed + 0x9e3779b97f4a7c15ULL * (r + 1);
     links.push_back(net::open_link(config.link, ch));
-    fleet.push_back(std::make_unique<Receiver>(stream, net_cfg, inst));
+    fleet.push_back(std::make_unique<Receiver>(stream, net_cfg, &latency));
   }
   src.set_on_emit([&fleet](std::uint64_t seq, Instant birth) {
     for (auto& rx : fleet) rx->open_block(seq, birth);
@@ -176,7 +171,7 @@ StreamRunStats run_sim_stream(const SimStreamConfig& config) {
   out.duration_ticks = t;
   out.every_receiver_decoded = true;
   for (const auto& rx : fleet) fold_receiver(out, *rx);
-  fill_latency_quantiles(out, registry, latency_name);
+  finish_run(out, registry, latency_name);
   return out;
 }
 
@@ -188,7 +183,7 @@ StreamRunStats run_event_stream(const EventStreamConfig& config) {
   telemetry::Registry& registry =
       config.registry != nullptr ? *config.registry : local_registry;
   constexpr const char* kLatency = "ltnc_stream_block_latency_ticks";
-  const ReceiverInstruments inst = make_instruments(registry, kLatency);
+  telemetry::Histogram& latency = registry.histogram(kLatency);
 
   session::EndpointConfig net_cfg;
   net_cfg.feedback = session::FeedbackMode::kNone;
@@ -204,7 +199,7 @@ StreamRunStats run_event_stream(const EventStreamConfig& config) {
   std::vector<std::unique_ptr<Receiver>> fleet;
   fleet.reserve(config.receivers);
   for (std::size_t r = 0; r < config.receivers; ++r) {
-    fleet.push_back(std::make_unique<Receiver>(stream, net_cfg, inst));
+    fleet.push_back(std::make_unique<Receiver>(stream, net_cfg, &latency));
   }
   src.set_on_emit([&fleet](std::uint64_t seq, Instant birth) {
     for (auto& rx : fleet) rx->open_block(seq, birth);
@@ -257,7 +252,7 @@ StreamRunStats run_event_stream(const EventStreamConfig& config) {
   out.duration_ticks = wheel.now();
   out.every_receiver_decoded = true;
   for (const auto& rx : fleet) fold_receiver(out, *rx);
-  fill_latency_quantiles(out, registry, kLatency);
+  finish_run(out, registry, kLatency);
   return out;
 }
 

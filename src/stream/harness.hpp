@@ -13,7 +13,8 @@
 // fleet of stream::Receivers whose completion latencies land in shared
 // telemetry::Histogram instruments; StreamRunStats folds the snapshot's
 // p50/p99/p999 and the fleet's miss counters into plain numbers a bench
-// can write and a smoke test can assert on. Both run on the calling
+// can write and a smoke test can assert on, and the run writes its block
+// totals to the registry once, when it ends. Both run on the calling
 // thread.
 #pragma once
 

@@ -9,10 +9,10 @@ namespace ltnc::stream {
 
 Receiver::Receiver(const StreamConfig& config,
                    const session::EndpointConfig& endpoint_config,
-                   const ReceiverInstruments& instruments)
+                   telemetry::Histogram* latency)
     : cfg_(config),
       ep_(endpoint_config, std::make_unique<store::ContentStore>()),
-      inst_(instruments) {}
+      latency_(latency) {}
 
 Receiver::Block* Receiver::find(std::uint64_t seq) {
   for (Block& b : live_) {
@@ -69,18 +69,13 @@ void Receiver::complete_block(Block& block, Instant now) {
   block.completed = true;
   ++stats_.blocks_completed;
   stats_.goodput_bytes += cfg_.block_bytes;
-  if (inst_.latency != nullptr) inst_.latency->record(now - block.birth);
-  if (inst_.completed != nullptr) inst_.completed->add(1);
-  if (inst_.goodput_bytes != nullptr) {
-    inst_.goodput_bytes->add(cfg_.block_bytes);
-  }
+  if (latency_ != nullptr) latency_->record(now - block.birth);
 }
 
 void Receiver::finalize_at(std::size_t index, Instant now) {
   Block& block = live_[index];
   if (!block.completed) {
     ++stats_.deadline_misses;
-    if (inst_.misses != nullptr) inst_.misses->add(1);
   }
   ep_.expire_content(StreamSource::id_of(block.seq));
   live_.erase(live_.begin() + static_cast<std::ptrdiff_t>(index));

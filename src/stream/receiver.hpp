@@ -14,9 +14,9 @@
 //                            expired, so later symbols for it count as
 //                            expired_frames in SessionStats, not foreign
 //
-// Latency, miss and goodput measurements flow into PR-8 telemetry
-// instruments (Histogram / Counter); instruments may be shared across a
-// receiver fleet — they are atomic — and any pointer may stay null.
+// Block counts (completed, missed, goodput) stay in ReceiverStats; only
+// completion latency goes to a telemetry Histogram, which may be shared
+// across a receiver fleet (it is atomic) or stay null.
 #pragma once
 
 #include <cstddef>
@@ -30,13 +30,6 @@
 #include "telemetry/metrics.hpp"
 
 namespace ltnc::stream {
-
-struct ReceiverInstruments {
-  telemetry::Histogram* latency = nullptr;  ///< completion, birth→decode
-  telemetry::Counter* completed = nullptr;
-  telemetry::Counter* misses = nullptr;
-  telemetry::Counter* goodput_bytes = nullptr;
-};
 
 struct ReceiverStats {
   std::uint64_t blocks_opened = 0;
@@ -54,10 +47,11 @@ class Receiver {
   /// `config` mirrors the source's stream shape (k, symbol size,
   /// deadline, verification seed). `endpoint_config`'s feedback mode is
   /// the stream's choice (kNone for pure push); its k/payload fields are
-  /// ignored — blocks carry their own dimensions.
+  /// ignored — blocks carry their own dimensions. `latency`, when set,
+  /// records each completed block's birth → decode time.
   Receiver(const StreamConfig& config,
            const session::EndpointConfig& endpoint_config,
-           const ReceiverInstruments& instruments = {});
+           telemetry::Histogram* latency = nullptr);
 
   /// Opens block `seq`'s decode window (idempotent). Blocks the schedule
   /// says exist must be opened even if every symbol of them is lost —
@@ -103,7 +97,7 @@ class Receiver {
 
   StreamConfig cfg_;
   session::Endpoint ep_;
-  ReceiverInstruments inst_;
+  telemetry::Histogram* latency_;
   ReceiverStats stats_;
   std::vector<Block> live_;  ///< open order (front = oldest)
 };

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace ltnc::telemetry {
 namespace {
@@ -39,19 +40,42 @@ void header(std::ostream& out, std::set<std::string>& seen,
   out << "# TYPE " << name << " " << type << "\n";
 }
 
+// The positions of `samples` with each family's series together,
+// families in order of first appearance. The text format requires a
+// family's lines to form one group, and per-shard series register shard
+// by shard, interleaving families.
+template <typename Sample>
+std::vector<std::size_t> grouped(const std::vector<Sample>& samples) {
+  std::vector<std::size_t> order;
+  std::vector<bool> taken(samples.size(), false);
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    if (taken[i]) continue;
+    for (std::size_t j = i; j < samples.size(); ++j) {
+      if (!taken[j] && samples[j].name == samples[i].name) {
+        order.push_back(j);
+        taken[j] = true;
+      }
+    }
+  }
+  return order;
+}
+
 }  // namespace
 
 void render_prometheus(std::ostream& out, const Snapshot& snap) {
   std::set<std::string> seen;
-  for (const auto& c : snap.counters) {
+  for (const std::size_t i : grouped(snap.counters)) {
+    const auto& c = snap.counters[i];
     header(out, seen, c.name, "counter", "ltnc runtime counter");
     out << c.name << label_block(c.label) << " " << c.value << "\n";
   }
-  for (const auto& g : snap.gauges) {
+  for (const std::size_t i : grouped(snap.gauges)) {
+    const auto& g = snap.gauges[i];
     header(out, seen, g.name, "gauge", "ltnc runtime gauge");
     out << g.name << label_block(g.label) << " " << g.value << "\n";
   }
-  for (const auto& h : snap.histograms) {
+  for (const std::size_t i : grouped(snap.histograms)) {
+    const auto& h = snap.histograms[i];
     header(out, seen, h.name, "histogram",
            "ltnc power-of-2 latency histogram (sum is a bucket-midpoint "
            "estimate)");

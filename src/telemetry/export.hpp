@@ -15,9 +15,13 @@
 
 namespace ltnc::telemetry {
 
-/// Prometheus text exposition. `help_prefix` seeds the # HELP lines
-/// (e.g. "ltnc"); every metric gets # HELP / # TYPE headers once, label
-/// values are escaped per the exposition spec.
+/// Prometheus text exposition. Each metric family is one group: its
+/// # HELP / # TYPE headers, then every sample of that name (each label).
+/// Counters come first, then gauges, then histograms, each kind's
+/// families in order of first appearance in the snapshot. Labels are
+/// written as registered (a preformatted `key="value"` pair, not
+/// escaped), so a label value must not hold a quote, a backslash or a
+/// newline.
 void render_prometheus(std::ostream& out, const Snapshot& snap);
 
 }  // namespace ltnc::telemetry

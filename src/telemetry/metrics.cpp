@@ -139,12 +139,28 @@ Histogram& Registry::histogram(std::string_view name, std::string_view label) {
   return get_or_create(histograms_, name, label);
 }
 
+void Registry::counter_fn(std::string_view name, std::string_view label,
+                          std::function<std::uint64_t()> reader) {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (auto& f : counter_fns_) {
+    if (f.name == name && f.label == label) {
+      f.reader = std::move(reader);
+      return;
+    }
+  }
+  counter_fns_.push_back(
+      CounterFn{std::string(name), std::string(label), std::move(reader)});
+}
+
 Snapshot Registry::snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   Snapshot snap;
-  snap.counters.reserve(counters_.size());
+  snap.counters.reserve(counters_.size() + counter_fns_.size());
   for (const auto& n : counters_) {
     snap.counters.push_back({n.name, n.label, n.metric->value()});
+  }
+  for (const auto& f : counter_fns_) {
+    snap.counters.push_back({f.name, f.label, f.reader()});
   }
   snap.gauges.reserve(gauges_.size());
   for (const auto& n : gauges_) {

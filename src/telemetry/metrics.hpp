@@ -23,6 +23,11 @@
 // logical metric. Writers racing a snapshot cost at most a torn *view*
 // (some adds in, some not) — never a torn value, never UB.
 //
+// A count that a component already keeps (a stats struct, a shard
+// atomic) is not mirrored into a second Counter: counter_fn() registers
+// a reader, and snapshot() calls it. Each count has one home; the
+// registry only reads it.
+//
 // Naming convention (Prometheus-compatible): `ltnc_<subsystem>_<what>`,
 // counters suffixed `_total`, histograms named for their unit
 // (`_ticks`, `_us`, `_rounds`, `_frames`). The label, when present, is a
@@ -33,6 +38,7 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -145,6 +151,16 @@ class Registry {
   Gauge& gauge(std::string_view name, std::string_view label = {});
   Histogram& histogram(std::string_view name, std::string_view label = {});
 
+  /// Registers a counter whose value lives elsewhere: snapshot() calls
+  /// `reader` and emits its result as an ordinary counter sample (after
+  /// the Counter samples). Registering (name, label) again replaces the
+  /// reader. `reader` runs on the snapshotting thread under the registry
+  /// lock, so it must be safe to call there and must not call back into
+  /// the registry, and what it reads must stay alive for every later
+  /// snapshot().
+  void counter_fn(std::string_view name, std::string_view label,
+                  std::function<std::uint64_t()> reader);
+
   /// Relaxed read of every metric. Safe against concurrent writers (the
   /// view may be mid-update torn across metrics, never within one).
   Snapshot snapshot() const;
@@ -163,6 +179,12 @@ class Registry {
 
   mutable std::mutex mu_;  ///< guards the vectors, never the metric values
   std::vector<Named<Counter>> counters_;
+  struct CounterFn {
+    std::string name;
+    std::string label;
+    std::function<std::uint64_t()> reader;
+  };
+  std::vector<CounterFn> counter_fns_;
   std::vector<Named<Gauge>> gauges_;
   std::vector<Named<Histogram>> histograms_;
 };

@@ -40,7 +40,6 @@
 
 namespace ltnc::telemetry {
 
-class Counter;
 class Gauge;
 class Histogram;
 class Registry;
@@ -59,9 +58,6 @@ struct SessionInstruments {
 struct TransportInstruments {
   Histogram* send_batch_frames = nullptr;  ///< frames per sendmmsg
   Histogram* recv_batch_frames = nullptr;  ///< frames per recvmmsg
-  Counter* would_block = nullptr;          ///< EAGAIN/EWOULDBLOCK
-  Counter* transient_errors = nullptr;     ///< ECONNREFUSED/EINTR/ENOBUFS…
-  Counter* fatal_errors = nullptr;         ///< everything else
 };
 
 }  // namespace ltnc::telemetry

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "cache/catalog.hpp"
@@ -17,6 +18,7 @@
 #include "session/protocols.hpp"
 #include "store/content_store.hpp"
 #include "stream/stream_source.hpp"
+#include "telemetry/metrics.hpp"
 #include "test_store.hpp"
 #include "wire/frame.hpp"
 
@@ -421,6 +423,52 @@ TEST(CacheHarness, UdpDriverSmoke) {
   EXPECT_EQ(udp.cache_bytes_used, sim.cache_bytes_used);
   EXPECT_EQ(udp.cache_capacity, sim.cache_capacity);
   EXPECT_EQ(udp.latency_samples, sim.latency_samples);
+}
+
+/// A run writes its totals to its registry once, when it ends: every
+/// ltnc_cache_* counter equals its CacheRunStats field.
+void expect_registry_matches(const telemetry::Registry& registry,
+                             const CacheRunStats& stats) {
+  const telemetry::Snapshot snap = registry.snapshot();
+  const auto read = [&snap](std::string_view name) {
+    const auto* c = snap.find_counter(name);
+    EXPECT_NE(c, nullptr) << name;
+    return c == nullptr ? std::uint64_t{0} : c->value;
+  };
+  EXPECT_EQ(read("ltnc_cache_requests_total"), stats.requests);
+  EXPECT_EQ(read("ltnc_cache_full_hits_total"), stats.full_hits);
+  EXPECT_EQ(read("ltnc_cache_partial_hits_total"), stats.partial_hits);
+  EXPECT_EQ(read("ltnc_cache_misses_total"), stats.misses);
+  EXPECT_EQ(read("ltnc_cache_edge_symbols_total"), stats.symbols_from_edge);
+  EXPECT_EQ(read("ltnc_cache_source_symbols_total"),
+            stats.symbols_from_source);
+  EXPECT_EQ(read("ltnc_cache_backhaul_bytes_total"), stats.backhaul_bytes);
+  EXPECT_EQ(read("ltnc_cache_fill_bytes_total"), stats.fill_bytes);
+  EXPECT_EQ(read("ltnc_cache_evicted_entries_total"), stats.evicted_entries);
+}
+
+TEST(CacheHarness, RegistryCountersEqualRunStats) {
+  {
+    telemetry::Registry registry;
+    CacheScenario sc = small_scenario(48, Policy::kLru, 0.5);
+    sc.registry = &registry;
+    const CacheRunStats stats = run_event_cache(sc);
+    EXPECT_GT(stats.evicted_entries, 0u);
+    EXPECT_GT(stats.backhaul_bytes, 0u);
+    expect_registry_matches(registry, stats);
+  }
+  {
+    telemetry::Registry registry;
+    SimCacheConfig cfg;
+    cfg.scenario = small_scenario(8, Policy::kPopularity, 0.5);
+    cfg.scenario.requests_per_user = 2;
+    cfg.scenario.loss_rate = 0.1;
+    cfg.scenario.registry = &registry;
+    const CacheRunStats stats = run_sim_cache(cfg);
+    EXPECT_GT(stats.fill_bytes, 0u);
+    EXPECT_GT(stats.backhaul_bytes, 0u);
+    expect_registry_matches(registry, stats);
+  }
 }
 
 TEST(CacheHarness, WorkingSetScalesWithTheCatalog) {

@@ -8,7 +8,9 @@
 
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -17,6 +19,8 @@
 #include "common/payload.hpp"
 #include "session/protocols.hpp"
 #include "store/content_store.hpp"
+#include "telemetry/metrics.hpp"
+#include "telemetry/telemetry.hpp"
 #include "wire/codec.hpp"
 #include "wire/frame.hpp"
 
@@ -231,6 +235,72 @@ TEST(ShardedEndpoint, SingleShardMatchesSingleThreadedSemantics) {
   EXPECT_GE(total.completions_sent, 2u);
   EXPECT_EQ(sharded.report(0).frames_in, 2 * kK);
 }
+
+#if LTNC_TELEMETRY_ENABLED
+TEST(ShardedEndpoint, RegistryCountersEqualReportsAfterStop) {
+  // The per-shard frame counters read the shards' own tallies, so they
+  // are exact at any snapshot, not only after a tick boundary: here no
+  // shard ever reaches one, and after stop() every counter still equals
+  // its shard's report.
+  constexpr std::uint32_t kPeers = 16;
+  telemetry::Registry registry;
+  SinkApp app(kPeers);
+  ShardedConfig cfg;
+  cfg.num_shards = 4;
+  cfg.iterations_per_tick = std::numeric_limits<std::uint64_t>::max();
+  cfg.registry = &registry;
+  ShardedEndpoint sharded(cfg, app);
+
+  wire::Frame frame;
+  for (PeerId peer = 0; peer < kPeers; ++peer) {
+    const ContentId content = static_cast<ContentId>(peer + 1);
+    for (std::size_t i = 0; i < kK; ++i) {
+      wire::serialize(content,
+                      CodedPacket::native(
+                          kK, i, Payload::deterministic(kM, 7 + content, i)),
+                      frame);
+      ASSERT_TRUE(sharded.route_frame(peer, frame));
+    }
+  }
+  // Every conversation completes and acks once: wait for all the acks,
+  // so the outbound counters have something to count.
+  std::uint32_t acks = 0;
+  const auto deadline = std::chrono::steady_clock::now() + 30s;
+  while (acks < kPeers) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    for (std::uint32_t s = 0; s < sharded.num_shards(); ++s) {
+      PeerId dst = 0;
+      while (sharded.poll_transmit(s, dst, frame)) ++acks;
+    }
+    std::this_thread::yield();
+  }
+  sharded.stop();
+
+  const telemetry::Snapshot snap = registry.snapshot();
+  const auto read = [&snap](const std::string& name,
+                            const std::string& label) {
+    for (const auto& c : snap.counters) {
+      if (c.name == name && c.label == label) return c.value;
+    }
+    ADD_FAILURE() << "no series " << name << "{" << label << "}";
+    return std::uint64_t{0};
+  };
+  std::uint64_t frames_in = 0;
+  std::uint64_t frames_out = 0;
+  for (std::uint32_t s = 0; s < sharded.num_shards(); ++s) {
+    const std::string label = "shard=\"" + std::to_string(s) + "\"";
+    const auto& report = sharded.report(s);
+    EXPECT_EQ(read("ltnc_shard_frames_in_total", label), report.frames_in);
+    EXPECT_EQ(read("ltnc_shard_frames_out_total", label), report.frames_out);
+    frames_in += report.frames_in;
+    frames_out += report.frames_out;
+  }
+  EXPECT_EQ(frames_in, kPeers * kK);
+  EXPECT_GE(frames_out, kPeers);
+  EXPECT_EQ(read("ltnc_shard_inbound_drops_total", ""),
+            sharded.inbound_drops());
+}
+#endif
 
 }  // namespace
 }  // namespace ltnc::session

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "common/bitvector.hpp"
@@ -28,6 +29,7 @@
 #include "stream/harness.hpp"
 #include "stream/receiver.hpp"
 #include "stream/stream_source.hpp"
+#include "telemetry/metrics.hpp"
 #include "wire/codec.hpp"
 #include "wire/frame.hpp"
 
@@ -415,6 +417,37 @@ TEST(StreamHarness, ReorderAndDuplicationDoNotBreakAccounting) {
   const StreamRunStats r = run_sim_stream(cfg);
   EXPECT_EQ(r.completed + r.missed, 12u);
   EXPECT_EQ(r.verify_failures, 0u);
+}
+
+TEST(StreamHarness, RegistryCountersEqualRunStats) {
+  // The run writes its block totals to its registry once, when it ends:
+  // each ltnc_stream_* counter equals its StreamRunStats field.
+  telemetry::Registry registry;
+  SimStreamConfig cfg;
+  cfg.stream.block_bytes = 1024;
+  cfg.stream.symbol_bytes = 32;
+  cfg.stream.ticks_per_block = 8;
+  cfg.stream.deadline_ticks = 32;
+  cfg.stream.total_blocks = 8;
+  cfg.stream.base_overhead = 1.9;
+  cfg.channel.loss_rate = 0.4;
+  cfg.receivers = 2;
+  cfg.registry = &registry;
+  const StreamRunStats r = run_sim_stream(cfg);
+  EXPECT_EQ(r.completed + r.missed, 16u);
+  EXPECT_GT(r.completed, 0u);
+  EXPECT_GT(r.missed, 0u);
+  const telemetry::Snapshot snap = registry.snapshot();
+  const auto read = [&snap](std::string_view name) {
+    const auto* c = snap.find_counter(name);
+    EXPECT_NE(c, nullptr) << name;
+    return c == nullptr ? std::uint64_t{0} : c->value;
+  };
+  EXPECT_EQ(read("ltnc_stream_blocks_completed_total"), r.completed);
+  EXPECT_EQ(read("ltnc_stream_deadline_misses_total"), r.missed);
+  EXPECT_EQ(read("ltnc_stream_goodput_bytes_total"), r.goodput_bytes);
+  EXPECT_EQ(snap.find_histogram("ltnc_stream_block_latency_ticks")->count(),
+            r.completed);
 }
 
 TEST(StreamHarness, EventEngineStreamsToAFleet) {

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <limits>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -123,6 +124,45 @@ TEST(TelemetryRegistry, GetOrCreateReturnsStableInstances) {
   ASSERT_EQ(agg.counters.size(), 1u);
   EXPECT_EQ(agg.counters[0].value, 7u);
   EXPECT_TRUE(agg.counters[0].label.empty());
+}
+
+TEST(TelemetryRegistry, CounterFnReadsItsSourceAtSnapshot) {
+  // A reader registers a count that lives elsewhere: the registry keeps
+  // no copy, so every snapshot sees the source as it is then.
+  Registry reg;
+  std::uint64_t shard0 = 3;
+  std::atomic<std::uint64_t> shard1{4};
+  reg.counter_fn("ltnc_frames_total", "shard=\"0\"", [&] { return shard0; });
+  reg.counter_fn("ltnc_frames_total", "shard=\"1\"",
+                 [&] { return shard1.load(); });
+  reg.counter("ltnc_other_total").add(1);
+  shard0 = 10;
+  shard1 = 5;
+
+  const Snapshot snap = reg.snapshot();
+  ASSERT_EQ(snap.counters.size(), 3u);
+  std::uint64_t read0 = 0;
+  std::uint64_t read1 = 0;
+  for (const auto& c : snap.counters) {
+    if (c.label == "shard=\"0\"") read0 = c.value;
+    if (c.label == "shard=\"1\"") read1 = c.value;
+  }
+  EXPECT_EQ(read0, 10u);
+  EXPECT_EQ(read1, 5u);
+  EXPECT_EQ(snap.aggregated().find_counter("ltnc_frames_total")->value, 15u);
+
+  std::ostringstream out;
+  render_prometheus(out, snap);
+  const std::string text = out.str();
+  EXPECT_NE(text.find("# TYPE ltnc_frames_total counter"), std::string::npos);
+  EXPECT_NE(text.find("ltnc_frames_total{shard=\"0\"} 10"),
+            std::string::npos);
+
+  // Registering (name, label) again replaces the reader.
+  reg.counter_fn("ltnc_frames_total", "shard=\"0\"", [] { return 1; });
+  const Snapshot again = reg.snapshot();
+  ASSERT_EQ(again.counters.size(), 3u);
+  EXPECT_EQ(again.aggregated().find_counter("ltnc_frames_total")->value, 6u);
 }
 
 // --- snapshot racing writers (exercised under TSan) --------------------------
@@ -248,6 +288,39 @@ TEST(TelemetryExport, PrometheusRendersAllKindsWithLabels) {
   EXPECT_NE(text.find("ltnc_lat_ticks_bucket{le=\"+Inf\"} 3"),
             std::string::npos);
   EXPECT_NE(text.find("ltnc_lat_ticks_count 3"), std::string::npos);
+}
+
+TEST(TelemetryExport, EachFamilyIsOneGroup) {
+  // Per-shard series register shard by shard, interleaving families; the
+  // exposition must still write each family's lines as one group.
+  Registry reg;
+  for (int s = 0; s < 2; ++s) {
+    const std::string label = "shard=\"" + std::to_string(s) + "\"";
+    reg.counter("ltnc_in_total", label).add(1);
+    reg.counter_fn("ltnc_out_total", label, [] { return 2; });
+    reg.counter("ltnc_drops_total", label).add(3);
+    reg.histogram("ltnc_a_ticks", label).record(1);
+    reg.histogram("ltnc_b_ticks", label).record(2);
+  }
+  std::ostringstream out;
+  render_prometheus(out, reg.snapshot());
+  const std::string text = out.str();
+  const auto pos = [&text](const std::string& needle) {
+    const std::size_t at = text.find(needle);
+    EXPECT_NE(at, std::string::npos) << needle;
+    return at;
+  };
+  EXPECT_LT(pos("ltnc_in_total{shard=\"1\"}"), pos("# TYPE ltnc_drops_total"));
+  EXPECT_LT(pos("ltnc_drops_total{shard=\"1\"}"),
+            pos("# TYPE ltnc_out_total"));
+  EXPECT_LT(pos("ltnc_a_ticks_count{shard=\"1\"}"),
+            pos("# TYPE ltnc_b_ticks"));
+  for (const char* family : {"ltnc_in_total", "ltnc_out_total",
+                             "ltnc_drops_total", "ltnc_a_ticks",
+                             "ltnc_b_ticks"}) {
+    const std::string type = std::string("# TYPE ") + family + " ";
+    EXPECT_EQ(text.find(type, pos(type) + 1), std::string::npos) << family;
+  }
 }
 
 // --- trajectory invariance with telemetry attached ---------------------------
